@@ -31,10 +31,12 @@ from .errors import (
 )
 from .protocol import (
     ProtocolConfig,
+    SessionResult,
     SyncRoundResult,
     TicModel,
     compute_reversal_delay,
     measure_interval,
+    run_rounds,
     run_session,
     sync_round,
     tdm_admission,

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channel import HardwareDelays, LinkModel
 from .errors import NegativeT3Error, ValidationError
 from .protocol import RoundEvents, TicModel
@@ -30,12 +32,44 @@ class AccessNode:
         if self.distance_from_server_km < 0:
             raise ValidationError("distance_from_server_km must be >= 0")
 
+    def observe_rounds(self, events: RoundEvents) -> "NodeObservation":
+        """observe_round over every round of a session at once.
+
+        events holds one array entry per round.  Each round applies the
+        previous round's tap interval, the first round its own, and the
+        fields of the result are arrays over the rounds.  Raises
+        NegativeT3Error at the first round with a negative interval.
+        """
+        t_u_an, t_s_an = tap_times(self, events)
+        t3 = self.tic.measure_intervals(t_u_an, t_s_an)
+        negative = np.flatnonzero(t3 < 0)
+        if negative.size:
+            raise _negative_t3_error(float(t3[negative[0]]))
+        recovered = t_u_an + 0.5 * np.concatenate([t3[:1], t3[:-1]])
+        target = events.server_pulse_rel_s + 0.5 * events.reversal_constant_s
+        return NodeObservation(
+            position_km=self.distance_from_server_km,
+            t_u_an_rel_s=t_u_an,
+            t_s_an_rel_s=t_s_an,
+            t3_s=t3,
+            recovered_rel_s=recovered,
+            residual_s=recovered - target,
+        )
+
+
+def _negative_t3_error(t3: float) -> NegativeT3Error:
+    return NegativeT3Error(
+        f"tap interval {t3:.3e} s is negative; reversal constant too small "
+        "or taps swapped"
+    )
+
 
 def tap_times(node: AccessNode, events: RoundEvents) -> tuple[float, float]:
     """Arrival times (relative to the round epoch) of the two tapped signals.
 
     Returns (t_user_to_node, t_server_to_node): the user's request pulse and
-    the server's reversed pulse as seen at the node's coupler.
+    the server's reversed pulse as seen at the node's coupler.  Array-valued
+    events give arrays, one entry per round.
     """
     link: LinkModel = events.link
     hw: HardwareDelays = events.hw
@@ -73,10 +107,7 @@ def recover_time(node: AccessNode, t_u_an_s: float, t_s_an_s: float) -> float:
     measured tap interval.  Raises NegativeT3Error on a negative interval."""
     t3 = node.tic.measure_interval(t_u_an_s, t_s_an_s)
     if t3 < 0:
-        raise NegativeT3Error(
-            f"tap interval {t3:.3e} s is negative; reversal constant too small "
-            "or taps swapped"
-        )
+        raise _negative_t3_error(t3)
     return t_u_an_s + 0.5 * t3
 
 
@@ -107,10 +138,7 @@ def observe_round(
     t_u_an, t_s_an = tap_times(node, events)
     t3 = node.tic.measure_interval(t_u_an, t_s_an)
     if t3 < 0:
-        raise NegativeT3Error(
-            f"tap interval {t3:.3e} s is negative; reversal constant too small "
-            "or taps swapped"
-        )
+        raise _negative_t3_error(t3)
     applied = t3 if applied_t3_s is None else applied_t3_s
     recovered = t_u_an + 0.5 * applied
     target = events.server_pulse_rel_s + 0.5 * events.reversal_constant_s

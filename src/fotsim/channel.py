@@ -91,6 +91,12 @@ class _OuProcess:
             self._path.append(self._rho * prev + self._sigma_step * float(self._rng.standard_normal()))
         return self._path[idx]
 
+    def values(self, t: np.ndarray) -> np.ndarray:
+        """value() at each time of t (all >= 0)."""
+        if t.size:
+            self.value(float(t.max()))
+        return np.asarray(self._path)[(t / self.grid).astype(np.int64)]
+
 
 class LinkModel:
     """Fiber span between server (position 0) and user (position length_km).
@@ -142,16 +148,32 @@ class LinkModel:
     def fluctuation_value(self, t: float) -> float:
         return self._fluct.value(t) if self._fluct is not None else 0.0
 
+    def fluctuation_values(self, t: np.ndarray) -> np.ndarray:
+        """fluctuation_value at each time of t (all >= 0)."""
+        return self._fluct.values(t) if self._fluct is not None else np.zeros(t.size)
+
+    def query_time(self, epoch_s: float, emit_rel_s: float) -> float:
+        """When a crossing emitted emit_rel_s after the round epoch samples
+        the fluctuation: the epoch in quasi-static mode, else the emission
+        instant.  The path is held at its first sample before t = 0, which a
+        user clock that leads the server reaches in round 0."""
+        if not self.evaluate_at_emit_time:
+            return epoch_s
+        return max(epoch_s + emit_rel_s, 0.0)
+
     def dispersion_asymmetry_s(self) -> float:
         """Server->user minus user->server delay due to chromatic dispersion."""
         d_a = accumulated_dispersion(self)
         return (self.lambda_user_nm - self.lambda_server_nm) * d_a * 1e-12
 
+    def asymmetry_share_s(self, direction: Direction) -> float:
+        """The direction's half of the dispersion plus Sagnac asymmetry."""
+        asym = self.dispersion_asymmetry_s() + self.sagnac_s
+        return 0.5 * asym if direction is Direction.SERVER_TO_USER else -0.5 * asym
+
     def fiber_delay_s(self, direction: Direction, t: float) -> float:
         """One-way fiber propagation delay (no site hardware, no amplifier)."""
-        asym = self.dispersion_asymmetry_s() + self.sagnac_s
-        half = 0.5 * asym if direction is Direction.SERVER_TO_USER else -0.5 * asym
-        return self.base_delay_s() + self.fluctuation_value(t) + half
+        return self.base_delay_s() + self.fluctuation_value(t) + self.asymmetry_share_s(direction)
 
 
 def accumulated_dispersion(link: LinkModel) -> float:
@@ -180,11 +202,16 @@ def one_way_delay(
     """
     if t_emit < 0:
         raise ValidationError("t_emit must be >= 0")
-    fiber = link.fiber_delay_s(direction, t_emit)
+    return path_delay(hw, direction, link.fiber_delay_s(direction, t_emit))
+
+
+def path_delay(hw: HardwareDelays, direction: Direction, fiber_s):
+    """One-way delay around a fiber delay (a float or an array of them):
+    transmitter, fiber, amplifier at the direction's wavelength, receiver."""
     if direction is Direction.USER_TO_SERVER:
-        return hw.tx_user_s + fiber + hw.biedfa_lambda2_s + hw.rx_server_s
+        return hw.tx_user_s + fiber_s + hw.biedfa_lambda2_s + hw.rx_server_s
     if direction is Direction.SERVER_TO_USER:
-        return hw.tx_server_s + fiber + hw.biedfa_lambda1_s + hw.rx_user_s
+        return hw.tx_server_s + fiber_s + hw.biedfa_lambda1_s + hw.rx_user_s
     raise ValidationError(f"invalid direction {direction!r}")
 
 

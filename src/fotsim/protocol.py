@@ -15,6 +15,13 @@ that double precision holds femtosecond-level cancellations even late in a
 long session.  In the default quasi-static mode both link crossings sample
 the fluctuation at the round epoch; the flight-time-accurate mode is
 available on the link model for sensitivity checks.
+
+sync_round states one round plainly and is the reference.  run_rounds is the
+engine that sessions, calibration and access nodes run on: it builds every
+steering-independent input of all rounds as arrays, runs only the steering
+recursion as a scalar scan, and derives the rest of the columns with array
+arithmetic.  Every floating-point operation keeps sync_round's order, so the
+engine's columns equal a sync_round replay bit for bit.
 """
 
 from __future__ import annotations
@@ -25,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import CalibrationSet, corrected_offset
-from .channel import Direction, HardwareDelays, LinkModel, one_way_delay
-from .errors import NonCausalError, ReversalOverflowError, ValidationError
+from .channel import Direction, HardwareDelays, LinkModel, one_way_delay, path_delay
+from .errors import NonCausalError, ProtocolError, ReversalOverflowError, ValidationError
 from .timebase import ClockModel, TimeErrorSeries
 
 
@@ -54,8 +61,25 @@ class TicModel:
             raise ValidationError("timestamps must be finite")
         value = (t_stop_s - t_start_s) + self.jitter_rms_s * float(self._rng.standard_normal())
         if self.resolution_s > 0:
-            value = float(np.rint(value / self.resolution_s)) * self.resolution_s
+            value = _quantize(value, self.resolution_s)
         return value
+
+    def jitter(self, n: int) -> np.ndarray:
+        """Jitter of the next n readings, drawn as n readings would draw it."""
+        return self.jitter_rms_s * self._rng.standard_normal(n)
+
+    def measure_intervals(self, t_start_s: np.ndarray, t_stop_s: np.ndarray) -> np.ndarray:
+        """measure_interval for each pair, as that many successive readings."""
+        if not (np.all(np.isfinite(t_start_s)) and np.all(np.isfinite(t_stop_s))):
+            raise ValidationError("timestamps must be finite")
+        value = (t_stop_s - t_start_s) + self.jitter(t_start_s.size)
+        if self.resolution_s > 0:
+            value = np.rint(value / self.resolution_s) * self.resolution_s
+        return value
+
+
+def _quantize(value: float, resolution_s: float) -> float:
+    return float(np.rint(value / resolution_s)) * resolution_s
 
 
 def measure_interval(tic: TicModel, t_start_s: float, t_stop_s: float) -> float:
@@ -94,7 +118,9 @@ class ProtocolConfig:
 @dataclass
 class RoundEvents:
     """Event times of one round (relative to the round epoch) plus the
-    channel realization, enough to derive any mid-link tap."""
+    channel realization, enough to derive any mid-link tap.
+
+    The engine fills the time fields with arrays, one entry per round."""
 
     epoch_s: float
     user_emit_rel_s: float
@@ -121,6 +147,36 @@ class SyncRoundResult:
     true_offset_s: float
     residual_s: float
     events: RoundEvents = field(repr=False, default=None)
+
+
+@dataclass
+class SessionResult:
+    """Columns of a session, one entry per round, named as in SyncRoundResult.
+
+    events holds the rounds' event times as arrays; nodes maps each access
+    node's name to its NodeObservation, whose fields are arrays too.
+    """
+
+    t_round_s: np.ndarray
+    t1_s: np.ndarray
+    t2_s: np.ndarray
+    reversal_delay_applied_s: np.ndarray
+    offset_estimate_s: np.ndarray
+    true_offset_s: np.ndarray
+    residual_s: np.ndarray
+    events: RoundEvents = field(repr=False)
+    nodes: dict = field(repr=False, default_factory=dict)
+
+    def __len__(self):
+        return self.t_round_s.size
+
+
+def steering_shift(cfg: ProtocolConfig, hw: HardwareDelays) -> float:
+    """Offset of the steered user output from the user clock: its delay-unit
+    deviation, less the calibrated value when calibration is applied."""
+    if cfg.apply_calibration:
+        return hw.delay_unit_dev_user_s - cfg.calibration.tau_delay_u_s
+    return hw.delay_unit_dev_user_s
 
 
 def compute_reversal_delay(reversal_constant_s: float, t1_s: float) -> float:
@@ -161,7 +217,7 @@ def sync_round(
     user_emit = -x_user
     server_pulse = -x_server
 
-    q_us = t if not link.evaluate_at_emit_time else t + user_emit
+    q_us = link.query_time(t, user_emit)
     tau_us = one_way_delay(link, hw, Direction.USER_TO_SERVER, q_us)
     if tau_us < 0:
         raise NonCausalError("user->server path delay is negative")
@@ -176,7 +232,7 @@ def sync_round(
             "reversal emission precedes the request measurement; C is too small"
         )
 
-    q_su = t if not link.evaluate_at_emit_time else t + reversal_emit
+    q_su = link.query_time(t, reversal_emit)
     tau_su = one_way_delay(link, hw, Direction.SERVER_TO_USER, q_su)
     if tau_su < 0:
         raise NonCausalError("server->user path delay is negative")
@@ -186,10 +242,8 @@ def sync_round(
 
     if cfg.apply_calibration:
         estimate = corrected_offset(t2, cfg.calibration)
-        steering_shift = hw.delay_unit_dev_user_s - cfg.calibration.tau_delay_u_s
     else:
         estimate = 0.5 * (t2 - cfg.reversal_constant_s)
-        steering_shift = hw.delay_unit_dev_user_s
 
     events = RoundEvents(
         epoch_s=t,
@@ -211,8 +265,149 @@ def sync_round(
         reversal_delay_applied_s=applied_delay,
         offset_estimate_s=estimate,
         true_offset_s=true_offset,
-        residual_s=estimate - true_offset + steering_shift,
+        residual_s=estimate - true_offset + steering_shift(cfg, hw),
         events=events,
+    )
+
+
+def run_rounds(
+    server: ClockModel,
+    user: ClockModel,
+    link: LinkModel,
+    hw: HardwareDelays,
+    tic_server: TicModel,
+    tic_user: TicModel,
+    cfg: ProtocolConfig,
+    n_rounds: int,
+    steering_enabled: bool = True,
+    nodes=(),
+) -> SessionResult:
+    """Run n_rounds rounds at epochs k * compensation_period_s.
+
+    The columns equal, bit for bit, a loop of sync_round that adds each
+    offset estimate to user_steer_s when steering_enabled, with each access
+    node in nodes applying observe_round to every round and the previous
+    round's tap interval (its own in round 0).  A failing round raises what
+    that loop would raise first: a node's NegativeT3Error in an earlier
+    round, else the round's own ProtocolError.
+    """
+    if hw is None or cfg.textbook_mode:
+        hw = HardwareDelays()
+    c = cfg.reversal_constant_s
+    du_server = hw.delay_unit_dev_server_s
+    if cfg.apply_calibration:
+        cal = cfg.calibration
+        c_cal, hd, fpda, oaa = cal.reversal_constant_s, cal.tau_hd_s, cal.tau_fpda_s, cal.tau_oaa_s
+    else:
+        # subtracting 0.0 leaves every value as it is: this is 0.5 * (t2 - C)
+        c_cal, hd, fpda, oaa = c, 0.0, 0.0, 0.0
+    us, su = Direction.USER_TO_SERVER, Direction.SERVER_TO_USER
+    base = link.base_delay_s()
+    half_us, half_su = link.asymmetry_share_s(us), link.asymmetry_share_s(su)
+    emit = link.evaluate_at_emit_time
+
+    # the inputs of every round that do not depend on the steering
+    epochs = np.arange(n_rounds) * cfg.compensation_period_s
+    x_server = server.time_errors(epochs)
+    x_user_free = user.time_errors(epochs)
+    jitter_server = tic_server.jitter(n_rounds)
+    jitter_user = tic_user.jitter(n_rounds)
+    if not emit:
+        fluct = link.fluctuation_values(epochs)
+        fiber_us, fiber_su = (base + fluct) + half_us, (base + fluct) + half_su
+        tau_us = path_delay(hw, us, fiber_us).tolist()
+        tau_su = path_delay(hw, su, fiber_su).tolist()
+    res_server, res_user = tic_server.resolution_s, tic_user.resolution_s
+
+    # the scan: only what depends on the steering accumulator
+    steers, t1s, t2s, estimates, fluct_us, fluct_su = [], [], [], [], [], []
+    steer = 0.0
+    failure = None
+    inputs = zip(epochs.tolist(), (-x_server).tolist(), x_user_free.tolist(),
+                 jitter_server.tolist(), jitter_user.tolist())
+    try:
+        for k, (t, server_pulse, xu_free, j1, j2) in enumerate(inputs):
+            user_emit = -(xu_free - steer)
+            if emit:
+                f_us = link.fluctuation_value(link.query_time(t, user_emit))
+                tu = path_delay(hw, us, (base + f_us) + half_us)
+            else:
+                tu = tau_us[k]
+            if tu < 0:
+                raise NonCausalError("user->server path delay is negative")
+            rxs = user_emit + tu
+            t1 = (rxs - server_pulse) + j1
+            if res_server > 0:
+                t1 = _quantize(t1, res_server)
+            reversal_emit = server_pulse + (compute_reversal_delay(c, t1) + du_server)
+            if reversal_emit < rxs:
+                raise NonCausalError(
+                    "reversal emission precedes the request measurement; C is too small"
+                )
+            if emit:
+                f_su = link.fluctuation_value(link.query_time(t, reversal_emit))
+                ts = path_delay(hw, su, (base + f_su) + half_su)
+            else:
+                ts = tau_su[k]
+            if ts < 0:
+                raise NonCausalError("server->user path delay is negative")
+            t2 = ((reversal_emit + ts) - user_emit) + j2
+            if res_user > 0:
+                t2 = _quantize(t2, res_user)
+            estimate = 0.5 * (t2 - c_cal - hd - fpda - oaa)
+            steers.append(steer)
+            t1s.append(t1)
+            t2s.append(t2)
+            estimates.append(estimate)
+            if emit:
+                fluct_us.append(f_us)
+                fluct_su.append(f_su)
+            if steering_enabled:
+                steer += estimate
+    except ProtocolError as exc:
+        failure = exc
+
+    # the rest, as arrays over the rounds that completed
+    m = len(estimates)
+    if emit:
+        fiber_us = (base + np.asarray(fluct_us, dtype=float)) + half_us
+        fiber_su = (base + np.asarray(fluct_su, dtype=float)) + half_su
+    else:
+        fiber_us, fiber_su = fiber_us[:m], fiber_su[:m]
+    x_user = x_user_free[:m] - np.asarray(steers, dtype=float)
+    true_offset = x_user - x_server[:m]
+    user_emit = -x_user
+    server_pulse = -x_server[:m]
+    t1 = np.asarray(t1s, dtype=float)
+    applied = (c - t1) + du_server
+    reversal_emit = server_pulse + applied
+    estimate = np.asarray(estimates, dtype=float)
+    events = RoundEvents(
+        epoch_s=epochs[:m],
+        user_emit_rel_s=user_emit,
+        server_pulse_rel_s=server_pulse,
+        rxs_rel_s=user_emit + path_delay(hw, us, fiber_us),
+        reversal_emit_rel_s=reversal_emit,
+        rxu_rel_s=reversal_emit + path_delay(hw, su, fiber_su),
+        fiber_us_s=fiber_us,
+        fiber_su_s=fiber_su,
+        reversal_constant_s=c,
+        link=link,
+        hw=hw,
+    )
+    observations = {node.name: node.observe_rounds(events) for node in nodes} if m else {}
+    if failure is not None:
+        raise failure
+    return SessionResult(
+        t_round_s=events.epoch_s,
+        t1_s=t1,
+        t2_s=np.asarray(t2s, dtype=float),
+        reversal_delay_applied_s=applied,
+        offset_estimate_s=estimate,
+        true_offset_s=true_offset,
+        residual_s=(estimate - true_offset) + steering_shift(cfg, hw),
+        events=events,
+        nodes=observations,
     )
 
 
@@ -226,34 +421,24 @@ def run_session(
     cfg: ProtocolConfig,
     duration_s: float,
     steering_enabled: bool = True,
-    on_round=None,
-) -> list[SyncRoundResult]:
+    nodes=(),
+) -> SessionResult:
     """Repeat sync rounds every compensation period over duration_s.
 
     Between rounds the user clock is steered by the latest offset estimate
     (step correction), so each round's true_offset_s is the tracking error
-    just before that round's correction.  on_round, when given, is called
-    with each SyncRoundResult as it is produced.
+    just before that round's correction.  Access nodes in nodes tap every
+    round; see run_rounds.
     """
     n_rounds = int(math.floor(duration_s / cfg.compensation_period_s))
     if n_rounds < 1:
         raise ValidationError("duration_s must cover at least one compensation period")
-    steer = 0.0
-    rounds: list[SyncRoundResult] = []
-    for k in range(n_rounds):
-        epoch = k * cfg.compensation_period_s
-        result = sync_round(server, user, link, hw, tic_server, tic_user, cfg,
-                            epoch, user_steer_s=steer)
-        rounds.append(result)
-        if on_round is not None:
-            on_round(result)
-        if steering_enabled:
-            steer += result.offset_estimate_s
-    return rounds
+    return run_rounds(server, user, link, hw, tic_server, tic_user, cfg, n_rounds,
+                      steering_enabled=steering_enabled, nodes=nodes)
 
 
 def tracking_error_series(
-    rounds: list[SyncRoundResult],
+    rounds: SessionResult,
     cfg: ProtocolConfig,
     hw: HardwareDelays,
     warmup_rounds: int = 1,
@@ -267,14 +452,9 @@ def tracking_error_series(
     """
     if warmup_rounds < 0 or warmup_rounds > len(rounds) - 4:
         raise ValidationError("warmup_rounds leaves too few rounds for analysis")
-    if cfg.apply_calibration:
-        shift = hw.delay_unit_dev_user_s - cfg.calibration.tau_delay_u_s
-    else:
-        shift = hw.delay_unit_dev_user_s
-    values = [r.true_offset_s + shift for r in rounds[warmup_rounds:]]
     return TimeErrorSeries(
         tau0_s=cfg.compensation_period_s,
-        values=np.asarray(values),
+        values=rounds.true_offset_s[warmup_rounds:] + steering_shift(cfg, hw),
         meta={"kind": "tracking_error", "warmup_rounds": warmup_rounds},
     )
 

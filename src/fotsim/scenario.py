@@ -23,12 +23,13 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .access import AccessNode, NodeObservation, observe_round
+from .access import AccessNode, NodeObservation
 from .calibration import (
     CalibrationSet,
     biedfa_asymmetry,
@@ -40,13 +41,13 @@ from .channel import FluctuationSpec, HardwareDelays, LinkModel, accumulated_dis
 from .errors import ScenarioParseError, ValidationError
 from .protocol import (
     ProtocolConfig,
-    SyncRoundResult,
+    SessionResult,
     TicModel,
+    run_rounds,
     run_session,
-    sync_round,
     tracking_error_series,
 )
-from .stability import StabilityCurve, tdev
+from .stability import StabilityCurve, _tau_to_n, tdev
 from .timebase import ClockModel, NoiseProfile, TimeErrorSeries
 
 ROUNDS_HEADER = ["t_s", "T1_s", "T2_s", "offset_est_s", "true_offset_s", "residual_s"]
@@ -70,6 +71,8 @@ def derive_seed(master_seed: int, path: str) -> int:
 
 
 def _check_keys(d: dict, allowed: dict, context: str) -> None:
+    if not isinstance(d, dict):
+        raise ValidationError(f"{context} must be an object")
     for key in d:
         if key not in allowed:
             raise ValidationError(
@@ -95,6 +98,13 @@ def _number(d: dict, key: str, context: str, default=None, minimum=None,
             raise ValidationError(f"{context}.{key} must be > {minimum}")
         if not strict_min and value < minimum:
             raise ValidationError(f"{context}.{key} must be >= {minimum}")
+    return value
+
+
+def _list(d: dict, key: str, context: str) -> list:
+    value = d.get(key, [])
+    if not isinstance(value, list):
+        raise ValidationError(f"{context}.{key} must be a list")
     return value
 
 
@@ -219,9 +229,7 @@ _TOP_KEYS = {
 def _parse_clock(d: dict, context: str) -> ClockSpec:
     _check_keys(d, _CLOCK_KEYS, context)
     noise = []
-    for i, comp in enumerate(d.get("noise", [])):
-        if not isinstance(comp, dict):
-            raise ValidationError(f"{context}.noise[{i}] must be an object")
+    for i, comp in enumerate(_list(d, "noise", context)):
         _check_keys(comp, _NOISE_KEYS, f"{context}.noise[{i}]")
         noise.append((comp["type"],
                       _number(comp, "amplitude", f"{context}.noise[{i}]", minimum=0.0)))
@@ -249,8 +257,6 @@ def _parse_tic(d: dict, context: str) -> TicSpec:
 def _parse_link(d: dict, context: str) -> LinkSpec:
     _check_keys(d, _LINK_KEYS, context)
     fluct = d.get("fluctuation", {})
-    if not isinstance(fluct, dict):
-        raise ValidationError(f"{context}.fluctuation must be an object")
     _check_keys(fluct, _FLUCT_KEYS, f"{context}.fluctuation")
     return LinkSpec(
         length_km=_number(d, "length_km", context, minimum=0.0),
@@ -283,6 +289,11 @@ def _parse_protocol(d: dict, context: str) -> ProtocolSpec:
         if not isinstance(cal, dict):
             raise ValidationError(f"{context}.calibration must be an object or null")
         _check_keys(cal, _CAL_KEYS, f"{context}.calibration")
+        for key in _CAL_KEYS:
+            if key != "provenance":
+                _number(cal, key, f"{context}.calibration")
+        if not isinstance(cal.get("provenance", {}), dict):
+            raise ValidationError(f"{context}.calibration.provenance must be an object")
     rounds = d.get("calibration_rounds", 100)
     if not isinstance(rounds, int) or isinstance(rounds, bool) or rounds < 1:
         raise ValidationError(f"{context}.calibration_rounds must be a positive integer")
@@ -323,8 +334,6 @@ def validate_scenario(doc: dict) -> Scenario:
         raise ValidationError("scenario.warmup_rounds must be a non-negative integer")
 
     clocks_doc = doc["clocks"]
-    if not isinstance(clocks_doc, dict):
-        raise ValidationError("scenario.clocks must be an object")
     _check_keys(clocks_doc, {"server": True, "user": True}, "scenario.clocks")
     clocks = {
         role: _parse_clock(clocks_doc[role], f"scenario.clocks.{role}")
@@ -363,10 +372,8 @@ def validate_scenario(doc: dict) -> Scenario:
         protocol = _parse_protocol(doc["protocol"], "scenario.protocol")
 
     nodes = []
-    for i, node_doc in enumerate(doc.get("access_nodes", [])):
+    for i, node_doc in enumerate(_list(doc, "access_nodes", "scenario")):
         context = f"scenario.access_nodes[{i}]"
-        if not isinstance(node_doc, dict):
-            raise ValidationError(f"{context} must be an object")
         _check_keys(node_doc, _NODE_KEYS, context)
         node_name = node_doc["name"]
         if not isinstance(node_name, str) or not node_name:
@@ -398,7 +405,7 @@ def validate_scenario(doc: dict) -> Scenario:
                     f"scenario.access_nodes: node {node.name!r} lies beyond the link"
                 )
 
-    return Scenario(
+    scenario = Scenario(
         name=name,
         mode=mode,
         duration_s=duration,
@@ -416,6 +423,55 @@ def validate_scenario(doc: dict) -> Scenario:
         tdev_taus=taus,
         raw=doc,
     )
+    _check_series(scenario)
+    return scenario
+
+
+def _series_tau0(scenario: Scenario) -> float:
+    if scenario.mode == "sync":
+        return scenario.protocol.compensation_period_s
+    return scenario.sample_period_s
+
+
+def _sample_count(scenario: Scenario) -> int:
+    """Rounds of a sync run, clock-difference samples of a clocks_only run."""
+    return int(math.floor(scenario.duration_s / _series_tau0(scenario)))
+
+
+def _node_warmup(scenario: Scenario) -> int:
+    # node recovery applies the previous round's tap interval, so its
+    # acquisition transient lasts one round longer than the user's
+    return scenario.warmup_rounds + 1
+
+
+def _check_series(scenario: Scenario) -> None:
+    # every analyzed series needs 4 samples (one default tau) and 3n + 1
+    # samples for each requested tau = n * tau0
+    n = _sample_count(scenario)
+    lengths = {"series": n}
+    if scenario.mode == "sync":
+        lengths["series"] = n - scenario.warmup_rounds
+        for node in scenario.access_nodes:
+            lengths[f"node {node.name!r} series"] = n - _node_warmup(scenario)
+    for label, length in lengths.items():
+        if length < 4:
+            raise ValidationError(
+                f"scenario.duration_s leaves {length} samples for the {label}; "
+                "at least 4 are needed"
+            )
+    taus = scenario.tdev_taus
+    if taus is None:
+        return
+    if not taus:
+        raise ValidationError("scenario.tdev_taus must not be empty")
+    if any(b <= a for a, b in zip(taus, taus[1:])):
+        raise ValidationError("scenario.tdev_taus must be strictly increasing")
+    shortest = min(lengths.values())
+    for tau in taus:
+        try:
+            _tau_to_n(tau, _series_tau0(scenario), shortest)
+        except ValidationError as exc:
+            raise ValidationError(f"scenario.tdev_taus: {exc}") from None
 
 
 def canned_scenarios() -> list[str]:
@@ -538,12 +594,10 @@ def build_calibration_set(
         compensation_period_s=pspec.compensation_period_s,
         apply_calibration=False,
     )
-    samples = []
-    for k in range(pspec.calibration_rounds):
-        result = sync_round(server, user, direct_link, direct_hw, tic_server, tic_user,
-                            cfg, k * cfg.compensation_period_s)
-        samples.append(calibrate_hardware_delay(result.t2_s, result.true_offset_s, c,
-                                                literal_sign=literal_sign))
+    direct = run_rounds(server, user, direct_link, direct_hw, tic_server, tic_user, cfg,
+                        pspec.calibration_rounds, steering_enabled=False)
+    samples = calibrate_hardware_delay(direct.t2_s, direct.true_offset_s, c,
+                                       literal_sign=literal_sign)
     tau_hd = float(np.mean(samples))
 
     # user delay-unit deviation, measured as paired input/output edges
@@ -673,24 +727,43 @@ class RunReport:
     curves: dict
     series: dict
     manifest: dict
-    rounds: list[SyncRoundResult] | None = None
-    node_observations: dict | None = None
+    rounds: SessionResult | None = None
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.16e}"
+# every float in the CSVs: 17 significant digits, enough to round-trip
+_FLOAT_CELL = "%.16e"
+# rows per write: bounds the text held at once whatever the run length
+_CHUNK_ROWS = 8192
 
 
-def _write_rows(path: Path, header: list[str], rows) -> None:
+def _cells(values) -> list[str]:
+    """The CSV text of each float value."""
+    return list(map(_FLOAT_CELL.__mod__, np.asarray(values, dtype=float).tolist()))
+
+
+def _write_columns(path: Path, header: list[str], columns: list) -> None:
+    """Write equal-length columns as CSV rows.
+
+    A column is a float array (written as _cells writes it), an integer
+    array, or a list of cell text that another file already formatted.
+    """
+    specs = []
+    for col in columns:
+        if isinstance(col, list):
+            specs.append("%s")
+        else:
+            specs.append("%d" if np.issubdtype(col.dtype, np.integer) else _FLOAT_CELL)
+    row = ",".join(specs) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        for start in range(0, len(columns[0]), _CHUNK_ROWS):
+            part = [col[start:start + _CHUNK_ROWS] for col in columns]
+            part = [p if isinstance(p, list) else p.tolist() for p in part]
+            fh.write((row * len(part[0])) % tuple(chain.from_iterable(zip(*part))))
 
 
 def write_series_csv(path: Path, series: TimeErrorSeries) -> None:
-    _write_rows(path, SERIES_HEADER,
-                ((str(i), _fmt(v)) for i, v in enumerate(series.values)))
+    _write_columns(path, SERIES_HEADER, [np.arange(len(series)), series.values])
 
 
 def read_series_csv(path: Path, tau0_s: float) -> TimeErrorSeries:
@@ -699,8 +772,7 @@ def read_series_csv(path: Path, tau0_s: float) -> TimeErrorSeries:
 
 
 def write_curve_csv(path: Path, curve: StabilityCurve) -> None:
-    _write_rows(path, TDEV_HEADER,
-                ((_fmt(t), _fmt(v), str(n)) for t, v, n in curve.points))
+    _write_columns(path, TDEV_HEADER, [curve.taus, curve.values, curve.n_samples])
 
 
 def read_curve_csv(path: Path) -> StabilityCurve:
@@ -708,28 +780,29 @@ def read_curve_csv(path: Path) -> StabilityCurve:
     return StabilityCurve(data[:, 0], data[:, 1], data[:, 2].astype(int))
 
 
-def write_rounds_csv(path: Path, rounds: list[SyncRoundResult]) -> None:
-    _write_rows(path, ROUNDS_HEADER, (
-        (_fmt(r.t_round_s), _fmt(r.t1_s), _fmt(r.t2_s), _fmt(r.offset_estimate_s),
-         _fmt(r.true_offset_s), _fmt(r.residual_s))
-        for r in rounds
-    ))
+def write_rounds_csv(path: Path, rounds: SessionResult) -> dict:
+    """Write the per-round CSV; returns the text of the t_s, T1_s and
+    true_offset_s columns, which every node CSV repeats."""
+    shared = {"t_s": _cells(rounds.t_round_s), "T1_s": _cells(rounds.t1_s),
+              "true_offset_s": _cells(rounds.true_offset_s)}
+    _write_columns(path, ROUNDS_HEADER, [
+        shared["t_s"], shared["T1_s"], rounds.t2_s, rounds.offset_estimate_s,
+        shared["true_offset_s"], rounds.residual_s,
+    ])
+    return shared
 
 
-def write_node_csv(path: Path, rounds: list[SyncRoundResult],
-                   observations: list[NodeObservation],
+def write_node_csv(path: Path, shared: dict, observations: NodeObservation,
                    reversal_constant_s: float) -> None:
     # same shape as the rounds CSV: the node's tap interval sits in the T2
-    # column and its implied half-interval estimate in offset_est
-    rows = []
-    for r, obs in zip(rounds, observations):
-        rows.append((
-            _fmt(r.t_round_s), _fmt(r.t1_s), _fmt(obs.t3_s),
-            _fmt(0.5 * (obs.t3_s - reversal_constant_s)),
-            _fmt(r.true_offset_s), _fmt(obs.residual_s),
-            _fmt(obs.position_km),
-        ))
-    _write_rows(path, NODE_HEADER, rows)
+    # column and its implied half-interval estimate in offset_est; shared is
+    # the text write_rounds_csv returned
+    t3 = observations.t3_s
+    _write_columns(path, NODE_HEADER, [
+        shared["t_s"], shared["T1_s"], t3, 0.5 * (t3 - reversal_constant_s),
+        shared["true_offset_s"], observations.residual_s,
+        _cells([observations.position_km]) * t3.size,
+    ])
 
 
 def run(scenario: Scenario, out_dir: str | Path | None = None,
@@ -744,45 +817,28 @@ def run(scenario: Scenario, out_dir: str | Path | None = None,
     curves: dict = {}
     series: dict = {}
     rounds = None
-    node_obs: dict = {}
 
     if scenario.mode == "clocks_only":
         period = scenario.sample_period_s
-        n = int(math.floor(scenario.duration_s / period))
-        if n < 4:
-            raise ValidationError("duration_s too short for a clocks_only series")
-        epochs = [k * period for k in range(n)]
-        values = [models.user.time_error(t) - models.server.time_error(t) for t in epochs]
+        epochs = np.arange(_sample_count(scenario)) * period
         series["main"] = TimeErrorSeries(
-            tau0_s=period, values=np.asarray(values),
+            tau0_s=period,
+            values=models.user.time_errors(epochs) - models.server.time_errors(epochs),
             meta={"kind": "clock_difference", "master_seed": seed},
         )
     else:
         cfg = models.protocol
-        last_t3: dict = {}
-        node_obs = {node.name: [] for node in models.nodes}
-
-        def on_round(result: SyncRoundResult) -> None:
-            for node in models.nodes:
-                obs = observe_round(node, result.events,
-                                    applied_t3_s=last_t3.get(node.name))
-                last_t3[node.name] = obs.t3_s
-                node_obs[node.name].append(obs)
-
         rounds = run_session(
             models.server, models.user, models.link, models.hw,
             models.tic_server, models.tic_user, cfg, scenario.duration_s,
-            on_round=on_round,
+            nodes=models.nodes,
         )
         series["main"] = tracking_error_series(rounds, cfg, models.hw,
                                                warmup_rounds=scenario.warmup_rounds)
-        # node recovery applies the previous round's tap interval, so its
-        # acquisition transient lasts one round longer than the user's
-        node_warmup = scenario.warmup_rounds + 1
-        for name, obs_list in node_obs.items():
-            values = [o.residual_s for o in obs_list[node_warmup:]]
+        for name, obs in rounds.nodes.items():
             series[name] = TimeErrorSeries(
-                tau0_s=cfg.compensation_period_s, values=np.asarray(values),
+                tau0_s=cfg.compensation_period_s,
+                values=obs.residual_s[_node_warmup(scenario):],
                 meta={"kind": "node_residual", "node": name},
             )
 
@@ -818,16 +874,16 @@ def run(scenario: Scenario, out_dir: str | Path | None = None,
         out_path.mkdir(parents=True, exist_ok=True)
         outputs = []
 
-        def emit(filename: str, writer, *args) -> None:
-            writer(out_path / filename, *args)
+        def emit(filename: str, writer, *args):
             outputs.append(filename)
+            return writer(out_path / filename, *args)
 
         emit("series.csv", write_series_csv, series["main"])
         emit("tdev.csv", write_curve_csv, curves["main"])
         if rounds is not None:
-            emit("rounds.csv", write_rounds_csv, rounds)
-            for name, obs_list in node_obs.items():
-                emit(f"rounds_{name}.csv", write_node_csv, rounds, obs_list,
+            shared = emit("rounds.csv", write_rounds_csv, rounds)
+            for name, obs in rounds.nodes.items():
+                emit(f"rounds_{name}.csv", write_node_csv, shared, obs,
                      models.protocol.reversal_constant_s)
                 emit(f"tdev_{name}.csv", write_curve_csv, curves[name])
         manifest["outputs"] = sorted(outputs + ["manifest.json"])
@@ -838,7 +894,7 @@ def run(scenario: Scenario, out_dir: str | Path | None = None,
     return RunReport(
         name=scenario.name, mode=scenario.mode, out_dir=out_path,
         curves=curves, series=series, manifest=manifest,
-        rounds=rounds, node_observations=node_obs or None,
+        rounds=rounds,
     )
 
 

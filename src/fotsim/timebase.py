@@ -145,6 +145,18 @@ class _NoiseState:
             self._extend(index + 1)
         return float(self._x[index])
 
+    def values_at(self, indices: np.ndarray) -> np.ndarray:
+        """Samples at each index, bit for bit what value_at returns when
+        queried in this order: the buffer grows through the same sequence of
+        extensions, so the flicker filters see the same FFT sizes."""
+        if indices.size:
+            reach = np.maximum.accumulate(indices)
+            while reach[-1] >= self._x.size:
+                # the first query past the realized part triggers the next extension
+                first = int(np.searchsorted(reach, self._x.size))
+                self._extend(int(reach[first]) + 1)
+        return self._x[indices]
+
     def prefix(self, n: int) -> np.ndarray:
         if n > self._x.size:
             self._extend(n)
@@ -193,6 +205,17 @@ class ClockModel:
         x = self.initial_offset_s + self.frac_frequency * t + 0.5 * self.drift_per_s * t * t
         if self._state is not None:
             x += self._state.value_at(int(round(t / self.noise_grid_s)))
+        return x
+
+    def time_errors(self, t: np.ndarray) -> np.ndarray:
+        """Time errors at each true time of t, bit for bit what time_error
+        returns element by element when queried in this order."""
+        t = np.asarray(t, dtype=float)
+        if not np.all(np.isfinite(t) & (t >= 0)):
+            raise ValidationError("query times must be finite and >= 0")
+        x = self.initial_offset_s + self.frac_frequency * t + 0.5 * self.drift_per_s * t * t
+        if self._state is not None:
+            x = x + self._state.values_at(np.rint(t / self.noise_grid_s).astype(np.int64))
         return x
 
     def pulse_times(self, true_start: float, count: int) -> list[float]:

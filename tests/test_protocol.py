@@ -260,15 +260,14 @@ class TestSession:
         rounds = run_session(ClockModel(), ClockModel(), reciprocal_link(), HW0,
                              IDEAL_TIC(), IDEAL_TIC(), cfg, 100.0)
         assert len(rounds) == 100
-        assert all(r.residual_s == 0.0 for r in rounds)
+        assert np.all(rounds.residual_s == 0.0)
 
     def test_step_steering_acquires_in_one_round(self):
         cfg = ProtocolConfig(reversal_constant_s=5e-3)
         rounds = run_session(ClockModel(), ClockModel(initial_offset_s=100e-9),
                              reciprocal_link(), HW0, IDEAL_TIC(), IDEAL_TIC(), cfg, 10.0)
-        assert rounds[0].true_offset_s == pytest.approx(100e-9, abs=1e-18)
-        for r in rounds[1:]:
-            assert abs(r.true_offset_s) <= 1e-15
+        assert rounds.true_offset_s[0] == pytest.approx(100e-9, abs=1e-18)
+        assert np.all(np.abs(rounds.true_offset_s[1:]) <= 1e-15)
 
     def test_steering_disabled_reverts_to_raw_clock_difference(self):
         mk = lambda seed: ClockModel(
@@ -280,8 +279,7 @@ class TestSession:
                              IDEAL_TIC(), cfg, 50.0, steering_enabled=False)
         expected = [user.time_error(float(k)) - server.time_error(float(k))
                     for k in range(50)]
-        got = [r.true_offset_s for r in rounds]
-        assert got == pytest.approx(expected, abs=1e-18)
+        assert rounds.true_offset_s == pytest.approx(expected, abs=1e-18)
 
     def test_tracking_series_drops_warmup_and_applies_output_shift(self):
         hw = HardwareDelays(delay_unit_dev_user_s=12e-12)
@@ -293,12 +291,12 @@ class TestSession:
         # uncalibrated: the constant delay-unit deviation shifts the output
         assert series.values == pytest.approx(np.full(19, 12e-12), abs=1e-15)
 
-    def test_on_round_callback_sees_every_round(self):
-        seen = []
+    def test_session_has_every_round_epoch(self):
         cfg = ProtocolConfig(reversal_constant_s=5e-3)
-        run_session(ClockModel(), ClockModel(), reciprocal_link(), HW0, IDEAL_TIC(),
-                    IDEAL_TIC(), cfg, 5.0, on_round=seen.append)
-        assert [r.t_round_s for r in seen] == [0.0, 1.0, 2.0, 3.0, 4.0]
+        rounds = run_session(ClockModel(), ClockModel(), reciprocal_link(), HW0,
+                             IDEAL_TIC(), IDEAL_TIC(), cfg, 5.0)
+        assert rounds.t_round_s.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert rounds.events.epoch_s.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
 
     def test_rejects_too_short_duration(self):
         cfg = ProtocolConfig(reversal_constant_s=5e-3)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fotsim.cli import main as cli_main
-from fotsim.errors import ScenarioParseError, ValidationError
+from fotsim.errors import ConfigError, ScenarioParseError, ValidationError
 from fotsim.scenario import (
     build_calibration_set,
     build_models,
@@ -96,6 +96,56 @@ class TestValidation:
         bad.write_text("{not json")
         with pytest.raises(ScenarioParseError):
             load_scenario(bad)
+
+    def test_empty_tdev_taus_rejected(self):
+        with pytest.raises(ConfigError, match="tdev_taus must not be empty"):
+            validate_scenario(minimal_doc(tdev_taus=[]))
+
+    def test_unsorted_tdev_taus_rejected(self):
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            validate_scenario(minimal_doc(tdev_taus=[2.0, 1.0]))
+
+    def test_tau_too_long_for_the_series_rejected(self):
+        # 32 samples hold tau = n * 1 s up to n = 10 (3n + 1 <= 32)
+        validate_scenario(minimal_doc(tdev_taus=[1.0, 10.0]))
+        with pytest.raises(ConfigError, match="too short for tau 11"):
+            validate_scenario(minimal_doc(tdev_taus=[1.0, 11.0]))
+
+    def test_tau_too_long_for_a_node_series_rejected(self):
+        # 23 rounds: the tracking series keeps 22 samples, the node series 21
+        node = {"name": "mid", "distance_from_server_km": 25.0}
+        validate_scenario(sync_doc(duration_s=23.0, tdev_taus=[7.0]))
+        with pytest.raises(ConfigError, match="too short for tau 7"):
+            validate_scenario(sync_doc(duration_s=23.0, tdev_taus=[7.0],
+                                       access_nodes=[node]))
+
+    def test_too_few_rounds_after_warmup_rejected(self):
+        with pytest.raises(ConfigError, match="at least 4"):
+            validate_scenario(sync_doc(duration_s=5.0, warmup_rounds=2))
+
+    def test_clock_entry_must_be_an_object(self):
+        doc = minimal_doc()
+        doc["clocks"]["server"] = 5
+        with pytest.raises(ConfigError, match="scenario.clocks.server must be an object"):
+            validate_scenario(doc)
+
+    def test_freq_reference_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="scenario.freq_reference must be an object"):
+            validate_scenario(minimal_doc(freq_reference=[0.0, 0.0]))
+
+    def test_calibration_fields_must_be_numbers(self):
+        doc = sync_doc()
+        doc["protocol"]["calibration"] = {"tau_hd_s": "1e-9"}
+        with pytest.raises(ConfigError, match="calibration.tau_hd_s must be a number"):
+            validate_scenario(doc)
+
+    def test_lists_must_be_lists(self):
+        with pytest.raises(ConfigError, match="scenario.access_nodes must be a list"):
+            validate_scenario(sync_doc(access_nodes=5))
+        doc = minimal_doc()
+        doc["clocks"]["user"]["noise"] = {"type": "white_pm"}
+        with pytest.raises(ConfigError, match="scenario.clocks.user.noise must be a list"):
+            validate_scenario(doc)
 
     def test_bad_noise_type_rejected(self):
         doc = minimal_doc()
@@ -276,6 +326,13 @@ class TestCli:
         f = tmp_path / "s.json"
         f.write_text(json.dumps(doc))
         assert cli_main(["run", "--scenario", str(f), "--out", str(tmp_path / "o")]) == 2
+
+    def test_bad_tdev_taus_exit_1_before_simulating(self, tmp_path, capsys):
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(sync_doc(tdev_taus=[])))
+        assert cli_main(["run", "--scenario", str(f), "--out", str(tmp_path / "o")]) == 1
+        assert "tdev_taus" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_input_exits_1(self, tmp_path, capsys):
         assert cli_main(["run", "--scenario", str(tmp_path / "none.json"),
