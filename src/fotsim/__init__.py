@@ -48,8 +48,5 @@ from .timebase import (
     ClockModel,
     NoiseProfile,
     TimeErrorSeries,
-    apply_shared_frequency_reference,
-    clock_time_error,
-    pulse_times,
     synthesize_time_error_series,
 )

@@ -20,6 +20,7 @@ from .scenario import (
     compare_curves,
     load_scenario,
     read_curve_csv,
+    read_series_csv,
     run,
     write_curve_csv,
 )
@@ -43,8 +44,7 @@ def _load_series(path: Path, column: str, tau0: float | None) -> TimeErrorSeries
     if header == ["index", "x_seconds"]:
         if tau0 is None:
             raise ConfigError("--tau0 is required for index,x_seconds series input")
-        values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=1, ndmin=1)
-        return TimeErrorSeries(tau0_s=tau0, values=values)
+        return read_series_csv(path, tau0)
     if column not in header:
         raise ConfigError(f"column {column!r} not in {path} (columns: {header})")
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)

@@ -657,6 +657,8 @@ def _build_tic(spec: TicSpec | None, seed: int) -> TicModel:
 
 
 def _shared_reference(scenario: Scenario, server: ClockModel, user: ClockModel):
+    # clocks flagged freq_ref_shared take the scenario's reference frequency and
+    # drift, so the difference of two such clocks has no deterministic frequency term
     y_ref, d_ref = scenario.freq_reference
     if server.freq_ref_shared:
         server = server.with_frequency_reference(y_ref, d_ref)

@@ -80,11 +80,19 @@ def _tau_to_n(tau: float, tau0: float, n_points: int) -> int:
     return n
 
 
-def _window_sums(x: np.ndarray, n: int) -> np.ndarray:
-    # sums of n consecutive second differences, all N-3n+1 overlapping windows
-    d = x[2 * n:] - 2.0 * x[n:-n] + x[:-2 * n]
-    c = np.concatenate([[0.0], np.cumsum(d)])
-    return c[n:] - c[:-n]
+def _window_sums(x: np.ndarray, n: int, d: np.ndarray, c: np.ndarray) -> np.ndarray:
+    # sums of n consecutive second differences, all N-3n+1 overlapping windows;
+    # d (N values) and c (N+1 values) are work buffers, the result is d[:m]
+    k = x.size - 2 * n
+    m = k - n + 1
+    dk = d[:k]
+    np.multiply(x[n:-n], 2.0, out=dk)
+    np.subtract(x[2 * n:], dk, out=dk)
+    np.add(dk, x[:-2 * n], out=dk)
+    c[0] = 0.0
+    np.cumsum(dk, out=c[1:k + 1])
+    np.subtract(c[n:k + 1], c[:m], out=d[:m])
+    return d[:m]
 
 
 def tdev(series: TimeErrorSeries, taus: list[float] | None = None) -> StabilityCurve:
@@ -97,10 +105,11 @@ def tdev(series: TimeErrorSeries, taus: list[float] | None = None) -> StabilityC
     tau0 = series.tau0_s
     if taus is None:
         taus = default_taus(tau0, x.size)
+    d, c = np.empty(x.size), np.empty(x.size + 1)
     vals, counts = [], []
     for tau in taus:
         n = _tau_to_n(tau, tau0, x.size)
-        s = _window_sums(x, n)
+        s = _window_sums(x, n, d, c)
         m = s.size
         vals.append(math.sqrt(float(np.dot(s, s)) / (6.0 * n * n * m)))
         counts.append(m)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -33,33 +32,45 @@ from scipy.signal import fftconvolve
 from .errors import ValidationError
 
 NOISE_TYPES = ("white_pm", "flicker_pm", "white_fm", "flicker_fm", "random_walk_fm")
+_FLICKER_TYPES = ("flicker_pm", "flicker_fm")
 
 _MIN_CHUNK = 1024
 
 
-def _half_integration_kernel(n: int) -> np.ndarray:
-    # impulse response of (1 - z^-1)^(-1/2): h[0]=1, h[i] = h[i-1]*(i - 1/2)/i
-    h = np.empty(n)
-    h[0] = 1.0
-    for i in range(1, n):
-        h[i] = h[i - 1] * (i - 0.5) / i
-    return h
+def _extend_half_integration_kernel(h: np.ndarray, n: int) -> np.ndarray:
+    """The impulse response of (1 - z^-1)^(-1/2) to n taps, grown from its
+    first taps h (at least h[0] = 1) by h[i] = h[i-1] * (i - 1/2) / i.
+
+    The recurrence runs on Python floats: per tap the same two IEEE double
+    operations, in the same order, as on float64 scalars, so a kernel grown
+    in steps equals one built in one pass bit for bit.
+    """
+    m = h.size
+
+    def tail(v):
+        for i in range(m, n):
+            v = v * (i - 0.5) / i
+            yield v
+
+    return np.concatenate([h, np.fromiter(tail(float(h[-1])), dtype=float, count=n - m)])
 
 
-def _half_integrate(w: np.ndarray) -> np.ndarray:
+def _half_integrate(w: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     n = w.size
-    return fftconvolve(_half_integration_kernel(n), w)[:n]
+    return fftconvolve(kernel[:n], w)[:n]
 
 
-def _component_series(kind: str, amplitude: float, w: np.ndarray, dt: float) -> np.ndarray:
+def _component_series(
+    kind: str, amplitude: float, w: np.ndarray, dt: float, kernel: np.ndarray | None
+) -> np.ndarray:
     if kind == "white_pm":
         return amplitude * w
     if kind == "flicker_pm":
-        return amplitude * _half_integrate(w)
+        return amplitude * _half_integrate(w, kernel)
     if kind == "white_fm":
         return amplitude * math.sqrt(dt) * np.cumsum(w)
     if kind == "flicker_fm":
-        return amplitude * dt * np.cumsum(_half_integrate(w))
+        return amplitude * dt * np.cumsum(_half_integrate(w, kernel))
     if kind == "random_walk_fm":
         return amplitude * dt ** 1.5 * np.cumsum(np.cumsum(w))
     raise ValidationError(f"unknown noise type {kind!r}; expected one of {NOISE_TYPES}")
@@ -116,7 +127,9 @@ class _NoiseState:
     the profile seed).  The colored filters are causal, so an extension is
     computed over the full white prefix; samples already handed out are
     kept verbatim rather than recomputed, which pins every realized value
-    for the lifetime of the instance.
+    for the lifetime of the instance.  A state with flicker components
+    owns one half-integration kernel, grown with the buffer and shared by
+    those components.
     """
 
     def __init__(self, profile: NoiseProfile, dt: float):
@@ -126,17 +139,21 @@ class _NoiseState:
         self._rngs = [np.random.default_rng(s) for s in children]
         self._whites = [np.empty(0) for _ in profile.components]
         self._x = np.empty(0)
+        flicker = any(kind in _FLICKER_TYPES for kind, _ in profile.components)
+        self._kernel = np.ones(1) if flicker else None
 
     def _extend(self, n: int) -> None:
         size = max(_MIN_CHUNK, 1 << (n - 1).bit_length())
         total = np.zeros(size)
+        if self._kernel is not None:
+            self._kernel = _extend_half_integration_kernel(self._kernel, size)
         for i, (kind, amp) in enumerate(self.profile.components):
             w = self._whites[i]
             if w.size < size:
                 extra = self._rngs[i].standard_normal(size - w.size)
                 w = np.concatenate([w, extra])
                 self._whites[i] = w
-            total += _component_series(kind, amp, w[:size], self.dt)
+            total += _component_series(kind, amp, w[:size], self.dt, self._kernel)
         realized = self._x.size
         self._x = np.concatenate([self._x, total[realized:]])
 
@@ -244,36 +261,6 @@ class ClockModel:
             pulse_period_s=self.pulse_period_s,
             noise_grid_s=self.noise_grid_s,
         )
-
-
-def clock_time_error(clock: ClockModel, t: float) -> float:
-    """Time error x(t) of `clock` at true time t."""
-    return clock.time_error(t)
-
-
-def pulse_times(clock: ClockModel, true_start: float, count: int) -> list[float]:
-    """True emission instants of `count` pulses of `clock`."""
-    return clock.pulse_times(true_start, count)
-
-
-def apply_shared_frequency_reference(
-    clocks: Sequence[ClockModel],
-    frac_frequency: float = 0.0,
-    drift_per_s: float = 0.0,
-) -> list[ClockModel]:
-    """Force the common reference frequency onto every clock flagged as sharing it.
-
-    Clocks with freq_ref_shared get the reference's frac_frequency and drift,
-    so the difference of two such clocks has no deterministic frequency term.
-    Unflagged clocks are returned unchanged.
-    """
-    out = []
-    for c in clocks:
-        if c.freq_ref_shared:
-            out.append(c.with_frequency_reference(frac_frequency, drift_per_s))
-        else:
-            out.append(c)
-    return out
 
 
 def synthesize_time_error_series(

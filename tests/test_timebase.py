@@ -3,30 +3,40 @@
 import numpy as np
 import pytest
 
+from fotsim import timebase
 from fotsim.errors import ValidationError
+from fotsim.scenario import build_models, validate_scenario
 from fotsim.stability import tdev
 from fotsim.timebase import (
     ClockModel,
     NoiseProfile,
-    apply_shared_frequency_reference,
-    clock_time_error,
-    pulse_times,
+    TimeErrorSeries,
     synthesize_time_error_series,
 )
+
+
+def half_integration_kernel(n):
+    # reference: the impulse response of (1 - z^-1)^(-1/2) built in one pass
+    # on float64 scalars, h[0] = 1, h[i] = h[i-1] * (i - 1/2) / i
+    h = np.empty(n)
+    h[0] = 1.0
+    for i in range(1, n):
+        h[i] = h[i - 1] * (i - 0.5) / i
+    return h
 
 
 class TestTimeError:
     def test_ideal_clock_is_zero(self):
         clock = ClockModel()
-        assert clock_time_error(clock, 123.0) == 0.0
+        assert clock.time_error(123.0) == 0.0
 
     def test_linear_model(self):
         clock = ClockModel(initial_offset_s=100e-9, frac_frequency=1e-12)
-        assert clock_time_error(clock, 1000.0) == pytest.approx(101e-9, rel=1e-12)
+        assert clock.time_error(1000.0) == pytest.approx(101e-9, rel=1e-12)
 
     def test_drift_term(self):
         clock = ClockModel(drift_per_s=2e-15)
-        assert clock_time_error(clock, 100.0) == pytest.approx(1e-11, rel=1e-12)
+        assert clock.time_error(100.0) == pytest.approx(1e-11, rel=1e-12)
 
     def test_white_pm_ensemble_std(self):
         # ensemble over 10^4 seeds at a fixed instant
@@ -78,24 +88,24 @@ class TestTimeError:
 
 class TestPulseTimes:
     def test_ideal_clock_fires_on_the_marks(self):
-        assert pulse_times(ClockModel(), 0.0, 3) == [0.0, 0.010, 0.020]
+        assert ClockModel().pulse_times(0.0, 3) == [0.0, 0.010, 0.020]
 
     def test_fast_clock_fires_early(self):
         clock = ClockModel(initial_offset_s=100e-9)
-        got = pulse_times(clock, 0.0, 2)
+        got = clock.pulse_times(0.0, 2)
         assert got[0] == pytest.approx(-100e-9, abs=1e-21)
         assert got[1] == pytest.approx(0.010 - 100e-9, abs=1e-21)
 
     def test_frequency_offset_accumulates(self):
         # k-th pulse early by k * period * y0
         clock = ClockModel(frac_frequency=1e-9)
-        got = pulse_times(clock, 0.0, 5)
+        got = clock.pulse_times(0.0, 5)
         for k, t in enumerate(got):
             assert k * 0.010 - t == pytest.approx(k * 0.010 * 1e-9, rel=1e-6, abs=1e-22)
 
     def test_rejects_zero_count(self):
         with pytest.raises(ValidationError):
-            pulse_times(ClockModel(), 0.0, 0)
+            ClockModel().pulse_times(0.0, 0)
 
 
 class TestSynthesis:
@@ -145,27 +155,93 @@ class TestSynthesis:
         assert np.std(s[-2048:]) < 10 * np.std(s[:2048])
 
 
+class TestHalfIntegrationKernel:
+    @pytest.mark.parametrize("m", [1, 1000, 1024, 1 << 16])
+    def test_extension_matches_one_pass_bit_for_bit(self, m):
+        n = 1 << 16
+        want = half_integration_kernel(n)
+        got = timebase._extend_half_integration_kernel(want[:m].copy(), n)
+        assert got.tobytes() == want.tobytes()
+
+    def test_state_grows_one_kernel_per_doubling(self, monkeypatch):
+        calls = []
+        extend = timebase._extend_half_integration_kernel
+
+        def counting(h, n):
+            calls.append((h.size, n))
+            return extend(h, n)
+
+        monkeypatch.setattr(timebase, "_extend_half_integration_kernel", counting)
+        profile = NoiseProfile(
+            components=[("flicker_pm", 1e-12), ("white_pm", 1e-11), ("flicker_fm", 1e-13)],
+            rng_seed=4)
+        state = timebase._NoiseState(profile, 1.0)
+        for n in (1, 2000, 3000, 4000, 5000):
+            state.prefix(n)
+        assert calls == [(1, 1024), (1024, 2048), (2048, 4096), (4096, 8192)]
+
+    def test_no_kernel_without_flicker(self, monkeypatch):
+        def fail(h, n):
+            raise AssertionError("kernel built for a clock without flicker noise")
+
+        monkeypatch.setattr(timebase, "_extend_half_integration_kernel", fail)
+        profile = NoiseProfile(components=[("white_pm", 1e-11), ("white_fm", 1e-12)])
+        timebase._NoiseState(profile, 1.0).prefix(5000)
+
+    def test_values_match_one_pass_kernels(self):
+        # the realization as it was built with a fresh one-pass kernel at
+        # every doubling: each extension keeps its samples past the old end
+        profile = NoiseProfile(
+            components=[("flicker_pm", 1e-12), ("white_pm", 1e-11), ("flicker_fm", 1e-13)],
+            rng_seed=21)
+        children = np.random.SeedSequence(profile.rng_seed).spawn(len(profile.components))
+        whites = [np.random.default_rng(c).standard_normal(8192) for c in children]
+        want = np.empty(0)
+        for size in (1024, 2048, 4096, 8192):
+            h = half_integration_kernel(size)
+            total = np.zeros(size)
+            for (kind, amp), w in zip(profile.components, whites):
+                total += timebase._component_series(kind, amp, w[:size], 1.0, h)
+            want = np.concatenate([want, total[want.size:]])
+        state = timebase._NoiseState(profile, 1.0)
+        for n in (1, 2000, 3000, 8000):
+            state.prefix(n)
+        assert state.prefix(8192).tobytes() == want.tobytes()
+        one_pass = synthesize_time_error_series(profile, 5000, 1.0).values
+        assert one_pass.tobytes() == total[:5000].tobytes()
+
+
 class TestSharedFrequencyReference:
     def test_shared_clocks_lose_their_own_frequency_terms(self):
         a = ClockModel(frac_frequency=3e-9, drift_per_s=1e-13, freq_ref_shared=True)
         b = ClockModel(frac_frequency=-4e-9, drift_per_s=-2e-13, freq_ref_shared=True)
-        a2, b2 = apply_shared_frequency_reference([a, b], 1e-10, 0.0)
+        a2 = a.with_frequency_reference(1e-10, 0.0)
+        b2 = b.with_frequency_reference(1e-10, 0.0)
         t = 5000.0
         assert a2.time_error(t) - b2.time_error(t) == 0.0
 
     def test_unshared_clock_is_untouched(self):
-        c = ClockModel(frac_frequency=3e-9, freq_ref_shared=False)
-        (c2,) = apply_shared_frequency_reference([c], 0.0, 0.0)
-        assert c2.frac_frequency == 3e-9
+        # build_models gives the reference to shared clocks only
+        doc = {
+            "name": "ref", "mode": "clocks_only", "duration_s": 32.0,
+            "sample_period_s": 1.0, "master_seed": 7,
+            "freq_reference": {"frac_frequency": 1e-10, "drift_per_s": 2e-15},
+            "clocks": {
+                "server": {"frac_frequency": -4e-9, "freq_ref_shared": True},
+                "user": {"frac_frequency": 3e-9, "freq_ref_shared": False},
+            },
+        }
+        models = build_models(validate_scenario(doc))
+        assert (models.server.frac_frequency, models.server.drift_per_s) == (1e-10, 2e-15)
+        assert (models.user.frac_frequency, models.user.drift_per_s) == (3e-9, 0.0)
 
     def test_difference_of_shared_clocks_has_flat_tdev_floor(self):
         # with only white PM left, the pair difference TDEV keeps averaging
         # down instead of growing with tau
         mk = lambda seed: ClockModel(
             noise=NoiseProfile(components=[("white_pm", 1e-11)], rng_seed=seed),
-            freq_ref_shared=True, noise_grid_s=1.0)
-        a, b = apply_shared_frequency_reference([mk(1), mk(2)], 0.0, 0.0)
-        from fotsim.timebase import TimeErrorSeries
+            freq_ref_shared=True, noise_grid_s=1.0).with_frequency_reference(0.0, 0.0)
+        a, b = mk(1), mk(2)
         diff = TimeErrorSeries(
             tau0_s=1.0,
             values=np.array([a.time_error(float(k)) - b.time_error(float(k))
