@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .access import AccessNode, NodeObservation, observe_round, recover_time, tap_times
+from .access import AccessNode, NodeObservation, observe_round, tap_times
 from .calibration import (
     CalibrationSet,
     biedfa_asymmetry,
@@ -35,7 +35,6 @@ from .protocol import (
     SyncRoundResult,
     TicModel,
     compute_reversal_delay,
-    measure_interval,
     run_rounds,
     run_session,
     sync_round,

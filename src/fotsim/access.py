@@ -102,15 +102,6 @@ def tap_times(node: AccessNode, events: RoundEvents) -> tuple[float, float]:
     return t_u_an, t_s_an
 
 
-def recover_time(node: AccessNode, t_u_an_s: float, t_s_an_s: float) -> float:
-    """Recovered synchronized time: the request tap delayed by half the
-    measured tap interval.  Raises NegativeT3Error on a negative interval."""
-    t3 = node.tic.measure_interval(t_u_an_s, t_s_an_s)
-    if t3 < 0:
-        raise _negative_t3_error(t3)
-    return t_u_an_s + 0.5 * t3
-
-
 @dataclass
 class NodeObservation:
     """One round as seen by an access node."""

@@ -82,10 +82,6 @@ def _quantize(value: float, resolution_s: float) -> float:
     return float(np.rint(value / resolution_s)) * resolution_s
 
 
-def measure_interval(tic: TicModel, t_start_s: float, t_stop_s: float) -> float:
-    return tic.measure_interval(t_start_s, t_stop_s)
-
-
 @dataclass
 class ProtocolConfig:
     """Protocol constants for a run.

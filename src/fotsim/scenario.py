@@ -23,7 +23,6 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +36,7 @@ from .calibration import (
     calibrate_hardware_delay,
     dispersion_asymmetry,
 )
+from .cells import write_columns
 from .channel import FluctuationSpec, HardwareDelays, LinkModel, accumulated_dispersion
 from .errors import ScenarioParseError, ValidationError
 from .protocol import (
@@ -732,40 +732,8 @@ class RunReport:
     rounds: SessionResult | None = None
 
 
-# every float in the CSVs: 17 significant digits, enough to round-trip
-_FLOAT_CELL = "%.16e"
-# rows per write: bounds the text held at once whatever the run length
-_CHUNK_ROWS = 8192
-
-
-def _cells(values) -> list[str]:
-    """The CSV text of each float value."""
-    return list(map(_FLOAT_CELL.__mod__, np.asarray(values, dtype=float).tolist()))
-
-
-def _write_columns(path: Path, header: list[str], columns: list) -> None:
-    """Write equal-length columns as CSV rows.
-
-    A column is a float array (written as _cells writes it), an integer
-    array, or a list of cell text that another file already formatted.
-    """
-    specs = []
-    for col in columns:
-        if isinstance(col, list):
-            specs.append("%s")
-        else:
-            specs.append("%d" if np.issubdtype(col.dtype, np.integer) else _FLOAT_CELL)
-    row = ",".join(specs) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), _CHUNK_ROWS):
-            part = [col[start:start + _CHUNK_ROWS] for col in columns]
-            part = [p if isinstance(p, list) else p.tolist() for p in part]
-            fh.write((row * len(part[0])) % tuple(chain.from_iterable(zip(*part))))
-
-
 def write_series_csv(path: Path, series: TimeErrorSeries) -> None:
-    _write_columns(path, SERIES_HEADER, [np.arange(len(series)), series.values])
+    write_columns(path, SERIES_HEADER, [np.arange(len(series)), series.values])
 
 
 def read_series_csv(path: Path, tau0_s: float) -> TimeErrorSeries:
@@ -774,7 +742,7 @@ def read_series_csv(path: Path, tau0_s: float) -> TimeErrorSeries:
 
 
 def write_curve_csv(path: Path, curve: StabilityCurve) -> None:
-    _write_columns(path, TDEV_HEADER, [curve.taus, curve.values, curve.n_samples])
+    write_columns(path, TDEV_HEADER, [curve.taus, curve.values, curve.n_samples])
 
 
 def read_curve_csv(path: Path) -> StabilityCurve:
@@ -782,28 +750,22 @@ def read_curve_csv(path: Path) -> StabilityCurve:
     return StabilityCurve(data[:, 0], data[:, 1], data[:, 2].astype(int))
 
 
-def write_rounds_csv(path: Path, rounds: SessionResult) -> dict:
-    """Write the per-round CSV; returns the text of the t_s, T1_s and
-    true_offset_s columns, which every node CSV repeats."""
-    shared = {"t_s": _cells(rounds.t_round_s), "T1_s": _cells(rounds.t1_s),
-              "true_offset_s": _cells(rounds.true_offset_s)}
-    _write_columns(path, ROUNDS_HEADER, [
-        shared["t_s"], shared["T1_s"], rounds.t2_s, rounds.offset_estimate_s,
-        shared["true_offset_s"], rounds.residual_s,
+def write_rounds_csv(path: Path, rounds: SessionResult) -> None:
+    write_columns(path, ROUNDS_HEADER, [
+        rounds.t_round_s, rounds.t1_s, rounds.t2_s, rounds.offset_estimate_s,
+        rounds.true_offset_s, rounds.residual_s,
     ])
-    return shared
 
 
-def write_node_csv(path: Path, shared: dict, observations: NodeObservation,
+def write_node_csv(path: Path, rounds: SessionResult, observations: NodeObservation,
                    reversal_constant_s: float) -> None:
     # same shape as the rounds CSV: the node's tap interval sits in the T2
-    # column and its implied half-interval estimate in offset_est; shared is
-    # the text write_rounds_csv returned
+    # column and its implied half-interval estimate in offset_est
     t3 = observations.t3_s
-    _write_columns(path, NODE_HEADER, [
-        shared["t_s"], shared["T1_s"], t3, 0.5 * (t3 - reversal_constant_s),
-        shared["true_offset_s"], observations.residual_s,
-        _cells([observations.position_km]) * t3.size,
+    write_columns(path, NODE_HEADER, [
+        rounds.t_round_s, rounds.t1_s, t3, 0.5 * (t3 - reversal_constant_s),
+        rounds.true_offset_s, observations.residual_s,
+        np.full(t3.size, observations.position_km, dtype=float),
     ])
 
 
@@ -883,9 +845,9 @@ def run(scenario: Scenario, out_dir: str | Path | None = None,
         emit("series.csv", write_series_csv, series["main"])
         emit("tdev.csv", write_curve_csv, curves["main"])
         if rounds is not None:
-            shared = emit("rounds.csv", write_rounds_csv, rounds)
+            emit("rounds.csv", write_rounds_csv, rounds)
             for name, obs in rounds.nodes.items():
-                emit(f"rounds_{name}.csv", write_node_csv, shared, obs,
+                emit(f"rounds_{name}.csv", write_node_csv, rounds, obs,
                      models.protocol.reversal_constant_s)
                 emit(f"tdev_{name}.csv", write_curve_csv, curves[name])
         manifest["outputs"] = sorted(outputs + ["manifest.json"])

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 
 from .errors import ValidationError
 
@@ -55,22 +55,42 @@ def _extend_half_integration_kernel(h: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([h, np.fromiter(tail(float(h[-1])), dtype=float, count=n - m)])
 
 
-def _half_integrate(w: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+def _fft_length(n: int) -> int:
+    """The FFT length fftconvolve pads a full convolution of two n-sample
+    real series to."""
+    return sp_fft.next_fast_len(2 * n - 1, True)
+
+
+def _kernel_spectrum(kernel: np.ndarray) -> np.ndarray:
+    """The real FFT of a kernel, as fftconvolve takes it for a series of
+    the kernel's length."""
+    return sp_fft.rfftn(kernel, [_fft_length(kernel.size)], axes=[0])
+
+
+def _half_integrate(w: np.ndarray, kernel_spectrum: np.ndarray) -> np.ndarray:
+    """fftconvolve(kernel, w)[:n] for an n-tap kernel given by its spectrum:
+    the same rfftn/irfftn calls at the same length, so the same bits."""
     n = w.size
-    return fftconvolve(kernel[:n], w)[:n]
+    shape = [_fft_length(n)]
+    white = sp_fft.rfftn(w, shape, axes=[0])
+    # kernel first, as fftconvolve multiplies: numpy's complex product
+    # rounds by operand order, and `a * <temporary>` may run as
+    # `<temporary> * a` in the temporary's buffer
+    return sp_fft.irfftn(np.multiply(kernel_spectrum, white), shape, axes=[0])[:n]
 
 
 def _component_series(
-    kind: str, amplitude: float, w: np.ndarray, dt: float, kernel: np.ndarray | None
+    kind: str, amplitude: float, w: np.ndarray, dt: float,
+    kernel_spectrum: np.ndarray | None,
 ) -> np.ndarray:
     if kind == "white_pm":
         return amplitude * w
     if kind == "flicker_pm":
-        return amplitude * _half_integrate(w, kernel)
+        return amplitude * _half_integrate(w, kernel_spectrum)
     if kind == "white_fm":
         return amplitude * math.sqrt(dt) * np.cumsum(w)
     if kind == "flicker_fm":
-        return amplitude * dt * np.cumsum(_half_integrate(w, kernel))
+        return amplitude * dt * np.cumsum(_half_integrate(w, kernel_spectrum))
     if kind == "random_walk_fm":
         return amplitude * dt ** 1.5 * np.cumsum(np.cumsum(w))
     raise ValidationError(f"unknown noise type {kind!r}; expected one of {NOISE_TYPES}")
@@ -128,8 +148,8 @@ class _NoiseState:
     computed over the full white prefix; samples already handed out are
     kept verbatim rather than recomputed, which pins every realized value
     for the lifetime of the instance.  A state with flicker components
-    owns one half-integration kernel, grown with the buffer and shared by
-    those components.
+    owns one half-integration kernel, grown with the buffer; its spectrum
+    is taken once per extension and shared by those components.
     """
 
     def __init__(self, profile: NoiseProfile, dt: float):
@@ -145,15 +165,17 @@ class _NoiseState:
     def _extend(self, n: int) -> None:
         size = max(_MIN_CHUNK, 1 << (n - 1).bit_length())
         total = np.zeros(size)
+        spectrum = None
         if self._kernel is not None:
             self._kernel = _extend_half_integration_kernel(self._kernel, size)
+            spectrum = _kernel_spectrum(self._kernel)
         for i, (kind, amp) in enumerate(self.profile.components):
             w = self._whites[i]
             if w.size < size:
                 extra = self._rngs[i].standard_normal(size - w.size)
                 w = np.concatenate([w, extra])
                 self._whites[i] = w
-            total += _component_series(kind, amp, w[:size], self.dt, self._kernel)
+            total += _component_series(kind, amp, w[:size], self.dt, spectrum)
         realized = self._x.size
         self._x = np.concatenate([self._x, total[realized:]])
 

@@ -1,9 +1,11 @@
 """Mid-link access node: tap split, recovery, position invariance."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fotsim.access import AccessNode, observe_round, recover_time, tap_times
+from fotsim.access import AccessNode, observe_round, tap_times
 from fotsim.channel import FluctuationSpec, HardwareDelays, LinkModel
 from fotsim.errors import NegativeT3Error, ValidationError
 from fotsim.protocol import ProtocolConfig, TicModel, sync_round
@@ -95,13 +97,21 @@ class TestTapTimes:
 
 class TestRecoverTime:
     def test_recovered_is_tap_plus_half_interval(self):
-        node = node_at(0.0)
-        got = recover_time(node, 1e-3, 4e-3)
-        assert got == pytest.approx(2.5e-3, abs=1e-18)
+        # at the server end the taps are the request's arrival and the
+        # reversal emission: place them at 1 ms and 4 ms
+        events = ideal_round().events
+        events = replace(events, user_emit_rel_s=1e-3 - events.fiber_us_s,
+                         reversal_emit_rel_s=4e-3)
+        obs = observe_round(node_at(0.0), events)
+        assert obs.t_u_an_rel_s == pytest.approx(1e-3, abs=1e-18)
+        assert obs.recovered_rel_s == pytest.approx(2.5e-3, abs=1e-18)
 
     def test_negative_interval_raises(self):
+        # the reversal pulse leaves before the request reaches the tap
+        events = ideal_round().events
+        events = replace(events, reversal_emit_rel_s=events.user_emit_rel_s)
         with pytest.raises(NegativeT3Error):
-            recover_time(node_at(0.0), 4e-3, 1e-3)
+            observe_round(node_at(0.0), events)
 
     def test_position_invariance_ideal_scenario(self):
         r = ideal_round()

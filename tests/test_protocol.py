@@ -21,7 +21,6 @@ from fotsim.protocol import (
     ProtocolConfig,
     TicModel,
     compute_reversal_delay,
-    measure_interval,
     run_session,
     sync_round,
     tdm_admission,
@@ -50,7 +49,7 @@ def oracle_round(t_offset, tau_us, tau_su, c, tau_delay_s=0.0):
 
 class TestMeasureInterval:
     def test_ideal_counter_returns_difference(self):
-        assert measure_interval(TicModel(), 5e-6, 8e-6) == pytest.approx(3e-6, abs=1e-21)
+        assert TicModel().measure_interval(5e-6, 8e-6) == pytest.approx(3e-6, abs=1e-21)
 
     def test_quantization_rounds_to_nearest(self):
         tic = TicModel(resolution_s=1e-12)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from fotsim import timebase
 from fotsim.errors import ValidationError
@@ -23,6 +24,16 @@ def half_integration_kernel(n):
     for i in range(1, n):
         h[i] = h[i - 1] * (i - 0.5) / i
     return h
+
+
+def component_reference(kind, amp, w, h):
+    # reference at dt = 1: the flicker filters as fftconvolve with the
+    # one-pass kernel, the other classes as timebase computes them
+    if kind == "flicker_pm":
+        return amp * fftconvolve(h, w)[:w.size]
+    if kind == "flicker_fm":
+        return amp * np.cumsum(fftconvolve(h, w)[:w.size])
+    return timebase._component_series(kind, amp, w, 1.0, None)
 
 
 class TestTimeError:
@@ -188,9 +199,34 @@ class TestHalfIntegrationKernel:
         profile = NoiseProfile(components=[("white_pm", 1e-11), ("white_fm", 1e-12)])
         timebase._NoiseState(profile, 1.0).prefix(5000)
 
+    @pytest.mark.parametrize("n", [1024, 3000, 1 << 16, 1 << 18])
+    def test_shared_spectrum_matches_fftconvolve_bit_for_bit(self, n):
+        h = half_integration_kernel(n)
+        w = np.random.default_rng(n).standard_normal(n)
+        got = timebase._half_integrate(w, timebase._kernel_spectrum(h))
+        assert got.tobytes() == fftconvolve(h, w)[:n].tobytes()
+
+    def test_state_takes_one_kernel_spectrum_per_doubling(self, monkeypatch):
+        sizes = []
+        spectrum = timebase._kernel_spectrum
+
+        def counting(h):
+            sizes.append(h.size)
+            return spectrum(h)
+
+        monkeypatch.setattr(timebase, "_kernel_spectrum", counting)
+        profile = NoiseProfile(
+            components=[("flicker_pm", 1e-12), ("white_pm", 1e-11), ("flicker_fm", 1e-13)],
+            rng_seed=4)
+        state = timebase._NoiseState(profile, 1.0)
+        for n in (1, 2000, 3000, 4000, 5000):
+            state.prefix(n)
+        assert sizes == [1024, 2048, 4096, 8192]
+
     def test_values_match_one_pass_kernels(self):
-        # the realization as it was built with a fresh one-pass kernel at
-        # every doubling: each extension keeps its samples past the old end
+        # the realization as it was built with a fresh one-pass kernel and
+        # fftconvolve at every doubling: each extension keeps its samples
+        # past the old end
         profile = NoiseProfile(
             components=[("flicker_pm", 1e-12), ("white_pm", 1e-11), ("flicker_fm", 1e-13)],
             rng_seed=21)
@@ -201,7 +237,7 @@ class TestHalfIntegrationKernel:
             h = half_integration_kernel(size)
             total = np.zeros(size)
             for (kind, amp), w in zip(profile.components, whites):
-                total += timebase._component_series(kind, amp, w[:size], 1.0, h)
+                total += component_reference(kind, amp, w[:size], h)
             want = np.concatenate([want, total[want.size:]])
         state = timebase._NoiseState(profile, 1.0)
         for n in (1, 2000, 3000, 8000):
