@@ -28,13 +28,20 @@ A chunk is laid out as a matrix of 4-byte words, seven per cell, in the
 order the text is read.  Slots a cell does not use (a ``-`` of a positive
 value, a third exponent digit, the leading zeros of an integer) hold NUL
 bytes, and one ``bytes.translate`` drops them all.
+
+``read_columns`` is the mirror: it reads cells in that shape with the same
+table (row k = E - 16) and leaves every other cell, and the few whose
+rounding the bound leaves open, to ``float()``, the reference.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
+
+from .errors import ConfigError
 
 # rows per write: bounds the text held at once whatever the run length
 _CHUNK_ROWS = 8192
@@ -249,3 +256,232 @@ def write_columns(path: Path, header: list[str], columns: list) -> None:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(columns[0]), _CHUNK_ROWS):
             fh.write(_chunk_text([col[start:start + _CHUNK_ROWS] for col in columns]))
+
+
+# bytes per read of read_columns: bounds the text held at once whatever the
+# file length
+_BLOCK_BYTES = 1 << 18
+# zeros after a block, so that the 24-byte window of any cell stays inside it
+_WINDOW = 24
+_PAD = bytes(_WINDOW + 8)
+_MINUS, _DOT, _ZERO_BYTE, _COMMA_BYTE, _NEWLINE_BYTE = (np.uint8(ord(c)) for c in "-.0,\n")
+# the two bytes after the digits: 'e' and the exponent sign
+_EXP_PLUS, _EXP_MINUS = (np.uint64(ord("e") | ord(c) << 8) for c in "+-")
+_BYTES = 0x0101010101010101
+_ZEROS8 = np.uint64(0x30 * _BYTES)
+_DIGIT_TOP = np.uint64(0x46 * _BYTES)
+_HIGH_BITS = np.uint64(0x80 * _BYTES)
+_SWAR_MASK = np.uint64(0x000000FF000000FF)
+_SWAR_MUL1 = np.uint64(100 + (1_000_000 << 32))
+_SWAR_MUL2 = np.uint64(1 + (10_000 << 32))
+_FRACTION = np.uint64((1 << 52) - 1)
+# a cell's exponent E reads 5**(E - 16) from table row _ROW_OF_E0 - E; the
+# biased binary exponent of the result is _BIASED_OF_ROW at that row plus
+# Z's top bit above 126 plus a carry of the rounding, minus the shift of D
+_ROW_OF_E0 = 32 - _E_MIN
+_BIASED_OF_ROW = 2171 - _SHIFT
+
+
+def _are_digits(*words):
+    """Whether all 8 bytes of each uint64 in every array of words are ASCII
+    digits: no byte lies below '0' or, raised by 0x46, reaches 0x80
+    (Lemire)."""
+    bad = (words[0] + _DIGIT_TOP) | (words[0] - _ZEROS8)
+    for v in words[1:]:
+        bad |= (v + _DIGIT_TOP) | (v - _ZEROS8)
+    return bad & _HIGH_BITS == 0
+
+
+def _eight_digits(v):
+    """The number that the 8 ASCII digits in each uint64 of v spell, first
+    (lowest) byte most significant: pairs, then groups of four, then all."""
+    v = v - _ZEROS8
+    v = v * np.uint64(10) + (v >> np.uint64(8))
+    return ((v & _SWAR_MASK) * _SWAR_MUL1
+            + ((v >> np.uint64(16)) & _SWAR_MASK) * _SWAR_MUL2) >> _U32
+
+
+def _parse_cells(b, windows, start, end):
+    """The float64 values of the cells b[start:end] in the '%.16e' shape, and
+    the indices of the cells that float() has to read instead.
+
+    A cell ``[-]d.dddddddddddddddde±dd[d]`` spells x = D * 10**q with the
+    17-digit integer D and q = E - 16.  With 5**q ~= T_q * 2**b_q from
+    ``_POW5`` (the row with k = q) and D shifted up to bit 63 as w, the top
+    128 bits Z of the 192-bit product w * T_q fall short of the exact scaled
+    value by less than 2 units of their last bit: truncating 5**q loses less
+    than one unit of T_q, which w < 2**64 turns into less than one unit of
+    Z, and dropping the product's low 64 bits loses less than one more
+    (Lemire, *Number Parsing at a Gigabyte per Second*, 2021, here with this
+    bound instead of his rounded-up table).  The 53-bit significand is the
+    top of Z, and the 74 or 75 bits below it decide the rounding unless they
+    lie within 2 units of one half.  Those cells, every exact tie among
+    them, are left to float(), as are zeros, results that would be
+    subnormal or overflow, and every cell not in the shape, checked byte by
+    byte.  As in _float_words, the low half of T_q is added only where the
+    high half leaves the rounding open.
+    """
+    neg = b[start] == _MINUS
+    s = start + neg
+    width = end - s
+    three = width == 23
+    # the 24 bytes after the '.': 16 digits, 'e', the exponent's sign and
+    # its digits, and what follows
+    hi8, lo8, tail = windows[s + 2].view("<u8").reshape(-1, 3).T.copy()
+    marker = tail & np.uint64(0xFFFF)
+    # the exponent's digits moved to the top bytes, '0' below: 8 digits too
+    shift = three.astype(np.uint64) << np.uint64(3)
+    exp = (((tail >> np.uint64(16)) << (np.uint64(48) - shift))
+           | (_ZEROS8 >> (np.uint64(16) + shift)))
+    lead = b[s] - _ZERO_BYTE
+    valid = (((width == 22) | three) & (lead - np.uint8(1) < 9) & (b[s + 1] == _DOT)
+             & ((marker == _EXP_PLUS) | (marker == _EXP_MINUS)) & _are_digits(hi8, lo8, exp))
+    # D lies in [10**16, 10**17): 7 to 10 bits shift it up to bit 63
+    d = lead * np.uint64(10 ** 16) + _eight_digits(hi8) * np.uint64(10 ** 8) + _eight_digits(lo8)
+    lz = (np.uint64(10) - (d >= np.uint64(2 ** 54)) - (d >= np.uint64(2 ** 55))
+          - (d >= np.uint64(2 ** 56)))
+    w = d << lz
+    e = _eight_digits(exp).view(np.int64)
+    j = np.where(marker == _EXP_MINUS, _ROW_OF_E0 + e, _ROW_OF_E0 - e)
+    valid &= j.view(np.uint64) < np.uint64(_SHIFT.size)
+
+    hi, lo = _mul64(w >> _U32, w & _M32, _POW5[0].take(j, mode="clip"),
+                    _POW5[1].take(j, mode="clip"))
+    # Z's top bit is bit 126 + u; the significand is the 53 bits from there
+    u = hi >> np.uint64(63)
+    r = np.uint64(10) + u
+    frac = hi & ((np.uint64(1) << r) - np.uint64(1))
+    half = np.uint64(512) << u
+    mant = hi >> r
+    up = frac > half
+    # without the table's low half Z falls short by less than 2**64 + 2
+    # units, which decides nothing where frac lies at or one below one half
+    near = np.flatnonzero(frac - half + np.uint64(1) <= np.uint64(1))
+    if near.size:
+        hi_n, lo_n = _add_low_half(w[near], j[near].clip(0, _SHIFT.size - 1), hi[near], lo[near])
+        frac_n, half_n = hi_n & ((half[near] << np.uint64(1)) - np.uint64(1)), half[near]
+        up[near] = (frac_n > half_n) | ((frac_n == half_n) & (lo_n > 0))
+        valid[near[((frac_n == half_n) & (lo_n == 0))
+                   | ((frac_n == half_n - np.uint64(1)) & (lo_n == np.uint64(2 ** 64 - 1)))]] = False
+    mant += up
+    carry = mant >> np.uint64(53)
+    mant >>= carry
+    biased = (u + carry - lz).view(np.int64) + _BIASED_OF_ROW.take(j, mode="clip")
+    valid &= (biased - 1).view(np.uint64) < np.uint64(2046)
+    bits = ((neg.astype(np.uint64) << np.uint64(63))
+            | (biased.view(np.uint64) << np.uint64(52)) | (mant & _FRACTION))
+    return bits.view(np.float64), np.flatnonzero(~valid)
+
+
+def _float_cell(cell: bytes):
+    """float() of one cell, or None where it is not a number.  float() also
+    reads '1_000'; a CSV cell with '_' is junk."""
+    if b"_" in cell:
+        return None
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _row_separators(ncols: int) -> np.ndarray:
+    """The separators that end the cells of one row."""
+    return np.array([_COMMA_BYTE] * (ncols - 1) + [_NEWLINE_BYTE], dtype=np.uint8)
+
+
+def _block_columns(text: bytes, ncols: int, want: list, path, line: int) -> list:
+    """The wanted columns (index, name) of the complete rows in text, which
+    starts on file line `line`."""
+    b = np.frombuffer(text + _PAD, dtype=np.uint8)
+    # the 24 bytes from each offset, as one void item each: a gather of
+    # these copies them out aligned
+    windows = np.ndarray((b.size - _WINDOW + 1,), dtype=f"V{_WINDOW}", buffer=b, strides=(1,))
+    sep = np.flatnonzero((b == _COMMA_BYTE) | (b == _NEWLINE_BYTE))
+    kinds = b[sep]
+    if kinds.size % ncols or (kinds.reshape(-1, ncols) != _row_separators(ncols)).any():
+        for k, row in enumerate(text.split(b"\n")[:-1]):
+            if row.count(b",") != ncols - 1:
+                raise ConfigError(f"{path}: line {line + k}: expected {ncols} fields, "
+                                  f"found {row.count(b',') + 1}")
+    sep = sep.reshape(-1, ncols)
+    out = []
+    for c, name in want:
+        end = sep[:, c]
+        start = sep[:, c - 1] + 1 if c else np.concatenate(([0], sep[:-1, -1] + 1))
+        values, redo = _parse_cells(b, windows, start, end)
+        for i in redo.tolist():
+            cell = text[start[i]:end[i]]
+            value = _float_cell(cell)
+            if value is None:
+                raise ConfigError(f"{path}: line {line + i}, column {name!r}: "
+                                  f"cannot read {cell.decode('ascii', 'replace')!r} as a number")
+            values[i] = value
+        out.append(values)
+    return out
+
+
+def _header(fh, path) -> list[str]:
+    first = fh.readline()
+    if not first:
+        raise ConfigError(f"{path} is empty: no header line")
+    return first.decode("ascii", "replace").strip().split(",")
+
+
+def read_header(path: Path) -> list[str]:
+    """The column names on the first line of a CSV file."""
+    with open(path, "rb") as fh:
+        return _header(fh, path)
+
+
+def read_columns(path: Path, names: list[str]) -> list[np.ndarray]:
+    """The named columns of a CSV file under a header line, as float64 arrays.
+
+    The mirror of write_columns: the file is read in blocks of
+    ``_BLOCK_BYTES``, each cut after its last newline, and _parse_cells reads
+    whole columns of a block.  A cell in the '%.16e' shape is read by the
+    kernel; any other number float() reads is read by float(), the
+    reference.  A missing column, a row with another number of fields than
+    the header and a cell that is not a number raise ConfigError naming the
+    file, line and column.  Each column is one array, grown at most rarely:
+    its length is estimated from the first block.
+    """
+    with open(path, "rb") as fh:
+        header = _header(fh, path)
+        for name in names:
+            if name not in header:
+                raise ConfigError(f"column {name!r} not in {path} (columns: {header})")
+        want = [(header.index(name), name) for name in names]
+        size = os.fstat(fh.fileno()).st_size
+        columns = [np.empty(0) for _ in names]
+        n, carry = 0, b""
+        while True:
+            block = fh.read(_BLOCK_BYTES)
+            cut = block.rfind(b"\n") + 1
+            if not block:
+                if not carry:
+                    break
+                text, carry = carry + b"\n", b""
+            elif not cut:
+                carry += block
+                continue
+            else:
+                text, carry = carry + block[:cut], block[cut:]
+            parts = _block_columns(text, len(header), want, path, n + 2)
+            rows = parts[0].size
+            if n + rows > columns[0].size:
+                # room for the rest of the file at this block's row density
+                room = n + rows + int(rows * 1.125 * (size - fh.tell()) / len(text)) + 16
+                columns = [_grown(col, n, room) for col in columns]
+            for col, part in zip(columns, parts):
+                col[n:n + rows] = part
+            n += rows
+    for col in columns:
+        col.resize(n, refcheck=False)
+    return columns
+
+
+def _grown(col: np.ndarray, n: int, size: int) -> np.ndarray:
+    """An array of `size` floats starting with col[:n]."""
+    out = np.empty(size)
+    out[:n] = col[:n]
+    return out

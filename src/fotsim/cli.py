@@ -11,10 +11,10 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .errors import ConfigError, ProtocolError
+from .cells import read_columns, read_header
+from .errors import ConfigError, ProtocolError, ValidationError
 from .scenario import (
+    SERIES_HEADER,
     build_calibration_set,
     canned_scenarios,
     compare_curves,
@@ -24,7 +24,7 @@ from .scenario import (
     run,
     write_curve_csv,
 )
-from .stability import tdev
+from .stability import MIN_SAMPLES, tdev
 from .timebase import TimeErrorSeries
 
 
@@ -39,22 +39,25 @@ def _cmd_run(args) -> int:
 
 
 def _load_series(path: Path, column: str, tau0: float | None) -> TimeErrorSeries:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-    if header == ["index", "x_seconds"]:
+    header = read_header(path)
+    if header == SERIES_HEADER:
         if tau0 is None:
             raise ConfigError("--tau0 is required for index,x_seconds series input")
-        return read_series_csv(path, tau0)
-    if column not in header:
-        raise ConfigError(f"column {column!r} not in {path} (columns: {header})")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    values = data[:, header.index(column)]
-    if tau0 is None:
-        t = data[:, header.index("t_s")] if "t_s" in header else None
-        if t is None or t.size < 2:
-            raise ConfigError("cannot infer tau0; pass --tau0")
-        tau0 = float(t[1] - t[0])
-    return TimeErrorSeries(tau0_s=tau0, values=values)
+        series = read_series_csv(path, tau0)
+    elif tau0 is not None:
+        (values,) = read_columns(path, [column])
+        series = TimeErrorSeries(tau0_s=tau0, values=values)
+    elif "t_s" not in header:
+        raise ConfigError("cannot infer tau0; pass --tau0")
+    else:
+        values, t = read_columns(path, [column, "t_s"])
+        if t.size < 2:
+            raise ConfigError("cannot infer tau0 from fewer than 2 rows; pass --tau0")
+        series = TimeErrorSeries(tau0_s=float(t[1] - t[0]), values=values)
+    if len(series) < MIN_SAMPLES:
+        raise ValidationError(f"{path} holds {len(series)} samples; a TDEV curve "
+                              f"needs at least {MIN_SAMPLES}")
+    return series
 
 
 def _cmd_tdev(args) -> int:

@@ -36,7 +36,7 @@ from .calibration import (
     calibrate_hardware_delay,
     dispersion_asymmetry,
 )
-from .cells import write_columns
+from .cells import read_columns, write_columns
 from .channel import FluctuationSpec, HardwareDelays, LinkModel, accumulated_dispersion
 from .errors import ScenarioParseError, ValidationError
 from .protocol import (
@@ -47,7 +47,7 @@ from .protocol import (
     run_session,
     tracking_error_series,
 )
-from .stability import StabilityCurve, _tau_to_n, tdev
+from .stability import MIN_SAMPLES, StabilityCurve, _tau_to_n, tdev
 from .timebase import ClockModel, NoiseProfile, TimeErrorSeries
 
 ROUNDS_HEADER = ["t_s", "T1_s", "T2_s", "offset_est_s", "true_offset_s", "residual_s"]
@@ -445,7 +445,7 @@ def _node_warmup(scenario: Scenario) -> int:
 
 
 def _check_series(scenario: Scenario) -> None:
-    # every analyzed series needs 4 samples (one default tau) and 3n + 1
+    # every analyzed series needs MIN_SAMPLES (one default tau) and 3n + 1
     # samples for each requested tau = n * tau0
     n = _sample_count(scenario)
     lengths = {"series": n}
@@ -454,10 +454,10 @@ def _check_series(scenario: Scenario) -> None:
         for node in scenario.access_nodes:
             lengths[f"node {node.name!r} series"] = n - _node_warmup(scenario)
     for label, length in lengths.items():
-        if length < 4:
+        if length < MIN_SAMPLES:
             raise ValidationError(
                 f"scenario.duration_s leaves {length} samples for the {label}; "
-                "at least 4 are needed"
+                f"at least {MIN_SAMPLES} are needed"
             )
     taus = scenario.tdev_taus
     if taus is None:
@@ -737,7 +737,7 @@ def write_series_csv(path: Path, series: TimeErrorSeries) -> None:
 
 
 def read_series_csv(path: Path, tau0_s: float) -> TimeErrorSeries:
-    values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=1, ndmin=1)
+    (values,) = read_columns(path, SERIES_HEADER[1:])
     return TimeErrorSeries(tau0_s=tau0_s, values=values, meta={"source": str(path)})
 
 
@@ -746,8 +746,11 @@ def write_curve_csv(path: Path, curve: StabilityCurve) -> None:
 
 
 def read_curve_csv(path: Path) -> StabilityCurve:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return StabilityCurve(data[:, 0], data[:, 1], data[:, 2].astype(int))
+    taus, values, counts = read_columns(path, TDEV_HEADER)
+    # whole numbers that int64 holds exactly, so astype(int) keeps them
+    if not np.all((counts >= 1) & (counts < 2 ** 53) & (counts % 1 == 0)):
+        raise ValidationError(f"{path}: n_samples must be whole numbers >= 1")
+    return StabilityCurve(taus, values, counts.astype(int))
 
 
 def write_rounds_csv(path: Path, rounds: SessionResult) -> None:

@@ -55,6 +55,10 @@ class StabilityCurve:
         return float(self.values[idx])
 
 
+# the shortest series with a default tau: tau0 needs n * tau0 / 4 >= tau0
+MIN_SAMPLES = 4
+
+
 def default_taus(tau0_s: float, n: int) -> list[float]:
     """1-2-5 grid of averaging times from tau0 up to n*tau0/4."""
     taus = []
@@ -63,7 +67,8 @@ def default_taus(tau0_s: float, n: int) -> list[float]:
     while True:
         for m in (1, 2, 5):
             tau = m * decade * tau0_s
-            if tau > limit:
+            # limit overflows to inf when n * tau0 does; tau then ends the grid
+            if tau > limit or tau == math.inf:
                 return taus
             taus.append(tau)
         decade *= 10

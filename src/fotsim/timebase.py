@@ -131,8 +131,8 @@ class TimeErrorSeries:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 1 or self.values.size < 1:
             raise ValidationError("series values must be a non-empty 1-d array")
-        if not self.tau0_s > 0:
-            raise ValidationError("tau0_s must be > 0")
+        if not 0 < self.tau0_s < math.inf:
+            raise ValidationError("tau0_s must be finite and > 0")
         if not np.all(np.isfinite(self.values)):
             raise ValidationError("series values must all be finite")
 

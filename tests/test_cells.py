@@ -1,9 +1,11 @@
-"""The CSV cell kernel against Python's '%.16e' and '%d', byte for byte."""
+"""The CSV cell kernels: the writer against Python's '%.16e' and '%d', byte
+for byte, and the reader against float() and np.loadtxt, bit for bit."""
 
 import numpy as np
 import pytest
 
 from fotsim import cells
+from fotsim.errors import ConfigError
 
 
 def reference_rows(columns):
@@ -105,3 +107,151 @@ def test_mixed_columns_with_fallback_cells_inside_chunks(tmp_path):
 
 def test_empty_columns_write_only_the_header(tmp_path):
     assert written(tmp_path, ["a", "b"], [np.arange(0), np.zeros(0)]) == "a,b\n"
+
+
+# the read side: read_columns against float(), the reference, bit for bit
+
+def read_back(path, names):
+    return [col.view(np.uint64) for col in cells.read_columns(path, names)]
+
+
+def test_read_returns_what_was_written_bit_for_bit(tmp_path):
+    # the writer's value families in one file of about 26 MB: every block
+    # edge falls inside some row
+    rng = np.random.default_rng(20261018)
+    x = np.concatenate(list(kernel_cases(rng).values()))
+    index = np.arange(x.size)
+    path = tmp_path / "cells.csv"
+    cells.write_columns(path, ["index", "x"], [index, x])
+    assert path.stat().st_size > 20 * cells._BLOCK_BYTES
+    got_index, got = cells.read_columns(path, ["index", "x"])
+    assert np.array_equal(got_index, index)
+    finite = ~np.isnan(x)
+    assert np.array_equal(got.view(np.uint64)[finite], x.view(np.uint64)[finite])
+    assert np.isnan(got[~finite]).all()
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 1000])
+def test_rows_split_across_small_blocks(tmp_path, monkeypatch, block):
+    # blocks shorter than a row: the carried partial line grows over reads
+    rng = np.random.default_rng(block)
+    x = rng.standard_normal(300) * 10.0 ** rng.integers(-300, 300, 300)
+    x[:5] = [0.0, -0.0, 5e-324, np.inf, 2.5]
+    path = tmp_path / "cells.csv"
+    cells.write_columns(path, ["i", "x", "y"], [np.arange(300), x, -x])
+    monkeypatch.setattr(cells, "_BLOCK_BYTES", block)
+    y, got = read_back(path, ["y", "x"])
+    assert np.array_equal(got, x.view(np.uint64))
+    assert np.array_equal(y, (-x).view(np.uint64))
+
+
+def canonical_cells(rng, n, exponents):
+    """'%.16e'-shaped cells of random 17-digit integers: not round-trip
+    text of any float64, so they land anywhere between two, ties included."""
+    digits = rng.integers(10 ** 16, 10 ** 17, n, dtype=np.int64)
+    signs = rng.choice(["", "-"], n)
+    return [f"{s}{str(d)[0]}.{str(d)[1:]}e{e:+03d}"
+            for s, d, e in zip(signs, digits.tolist(), exponents.tolist())]
+
+
+def test_arbitrary_canonical_cells_match_float(tmp_path):
+    rng = np.random.default_rng(11)
+    texts = (canonical_cells(rng, 200_000, rng.integers(-330, 330, 200_000))
+             # integers above 2**53: many lie exactly halfway between two floats
+             + canonical_cells(rng, 50_000, rng.integers(15, 23, 50_000))
+             + ["9.0071992547409930e+15", "9.0071992547409950e+15", "1.7976931348623158e+308",
+                "1.7976931348623159e+308", "2.2250738585072011e-308", "2.2250738585072014e-308",
+                "4.9406564584124654e-324", "2.4703282292062328e-324", "1.0000000000000000e-400",
+                "9.9999999999999999e+999", "0.0000000000000000e+00", "-0.0000000000000000e+00",
+                "1.0000000000000000e+099", "1.0000000000000000e-099"])
+    path = tmp_path / "cells.csv"
+    path.write_text("x\n" + "".join(t + "\n" for t in texts))
+    (got,) = read_back(path, ["x"])
+    want = np.array([float(t) for t in texts]).view(np.uint64)
+    bad = np.flatnonzero(got != want)
+    assert not bad.size, [texts[i] for i in bad[:5]]
+
+
+NON_CANONICAL = ["1e-9", "0.5", "-0", " 1.0 ", "+1.5E+03", "inf", "-inf", "nan", "1",
+                 "12345678901234567890", "1.5e+03", "1.0000000000000000E+00",
+                 "+1.0000000000000000e+00", "1.00000000000000000e+00", "1.0000000000000000e+0",
+                 "1.0000000000000000e+0000", "\t2\t", "0.0000000000000001e+00"]
+
+
+@pytest.mark.parametrize("newline,final", [("\n", "\n"), ("\r\n", "\r\n"), ("\n", "")])
+def test_non_canonical_cells_read_as_loadtxt(tmp_path, newline, final):
+    rows = [f"{i},{cell},{NON_CANONICAL[-1 - i]}" for i, cell in enumerate(NON_CANONICAL)]
+    path = tmp_path / "cells.csv"
+    path.write_bytes(("a,b,c" + newline + newline.join(rows) + final).encode("ascii"))
+    want = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    got = cells.read_columns(path, ["a", "b", "c"])
+    for j, col in enumerate(got):
+        assert np.array_equal(col, want[:, j], equal_nan=True)
+        assert np.array_equal(np.signbit(col), np.signbit(want[:, j]))
+
+
+def test_fallback_reads_only_what_the_kernel_leaves_open(tmp_path, monkeypatch):
+    seen = []
+    reference = cells._float_cell
+    monkeypatch.setattr(cells, "_float_cell", lambda cell: seen.append(cell) or reference(cell))
+
+    def by_reference(x):
+        seen.clear()
+        path = tmp_path / "cells.csv"
+        cells.write_columns(path, ["x"], [x])
+        cells.read_columns(path, ["x"])
+        return [cell.decode() for cell in seen]
+
+    def open_cells(x):
+        # zeros, subnormals, nan and inf
+        return ["%.16e" % v for v in x.tolist()
+                if not np.isfinite(v) or abs(v) < np.finfo(float).tiny]
+
+    cases = kernel_cases(np.random.default_rng(7))
+    for name in ("residuals", "round times", "intervals"):
+        assert not open_cells(cases[name])
+    for name, x in cases.items():
+        assert by_reference(x[:50_000]) == open_cells(x[:50_000]), name
+    # so are 2**53 + 1, 2**54 + 2 and -(2**55 + 4), halfway between two floats
+    texts = ["9.0071992547409930e+15", "1.8014398509481986e+16", "-3.6028797018963972e+16"]
+    path = tmp_path / "ties.csv"
+    path.write_text("x\n" + "".join(t + "\n" for t in texts))
+    seen.clear()
+    (got,) = cells.read_columns(path, ["x"])
+    assert seen == [t.encode() for t in texts]
+    assert got.tolist() == [2.0 ** 53, 2.0 ** 54, -2.0 ** 55]
+
+
+@pytest.mark.parametrize("text,message", [
+    ("a,b\n1,2\n3,abc\n", "line 3, column 'b': cannot read 'abc'"),
+    ("a,b\n1,2\n3,\n", "line 3, column 'b': cannot read ''"),
+    ("a,b\n1,2\n3,1_0\n", "line 3, column 'b': cannot read '1_0'"),
+    ("a,b\n1,2\n3\n", "line 3: expected 2 fields, found 1"),
+    ("a,b\n1,2,4\n3,4\n", "line 2: expected 2 fields, found 3"),
+    ("a,b\n1,2\n\n3,4\n", "line 3: expected 2 fields, found 1"),
+    ("a,c\n1,2\n", "column 'b' not in"),
+    ("", "is empty"),
+])
+def test_malformed_files_raise_config_error(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message) as info:
+        cells.read_columns(path, ["b"])
+    assert str(path) in str(info.value)
+
+
+def test_error_line_numbers_count_across_blocks(tmp_path):
+    n = 40_000
+    path = tmp_path / "x.csv"
+    cells.write_columns(path, ["i", "x"], [np.arange(n), np.linspace(-1.0, 1.0, n)])
+    lines = path.read_text().split("\n")
+    lines[30_001] = lines[30_001].replace("e", "q")
+    path.write_text("\n".join(lines))
+    assert path.stat().st_size > 3 * cells._BLOCK_BYTES
+    with pytest.raises(ConfigError, match=r"line 30002, column 'x'"):
+        cells.read_columns(path, ["x"])
+    # a column that is not read is not parsed, but every row is counted
+    lines[35_001] = "1,2,3"
+    path.write_text("\n".join(lines))
+    with pytest.raises(ConfigError, match=r"line 35002: expected 2 fields, found 3"):
+        cells.read_columns(path, ["i"])

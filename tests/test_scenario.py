@@ -338,6 +338,46 @@ class TestCli:
         assert cli_main(["run", "--scenario", str(tmp_path / "none.json"),
                          "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("argv,text,message", [
+        (["tdev", "--tau0", "1"], "index,x_seconds\n0,1.5\n1,abc\n2,1\n3,2\n",
+         "line 3, column 'x_seconds': cannot read 'abc'"),
+        (["tdev"], "t_s,residual_s\n0,1\n1,2\n2,zz\n3,4\n",
+         "line 4, column 'residual_s': cannot read 'zz'"),
+        (["tdev"], "t_s,residual_s\n0,1\n1,2,3\n2,3\n3,4\n",
+         "line 3: expected 2 fields, found 3"),
+        (["tdev"], "t_s,T1_s\n0,1\n1,2\n2,3\n3,4\n", "column 'residual_s' not in"),
+        (["tdev", "--tau0", "1"], "index,x_seconds\n0,1\n1,2\n", "holds 2 samples"),
+        (["tdev"], "t_s,residual_s\n0,1\n1,2\n2,3\n", "holds 3 samples"),
+        (["compare", "{good}"], "tau_s,tdev_s,n_samples\n1,2e-9,10\n2,zz,7\n",
+         "line 3, column 'tdev_s': cannot read 'zz'"),
+        (["compare", "{good}"], "tau_s,tdev_s,n_samples\n1,2e-9,10\n2,1e-9,7.5\n",
+         "n_samples must be whole numbers"),
+    ])
+    def test_malformed_csv_exits_1_naming_the_place(self, tmp_path, capsys, argv, text,
+                                                     message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        good = tmp_path / "good.csv"
+        good.write_text("tau_s,tdev_s,n_samples\n1,2e-9,10\n2,1e-9,7\n")
+        if argv[0] == "tdev":
+            argv = argv + ["--input", str(bad), "--out", str(tmp_path / "t.csv")]
+        else:
+            argv = [argv[0], str(good), str(bad)]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and str(bad) in err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_tdev_reads_rounds_shaped_input_by_column(self, tmp_path):
+        rows = "".join(f"{2.0 * i},{0.5 * i},{float(i * i)}\n" for i in range(8))
+        f = tmp_path / "r.csv"
+        f.write_text("t_s,a,residual_s\n" + rows)
+        assert cli_main(["tdev", "--input", str(f), "--out", str(tmp_path / "t.csv")]) == 0
+        assert read_curve_csv(tmp_path / "t.csv").taus.tolist() == [2.0, 4.0]
+        assert cli_main(["tdev", "--input", str(f), "--column", "a", "--tau0", "1",
+                         "--out", str(tmp_path / "u.csv")]) == 0
+        assert read_curve_csv(tmp_path / "u.csv").taus.tolist() == [1.0, 2.0]
+
     def test_calibrate_prints_calibration_set(self, tmp_path, capsys):
         doc = sync_doc(hardware={"tx_server_s": 1e-8})
         f = tmp_path / "s.json"

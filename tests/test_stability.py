@@ -108,9 +108,18 @@ class TestValidation:
         assert default_taus(1.0, 100) == [1.0, 2.0, 5.0, 10.0, 20.0]
         assert default_taus(0.5, 8) == [0.5, 1.0]
 
+    def test_default_grid_ends_where_tau_overflows(self):
+        # n * tau0 overflows to inf, so only the overflow of tau ends the grid
+        assert default_taus(1e307, 100) == [1e307, 2e307, 5e307, 1e308]
+
     def test_series_rejects_nonfinite(self):
         with pytest.raises(ValidationError):
             series([0.0, np.inf, 0.0])
+
+    @pytest.mark.parametrize("tau0", [0.0, -1.0, np.inf, np.nan])
+    def test_series_rejects_tau0_not_finite_and_positive(self, tau0):
+        with pytest.raises(ValidationError, match="tau0_s"):
+            series(np.zeros(8), tau0=tau0)
 
 
 class TestSlope:
