@@ -18,7 +18,7 @@ and the corrected clock-offset estimate is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -48,25 +48,7 @@ class CalibrationSet:
                 )
 
     def as_dict(self) -> dict:
-        return {
-            "tau_hd_s": self.tau_hd_s,
-            "tau_delay_u_s": self.tau_delay_u_s,
-            "tau_fpda_s": self.tau_fpda_s,
-            "tau_oaa_s": self.tau_oaa_s,
-            "reversal_constant_s": self.reversal_constant_s,
-            "provenance": dict(self.provenance),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CalibrationSet":
-        return cls(
-            tau_hd_s=float(data.get("tau_hd_s", 0.0)),
-            tau_delay_u_s=float(data.get("tau_delay_u_s", 0.0)),
-            tau_fpda_s=float(data.get("tau_fpda_s", 0.0)),
-            tau_oaa_s=float(data.get("tau_oaa_s", 0.0)),
-            reversal_constant_s=float(data.get("reversal_constant_s", 0.0)),
-            provenance=dict(data.get("provenance", {})),
-        )
+        return asdict(self)
 
 
 def calibrate_hardware_delay(

@@ -19,11 +19,13 @@ CSV pair per access node.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -48,7 +50,7 @@ from .protocol import (
     tracking_error_series,
 )
 from .stability import MIN_SAMPLES, StabilityCurve, _tau_to_n, tdev
-from .timebase import ClockModel, NoiseProfile, TimeErrorSeries
+from .timebase import NOISE_TYPES, ClockModel, NoiseProfile, TimeErrorSeries
 
 ROUNDS_HEADER = ["t_s", "T1_s", "T2_s", "offset_est_s", "true_offset_s", "residual_s"]
 NODE_HEADER = ROUNDS_HEADER + ["position_km"]
@@ -68,246 +70,198 @@ def derive_seed(master_seed: int, path: str) -> int:
 
 # ---------------------------------------------------------------------------
 # schema
+#
+# One table per JSON object maps each key to (check, default).  A check takes
+# the value and its path and returns the parsed value, or raises
+# ValidationError naming the path.  A key that is a keyword argument of a
+# model takes its default from that constructor's signature, and _REQUIRED
+# (no default there) means the document must set it.
+
+_REQUIRED = inspect.Parameter.empty
 
 
-def _check_keys(d: dict, allowed: dict, context: str) -> None:
-    if not isinstance(d, dict):
-        raise ValidationError(f"{context} must be an object")
-    for key in d:
-        if key not in allowed:
+def _parse(doc, schema: dict, context: str) -> dict:
+    """Every key of schema, checked in doc or at its default."""
+    _mapping(doc, context)
+    for key in doc:
+        if key not in schema:
             raise ValidationError(
-                f"unknown key {key!r} in {context}; allowed keys: {sorted(allowed)}"
+                f"unknown key {key!r} in {context}; allowed keys: {sorted(schema)}"
             )
-    for key, required in allowed.items():
-        if required and key not in d:
+    for key, (_, default) in schema.items():
+        if default is _REQUIRED and key not in doc:
             raise ValidationError(f"missing required key {key!r} in {context}")
+    return {key: check(doc[key], f"{context}.{key}") if key in doc else default
+            for key, (check, default) in schema.items()}
 
 
-def _number(d: dict, key: str, context: str, default=None, minimum=None,
-            strict_min=False) -> float:
-    if key not in d:
-        return default
-    value = d[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValidationError(f"{context}.{key} must be a number")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValidationError(f"{context}.{key} must be finite")
-    if minimum is not None:
-        if strict_min and not value > minimum:
-            raise ValidationError(f"{context}.{key} must be > {minimum}")
-        if not strict_min and value < minimum:
-            raise ValidationError(f"{context}.{key} must be >= {minimum}")
+def _table(model=None, **entries) -> dict:
+    """A schema table.  An entry given as a bare check is a keyword argument
+    of model and takes its default from the model's signature."""
+    params = inspect.signature(model).parameters if model else {}
+    return {key: entry if isinstance(entry, tuple) else (entry, params[key].default)
+            for key, entry in entries.items()}
+
+
+def _mapping(value, path):
+    if not isinstance(value, dict):
+        raise ValidationError(f"{path} must be an object")
     return value
 
 
-def _list(d: dict, key: str, context: str) -> list:
-    value = d.get(key, [])
-    if not isinstance(value, list):
-        raise ValidationError(f"{context}.{key} must be a list")
-    return value
+def _object(schema: dict, into=SimpleNamespace):
+    return lambda value, path: into(**_parse(value, schema, path))
 
 
-def _boolean(d: dict, key: str, context: str, default=False) -> bool:
-    value = d.get(key, default)
+def _optional(check) -> tuple:
+    """Entry of an optional object: absent, it reads as an empty one."""
+    return check, check({}, "")
+
+
+def _list_of(item):
+    def check(value, path):
+        if not isinstance(value, list):
+            raise ValidationError(f"{path} must be a list")
+        return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(value))
+    return check
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite(minimum=None, strict=False):
+    """A finite number, at least minimum (above it if strict)."""
+    def check(value, path):
+        if not _is_number(value):
+            raise ValidationError(f"{path} must be a number")
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValidationError(f"{path} must be finite")
+        if minimum is not None and (value <= minimum if strict else value < minimum):
+            raise ValidationError(f"{path} must be {'>' if strict else '>='} {minimum}")
+        return value
+    return check
+
+
+def _integer(minimum, what: str):
+    def check(value, path):
+        if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+            raise ValidationError(f"{path} must be {what}")
+        return value
+    return check
+
+
+def _bool(value, path):
     if not isinstance(value, bool):
-        raise ValidationError(f"{context}.{key} must be a boolean")
+        raise ValidationError(f"{path} must be a boolean")
     return value
 
 
-@dataclass(frozen=True)
-class ClockSpec:
-    initial_offset_s: float = 0.0
-    frac_frequency: float = 0.0
-    drift_per_s: float = 0.0
-    freq_ref_shared: bool = False
-    pulse_period_s: float = 0.010
-    noise_grid_s: float | None = None
-    noise: tuple = ()
+def _text(value, path):
+    if not isinstance(value, str) or not value:
+        raise ValidationError(f"{path} must be a non-empty string")
+    return value
 
 
-@dataclass(frozen=True)
-class TicSpec:
-    jitter_rms_s: float = 0.0
-    resolution_s: float = 0.0
+def _choice(options: tuple):
+    def check(value, path):
+        if value not in options:
+            raise ValidationError(f"{path} must be one of {options}, not {value!r}")
+        return value
+    return check
 
 
-@dataclass(frozen=True)
-class LinkSpec:
-    length_km: float
-    group_delay_s_per_km: float = 4.9e-6
-    dispersion_coeff_ps_per_nm_km: float | None = None
-    accumulated_dispersion_ps_per_nm: float | None = None
-    sagnac_s: float = 0.0
-    lambda_server_nm: float = 1546.12
-    lambda_user_nm: float = 1546.92
-    fluctuation_amplitude_s: float = 0.0
-    fluctuation_timescale_s: float = 600.0
-    fluctuation_grid_s: float | None = None
-    evaluate_at_emit_time: bool = False
-    biedfa_position_km: float | None = None
+def _taus(value, path):
+    if value is None:
+        return None
+    if not isinstance(value, list) or not all(_is_number(t) for t in value):
+        raise ValidationError(f"{path} must be a list of numbers")
+    return tuple(float(t) for t in value)
 
 
-@dataclass(frozen=True)
-class NodeSpec:
-    name: str
-    distance_from_server_km: float
-    coupler_delay_s: float = 0.0
-    tic: TicSpec = TicSpec()
+_CALIBRATION = _table(
+    CalibrationSet,
+    tau_hd_s=_finite(), tau_delay_u_s=_finite(), tau_fpda_s=_finite(),
+    tau_oaa_s=_finite(), reversal_constant_s=_finite(),
+    # an absent provenance passes the dataclass's factory marker, which the
+    # constructor replaces with a fresh dict
+    provenance=_mapping,
+)
 
 
-@dataclass(frozen=True)
-class ProtocolSpec:
-    reversal_constant_s: float = 5e-3
-    compensation_period_s: float = 1.0
-    apply_calibration: bool = False
-    auto_calibrate: bool = False
-    calibration_rounds: int = 100
-    calibration: dict | None = None
-    textbook_mode: bool = False
+def _calibration(value, path):
+    if value is None:
+        return None
+    if not isinstance(value, dict):
+        raise ValidationError(f"{path} must be an object or null")
+    return CalibrationSet(**_parse(value, _CALIBRATION, path))
 
 
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    mode: str
-    duration_s: float
-    master_seed: int
-    clocks: dict
-    warmup_rounds: int = 1
-    sample_period_s: float = 1.0
-    freq_reference: tuple = (0.0, 0.0)
-    link: LinkSpec | None = None
-    hardware: HardwareDelays = HardwareDelays()
-    tics: dict = field(default_factory=dict)
-    protocol: ProtocolSpec | None = None
-    access_nodes: tuple = ()
-    tdev_taus: tuple | None = None
-    raw: dict = field(default_factory=dict, repr=False)
+# counter settings; absent, those of an ideal counter
+_TIC = _optional(_object(_table(TicModel, jitter_rms_s=_finite(0.0),
+                                resolution_s=_finite(0.0))))
+_NOISE = _table(type=(_choice(NOISE_TYPES), _REQUIRED), amplitude=(_finite(0.0), _REQUIRED))
+_CLOCK = _object(_table(
+    ClockModel,
+    # (type, amplitude) pairs; _build_clock seeds them into a NoiseProfile
+    noise=_list_of(_object(_NOISE, into=lambda **c: tuple(c.values()))),
+    initial_offset_s=_finite(), frac_frequency=_finite(), drift_per_s=_finite(),
+    freq_ref_shared=_bool, pulse_period_s=_finite(0.0, strict=True),
+    noise_grid_s=_finite(0.0, strict=True),
+))
+_FLUCTUATION = _table(FluctuationSpec, amplitude_s=_finite(0.0),
+                      timescale_s=_finite(0.0, strict=True),
+                      grid_s=_finite(0.0, strict=True))
+_LINK = _table(
+    LinkModel,
+    length_km=_finite(0.0), group_delay_s_per_km=_finite(0.0),
+    dispersion_coeff_ps_per_nm_km=_finite(), accumulated_dispersion_ps_per_nm=_finite(),
+    sagnac_s=_finite(), lambda_server_nm=_finite(0.0, strict=True),
+    lambda_user_nm=_finite(0.0, strict=True),
+    fluctuation=_object(_FLUCTUATION, into=FluctuationSpec),
+    evaluate_at_emit_time=_bool, biedfa_position_km=_finite(0.0),
+)
+_HARDWARE = _table(HardwareDelays, **{
+    key: _finite() for key in inspect.signature(HardwareDelays).parameters
+})
+_PROTOCOL = _table(
+    ProtocolConfig,
+    calibration=_calibration,
+    calibration_rounds=(_integer(1, "a positive integer"), 100),
+    reversal_constant_s=_finite(0.0, strict=True),
+    compensation_period_s=_finite(0.0, strict=True),
+    apply_calibration=_bool, auto_calibrate=(_bool, False), textbook_mode=_bool,
+)
+_NODE = _table(
+    AccessNode,
+    # a node built in code may go unnamed and needs a live counter; in a
+    # document the name is required and the counter settings are optional
+    name=(_text, _REQUIRED), distance_from_server_km=_finite(0.0),
+    coupler_delay_s=_finite(), tic=_TIC,
+)
+_SCENARIO = _table(
+    name=(_text, _REQUIRED),
+    mode=(_choice(("sync", "clocks_only")), _REQUIRED),
+    duration_s=(_finite(0.0, strict=True), _REQUIRED),
+    master_seed=(_integer(-math.inf, "an integer"), _REQUIRED),
+    warmup_rounds=(_integer(0, "a non-negative integer"), 1),
+    clocks=(_object(_table(server=(_CLOCK, _REQUIRED), user=(_CLOCK, _REQUIRED))), _REQUIRED),
+    freq_reference=_optional(_object(_table(frac_frequency=(_finite(), 0.0),
+                                            drift_per_s=(_finite(), 0.0)))),
+    link=(_object(_LINK), None),
+    hardware=_optional(_object(_HARDWARE, into=HardwareDelays)),
+    tics=_optional(_object(_table(server=_TIC, user=_TIC))),
+    protocol=(_object(_PROTOCOL), None),
+    access_nodes=(_list_of(_object(_NODE)), ()),
+    tdev_taus=(_taus, None),
+    sample_period_s=(_finite(0.0, strict=True), 1.0),
+)
 
 
-_CLOCK_KEYS = {
-    "initial_offset_s": False, "frac_frequency": False, "drift_per_s": False,
-    "freq_ref_shared": False, "pulse_period_s": False, "noise_grid_s": False,
-    "noise": False,
-}
-_NOISE_KEYS = {"type": True, "amplitude": True}
-_TIC_KEYS = {"jitter_rms_s": False, "resolution_s": False}
-_FLUCT_KEYS = {"amplitude_s": False, "timescale_s": False, "grid_s": False}
-_LINK_KEYS = {
-    "length_km": True, "group_delay_s_per_km": False,
-    "dispersion_coeff_ps_per_nm_km": False, "accumulated_dispersion_ps_per_nm": False,
-    "sagnac_s": False, "lambda_server_nm": False, "lambda_user_nm": False,
-    "fluctuation": False, "evaluate_at_emit_time": False, "biedfa_position_km": False,
-}
-_HW_KEYS = {
-    "tx_server_s": False, "rx_server_s": False, "tx_user_s": False, "rx_user_s": False,
-    "delay_unit_dev_server_s": False, "delay_unit_dev_user_s": False,
-    "biedfa_lambda1_s": False, "biedfa_lambda2_s": False,
-}
-_PROTOCOL_KEYS = {
-    "reversal_constant_s": False, "compensation_period_s": False,
-    "apply_calibration": False, "auto_calibrate": False, "calibration_rounds": False,
-    "calibration": False, "textbook_mode": False,
-}
-_CAL_KEYS = {
-    "tau_hd_s": False, "tau_delay_u_s": False, "tau_fpda_s": False, "tau_oaa_s": False,
-    "reversal_constant_s": False, "provenance": False,
-}
-_NODE_KEYS = {
-    "name": True, "distance_from_server_km": True, "coupler_delay_s": False, "tic": False,
-}
-_FREQ_REF_KEYS = {"frac_frequency": False, "drift_per_s": False}
-_TOP_KEYS = {
-    "name": True, "mode": True, "duration_s": True, "master_seed": True,
-    "warmup_rounds": False, "sample_period_s": False, "freq_reference": False,
-    "clocks": True, "link": False, "hardware": False, "tics": False,
-    "protocol": False, "access_nodes": False, "tdev_taus": False,
-}
-
-
-def _parse_clock(d: dict, context: str) -> ClockSpec:
-    _check_keys(d, _CLOCK_KEYS, context)
-    noise = []
-    for i, comp in enumerate(_list(d, "noise", context)):
-        _check_keys(comp, _NOISE_KEYS, f"{context}.noise[{i}]")
-        noise.append((comp["type"],
-                      _number(comp, "amplitude", f"{context}.noise[{i}]", minimum=0.0)))
-    return ClockSpec(
-        initial_offset_s=_number(d, "initial_offset_s", context, 0.0),
-        frac_frequency=_number(d, "frac_frequency", context, 0.0),
-        drift_per_s=_number(d, "drift_per_s", context, 0.0),
-        freq_ref_shared=_boolean(d, "freq_ref_shared", context),
-        pulse_period_s=_number(d, "pulse_period_s", context, 0.010, minimum=0.0,
-                               strict_min=True),
-        noise_grid_s=_number(d, "noise_grid_s", context, None, minimum=0.0,
-                             strict_min=True),
-        noise=tuple(noise),
-    )
-
-
-def _parse_tic(d: dict, context: str) -> TicSpec:
-    _check_keys(d, _TIC_KEYS, context)
-    return TicSpec(
-        jitter_rms_s=_number(d, "jitter_rms_s", context, 0.0, minimum=0.0),
-        resolution_s=_number(d, "resolution_s", context, 0.0, minimum=0.0),
-    )
-
-
-def _parse_link(d: dict, context: str) -> LinkSpec:
-    _check_keys(d, _LINK_KEYS, context)
-    fluct = d.get("fluctuation", {})
-    _check_keys(fluct, _FLUCT_KEYS, f"{context}.fluctuation")
-    return LinkSpec(
-        length_km=_number(d, "length_km", context, minimum=0.0),
-        group_delay_s_per_km=_number(d, "group_delay_s_per_km", context, 4.9e-6,
-                                     minimum=0.0),
-        dispersion_coeff_ps_per_nm_km=_number(d, "dispersion_coeff_ps_per_nm_km",
-                                              context, None),
-        accumulated_dispersion_ps_per_nm=_number(d, "accumulated_dispersion_ps_per_nm",
-                                                 context, None),
-        sagnac_s=_number(d, "sagnac_s", context, 0.0),
-        lambda_server_nm=_number(d, "lambda_server_nm", context, 1546.12, minimum=0.0,
-                                 strict_min=True),
-        lambda_user_nm=_number(d, "lambda_user_nm", context, 1546.92, minimum=0.0,
-                               strict_min=True),
-        fluctuation_amplitude_s=_number(fluct, "amplitude_s", f"{context}.fluctuation",
-                                        0.0, minimum=0.0),
-        fluctuation_timescale_s=_number(fluct, "timescale_s", f"{context}.fluctuation",
-                                        600.0, minimum=0.0, strict_min=True),
-        fluctuation_grid_s=_number(fluct, "grid_s", f"{context}.fluctuation", None,
-                                   minimum=0.0, strict_min=True),
-        evaluate_at_emit_time=_boolean(d, "evaluate_at_emit_time", context),
-        biedfa_position_km=_number(d, "biedfa_position_km", context, None, minimum=0.0),
-    )
-
-
-def _parse_protocol(d: dict, context: str) -> ProtocolSpec:
-    _check_keys(d, _PROTOCOL_KEYS, context)
-    cal = d.get("calibration")
-    if cal is not None:
-        if not isinstance(cal, dict):
-            raise ValidationError(f"{context}.calibration must be an object or null")
-        _check_keys(cal, _CAL_KEYS, f"{context}.calibration")
-        for key in _CAL_KEYS:
-            if key != "provenance":
-                _number(cal, key, f"{context}.calibration")
-        if not isinstance(cal.get("provenance", {}), dict):
-            raise ValidationError(f"{context}.calibration.provenance must be an object")
-    rounds = d.get("calibration_rounds", 100)
-    if not isinstance(rounds, int) or isinstance(rounds, bool) or rounds < 1:
-        raise ValidationError(f"{context}.calibration_rounds must be a positive integer")
-    return ProtocolSpec(
-        reversal_constant_s=_number(d, "reversal_constant_s", context, 5e-3,
-                                    minimum=0.0, strict_min=True),
-        compensation_period_s=_number(d, "compensation_period_s", context, 1.0,
-                                      minimum=0.0, strict_min=True),
-        apply_calibration=_boolean(d, "apply_calibration", context),
-        auto_calibrate=_boolean(d, "auto_calibrate", context),
-        calibration_rounds=rounds,
-        calibration=cal,
-        textbook_mode=_boolean(d, "textbook_mode", context),
-    )
+class Scenario(SimpleNamespace):
+    """A validated scenario: one attribute per key of _SCENARIO, each object
+    parsed by its table, plus raw, the document itself."""
 
 
 def validate_scenario(doc: dict) -> Scenario:
@@ -315,114 +269,17 @@ def validate_scenario(doc: dict) -> Scenario:
 
     Raises ValidationError naming the offending key on any problem.
     """
-    if not isinstance(doc, dict):
-        raise ValidationError("scenario document must be a JSON object")
-    _check_keys(doc, _TOP_KEYS, "scenario")
-
-    name = doc["name"]
-    if not isinstance(name, str) or not name:
-        raise ValidationError("scenario.name must be a non-empty string")
-    mode = doc["mode"]
-    if mode not in ("sync", "clocks_only"):
-        raise ValidationError("scenario.mode must be 'sync' or 'clocks_only'")
-    duration = _number(doc, "duration_s", "scenario", minimum=0.0, strict_min=True)
-    master_seed = doc["master_seed"]
-    if not isinstance(master_seed, int) or isinstance(master_seed, bool):
-        raise ValidationError("scenario.master_seed must be an integer")
-    warmup = doc.get("warmup_rounds", 1)
-    if not isinstance(warmup, int) or isinstance(warmup, bool) or warmup < 0:
-        raise ValidationError("scenario.warmup_rounds must be a non-negative integer")
-
-    clocks_doc = doc["clocks"]
-    _check_keys(clocks_doc, {"server": True, "user": True}, "scenario.clocks")
-    clocks = {
-        role: _parse_clock(clocks_doc[role], f"scenario.clocks.{role}")
-        for role in ("server", "user")
-    }
-
-    freq_ref_doc = doc.get("freq_reference", {})
-    _check_keys(freq_ref_doc, _FREQ_REF_KEYS, "scenario.freq_reference")
-    freq_reference = (
-        _number(freq_ref_doc, "frac_frequency", "scenario.freq_reference", 0.0),
-        _number(freq_ref_doc, "drift_per_s", "scenario.freq_reference", 0.0),
-    )
-
-    link = None
-    if "link" in doc:
-        link = _parse_link(doc["link"], "scenario.link")
-
-    hardware = HardwareDelays()
-    if "hardware" in doc:
-        hw_doc = doc["hardware"]
-        _check_keys(hw_doc, _HW_KEYS, "scenario.hardware")
-        hardware = HardwareDelays(**{
-            key: _number(hw_doc, key, "scenario.hardware", 0.0) for key in _HW_KEYS
-        })
-
-    tics = {}
-    if "tics" in doc:
-        tics_doc = doc["tics"]
-        _check_keys(tics_doc, {"server": False, "user": False}, "scenario.tics")
-        for role in ("server", "user"):
-            if role in tics_doc:
-                tics[role] = _parse_tic(tics_doc[role], f"scenario.tics.{role}")
-
-    protocol = None
-    if "protocol" in doc:
-        protocol = _parse_protocol(doc["protocol"], "scenario.protocol")
-
-    nodes = []
-    for i, node_doc in enumerate(_list(doc, "access_nodes", "scenario")):
-        context = f"scenario.access_nodes[{i}]"
-        _check_keys(node_doc, _NODE_KEYS, context)
-        node_name = node_doc["name"]
-        if not isinstance(node_name, str) or not node_name:
-            raise ValidationError(f"{context}.name must be a non-empty string")
-        nodes.append(NodeSpec(
-            name=node_name,
-            distance_from_server_km=_number(node_doc, "distance_from_server_km",
-                                            context, minimum=0.0),
-            coupler_delay_s=_number(node_doc, "coupler_delay_s", context, 0.0),
-            tic=_parse_tic(node_doc.get("tic", {}), f"{context}.tic"),
-        ))
-
-    taus = doc.get("tdev_taus")
-    if taus is not None:
-        if not isinstance(taus, list) or not all(
-            isinstance(t, (int, float)) and not isinstance(t, bool) for t in taus
-        ):
-            raise ValidationError("scenario.tdev_taus must be a list of numbers")
-        taus = tuple(float(t) for t in taus)
-
-    if mode == "sync":
-        if link is None:
+    scenario = Scenario(**_parse(doc, _SCENARIO, "scenario"), raw=doc)
+    if scenario.mode == "sync":
+        if scenario.link is None:
             raise ValidationError("scenario.link is required in sync mode")
-        if protocol is None:
+        if scenario.protocol is None:
             raise ValidationError("scenario.protocol is required in sync mode")
-        for node in nodes:
-            if node.distance_from_server_km > link.length_km:
+        for node in scenario.access_nodes:
+            if node.distance_from_server_km > scenario.link.length_km:
                 raise ValidationError(
                     f"scenario.access_nodes: node {node.name!r} lies beyond the link"
                 )
-
-    scenario = Scenario(
-        name=name,
-        mode=mode,
-        duration_s=duration,
-        master_seed=master_seed,
-        warmup_rounds=warmup,
-        sample_period_s=_number(doc, "sample_period_s", "scenario", 1.0, minimum=0.0,
-                                strict_min=True),
-        freq_reference=freq_reference,
-        clocks=clocks,
-        link=link,
-        hardware=hardware,
-        tics=tics,
-        protocol=protocol,
-        access_nodes=tuple(nodes),
-        tdev_taus=taus,
-        raw=doc,
-    )
     _check_series(scenario)
     return scenario
 
@@ -519,48 +376,22 @@ class ModelSet:
     seeds: dict = field(default_factory=dict)
 
 
-def _build_clock(spec: ClockSpec, seed: int) -> ClockModel:
-    return ClockModel(
-        initial_offset_s=spec.initial_offset_s,
-        frac_frequency=spec.frac_frequency,
-        drift_per_s=spec.drift_per_s,
-        noise=NoiseProfile(components=spec.noise, rng_seed=seed) if spec.noise else None,
-        freq_ref_shared=spec.freq_ref_shared,
-        pulse_period_s=spec.pulse_period_s,
-        noise_grid_s=spec.noise_grid_s,
-    )
+def _build_clock(spec: SimpleNamespace, seed: int) -> ClockModel:
+    noise = NoiseProfile(spec.noise, rng_seed=seed) if spec.noise else None
+    return ClockModel(**{**vars(spec), "noise": noise})
 
 
-def _build_link(spec: LinkSpec, seed: int) -> LinkModel:
-    return LinkModel(
-        length_km=spec.length_km,
-        group_delay_s_per_km=spec.group_delay_s_per_km,
-        dispersion_coeff_ps_per_nm_km=(
-            spec.dispersion_coeff_ps_per_nm_km
-            if spec.accumulated_dispersion_ps_per_nm is None
-            else None
-        ),
-        accumulated_dispersion_ps_per_nm=spec.accumulated_dispersion_ps_per_nm,
-        sagnac_s=spec.sagnac_s,
-        lambda_server_nm=spec.lambda_server_nm,
-        lambda_user_nm=spec.lambda_user_nm,
-        fluctuation=FluctuationSpec(
-            amplitude_s=spec.fluctuation_amplitude_s,
-            timescale_s=spec.fluctuation_timescale_s,
-            grid_s=spec.fluctuation_grid_s,
-            rng_seed=seed,
-        ),
-        evaluate_at_emit_time=spec.evaluate_at_emit_time,
-        biedfa_position_km=spec.biedfa_position_km,
-    )
-
-
-def _build_link_spec_default_dispersion(spec: LinkSpec) -> LinkSpec:
-    # a link with neither source configured defaults to a zero coefficient
-    if spec.dispersion_coeff_ps_per_nm_km is None and \
-            spec.accumulated_dispersion_ps_per_nm is None:
-        return replace(spec, dispersion_coeff_ps_per_nm_km=0.0)
-    return spec
+def _build_link(spec: SimpleNamespace, seed: int) -> LinkModel:
+    kwargs = dict(vars(spec))
+    if spec.fluctuation is not None:
+        kwargs["fluctuation"] = replace(spec.fluctuation, rng_seed=seed)
+    # a measured accumulated dispersion overrides the per-km coefficient,
+    # and a link with neither source has a zero coefficient
+    if spec.accumulated_dispersion_ps_per_nm is not None:
+        kwargs["dispersion_coeff_ps_per_nm_km"] = None
+    elif spec.dispersion_coeff_ps_per_nm_km is None:
+        kwargs["dispersion_coeff_ps_per_nm_km"] = 0.0
+    return LinkModel(**kwargs)
 
 
 def build_calibration_set(
@@ -581,11 +412,13 @@ def build_calibration_set(
     pspec = scenario.protocol
     c = pspec.reversal_constant_s
 
-    server = _build_clock(scenario.clocks["server"], derive_seed(seed, "calibration.clock_server"))
-    user = _build_clock(scenario.clocks["user"], derive_seed(seed, "calibration.clock_user"))
+    server = _build_clock(scenario.clocks.server, derive_seed(seed, "calibration.clock_server"))
+    user = _build_clock(scenario.clocks.user, derive_seed(seed, "calibration.clock_user"))
     server, user = _shared_reference(scenario, server, user)
-    tic_server = _build_tic(scenario.tics.get("server"), derive_seed(seed, "calibration.tic_server"))
-    tic_user = _build_tic(scenario.tics.get("user"), derive_seed(seed, "calibration.tic_user"))
+    tic_server = TicModel(**vars(scenario.tics.server),
+                          rng_seed=derive_seed(seed, "calibration.tic_server"))
+    tic_user = TicModel(**vars(scenario.tics.user),
+                        rng_seed=derive_seed(seed, "calibration.tic_user"))
 
     direct_link = LinkModel(length_km=0.0, dispersion_coeff_ps_per_nm_km=0.0)
     direct_hw = replace(scenario.hardware, biedfa_lambda1_s=0.0, biedfa_lambda2_s=0.0)
@@ -601,10 +434,9 @@ def build_calibration_set(
     tau_hd = float(np.mean(samples))
 
     # user delay-unit deviation, measured as paired input/output edges
-    link_spec = _build_link_spec_default_dispersion(scenario.link)
-    full_link = _build_link(link_spec, derive_seed(seed, "calibration.link"))
+    full_link = _build_link(scenario.link, derive_seed(seed, "calibration.link"))
     du_tic = TicModel(
-        jitter_rms_s=scenario.tics.get("user", TicSpec()).jitter_rms_s,
+        jitter_rms_s=scenario.tics.user.jitter_rms_s,
         resolution_s=0.0,
         rng_seed=derive_seed(seed, "calibration.delay_unit_tic"),
     )
@@ -616,10 +448,10 @@ def build_calibration_set(
     du = calibrate_delay_unit([0.0] * len(outputs), outputs, programmed_delay_s=programmed)
 
     tau_disp = dispersion_asymmetry(
-        link_spec.lambda_server_nm, link_spec.lambda_user_nm,
+        full_link.lambda_server_nm, full_link.lambda_user_nm,
         accumulated_dispersion(full_link),
     )
-    tau_fpda = tau_disp + link_spec.sagnac_s
+    tau_fpda = tau_disp + full_link.sagnac_s
     tau_oaa = biedfa_asymmetry(scenario.hardware.biedfa_lambda1_s,
                                scenario.hardware.biedfa_lambda2_s)
 
@@ -636,7 +468,7 @@ def build_calibration_set(
     if tau_fpda != 0.0:
         provenance["tau_fpda_s"] = (
             f"wavelength difference x accumulated dispersion ({tau_disp:.6e} s) "
-            f"plus Sagnac constant ({link_spec.sagnac_s:.6e} s)"
+            f"plus Sagnac constant ({full_link.sagnac_s:.6e} s)"
         )
     if tau_oaa != 0.0:
         provenance["tau_oaa_s"] = "amplifier per-wavelength delay difference"
@@ -650,16 +482,10 @@ def build_calibration_set(
     )
 
 
-def _build_tic(spec: TicSpec | None, seed: int) -> TicModel:
-    spec = spec or TicSpec()
-    return TicModel(jitter_rms_s=spec.jitter_rms_s, resolution_s=spec.resolution_s,
-                    rng_seed=seed)
-
-
 def _shared_reference(scenario: Scenario, server: ClockModel, user: ClockModel):
     # clocks flagged freq_ref_shared take the scenario's reference frequency and
     # drift, so the difference of two such clocks has no deterministic frequency term
-    y_ref, d_ref = scenario.freq_reference
+    y_ref, d_ref = scenario.freq_reference.frac_frequency, scenario.freq_reference.drift_per_s
     if server.freq_ref_shared:
         server = server.with_frequency_reference(y_ref, d_ref)
     if user.freq_ref_shared:
@@ -674,27 +500,24 @@ def build_models(scenario: Scenario, master_seed: int | None = None) -> ModelSet
         "clocks.server.noise": derive_seed(seed, "clocks.server.noise"),
         "clocks.user.noise": derive_seed(seed, "clocks.user.noise"),
     }
-    server = _build_clock(scenario.clocks["server"], seeds["clocks.server.noise"])
-    user = _build_clock(scenario.clocks["user"], seeds["clocks.user.noise"])
+    server = _build_clock(scenario.clocks.server, seeds["clocks.server.noise"])
+    user = _build_clock(scenario.clocks.user, seeds["clocks.user.noise"])
     server, user = _shared_reference(scenario, server, user)
     models = ModelSet(server=server, user=user, hw=scenario.hardware, seeds=seeds)
 
     if scenario.link is not None:
         seeds["link.fluctuation"] = derive_seed(seed, "link.fluctuation")
-        link_spec = _build_link_spec_default_dispersion(scenario.link)
-        models.link = _build_link(link_spec, seeds["link.fluctuation"])
+        models.link = _build_link(scenario.link, seeds["link.fluctuation"])
 
     if scenario.mode == "sync":
         seeds["tics.server"] = derive_seed(seed, "tics.server")
         seeds["tics.user"] = derive_seed(seed, "tics.user")
-        models.tic_server = _build_tic(scenario.tics.get("server"), seeds["tics.server"])
-        models.tic_user = _build_tic(scenario.tics.get("user"), seeds["tics.user"])
+        models.tic_server = TicModel(**vars(scenario.tics.server), rng_seed=seeds["tics.server"])
+        models.tic_user = TicModel(**vars(scenario.tics.user), rng_seed=seeds["tics.user"])
 
         pspec = scenario.protocol
-        calibration = None
-        if pspec.calibration is not None:
-            calibration = CalibrationSet.from_dict(pspec.calibration)
-        elif pspec.auto_calibrate:
+        calibration = pspec.calibration
+        if calibration is None and pspec.auto_calibrate:
             calibration = build_calibration_set(scenario, master_seed=seed)
         models.protocol = ProtocolConfig(
             reversal_constant_s=pspec.reversal_constant_s,
@@ -703,15 +526,11 @@ def build_models(scenario: Scenario, master_seed: int | None = None) -> ModelSet
             apply_calibration=pspec.apply_calibration,
             textbook_mode=pspec.textbook_mode,
         )
-        for node_spec in scenario.access_nodes:
-            path = f"access_nodes.{node_spec.name}.tic"
+        for node in scenario.access_nodes:
+            path = f"access_nodes.{node.name}.tic"
             seeds[path] = derive_seed(seed, path)
-            models.nodes.append(AccessNode(
-                distance_from_server_km=node_spec.distance_from_server_km,
-                tic=_build_tic(node_spec.tic, seeds[path]),
-                coupler_delay_s=node_spec.coupler_delay_s,
-                name=node_spec.name,
-            ))
+            tic = TicModel(**vars(node.tic), rng_seed=seeds[path])
+            models.nodes.append(AccessNode(**{**vars(node), "tic": tic}))
     return models
 
 

@@ -39,8 +39,8 @@ class StabilityCurve:
             raise ValidationError("curve arrays must have equal length")
         if np.any(np.diff(self.taus) <= 0):
             raise ValidationError("taus must be strictly increasing")
-        if np.any(self.values < 0):
-            raise ValidationError("stability values must be >= 0")
+        if not np.all(np.isfinite(self.values) & (self.values >= 0)):
+            raise ValidationError("stability values must be finite and >= 0")
         if np.any(self.n_samples < 1):
             raise ValidationError("n_samples must be >= 1")
 

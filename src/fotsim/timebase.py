@@ -257,21 +257,6 @@ class ClockModel:
             x = x + self._state.values_at(np.rint(t / self.noise_grid_s).astype(np.int64))
         return x
 
-    def pulse_times(self, true_start: float, count: int) -> list[float]:
-        """True emission instants of `count` pulses with local marks from true_start.
-
-        The k-th pulse fires when the local clock reads true_start +
-        k*pulse_period; to first order that is at true time mark - x(mark),
-        exact to O(x*y) for the magnitudes involved here.
-        """
-        if count < 1:
-            raise ValidationError("count must be >= 1")
-        out = []
-        for k in range(count):
-            mark = true_start + k * self.pulse_period_s
-            out.append(mark - self.time_error(mark))
-        return out
-
     def with_frequency_reference(self, frac_frequency: float, drift_per_s: float) -> "ClockModel":
         """Copy of this clock with its deterministic frequency terms replaced."""
         return ClockModel(

@@ -123,5 +123,5 @@ class TestCalibrationSetValidation:
 
     def test_round_trips_through_dict(self):
         cal = full_set()
-        again = CalibrationSet.from_dict(cal.as_dict())
+        again = CalibrationSet(**cal.as_dict())
         assert again == cal

@@ -2,6 +2,8 @@
 
 import filecmp
 import json
+import re
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -148,10 +150,78 @@ class TestValidation:
             validate_scenario(doc)
 
     def test_bad_noise_type_rejected(self):
+        # at load time, before any model is built
         doc = minimal_doc()
         doc["clocks"]["server"]["noise"] = [{"type": "pink-ish", "amplitude": 1e-12}]
-        with pytest.raises(ValidationError, match="pink-ish"):
-            build_models(validate_scenario(doc))
+        with pytest.raises(ValidationError,
+                           match=r"scenario\.clocks\.server\.noise\[0\]\.type .*pink-ish"):
+            validate_scenario(doc)
+
+
+def canned_doc(name):
+    return json.loads((resources.files("fotsim") / "scenarios" / f"{name}.json").read_text())
+
+
+def object_paths(node, path=()):
+    """Key path of every JSON object in node, node itself included."""
+    if isinstance(node, dict):
+        yield path
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield from object_paths(value, path + (key,))
+
+
+def get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def context(path):
+    return "scenario" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+
+
+# the keys a document must set, by object path with list indices left out
+REQUIRED_KEYS = {
+    "scenario": {"name", "mode", "duration_s", "master_seed", "clocks"},
+    "scenario.clocks": {"server", "user"},
+    "scenario.clocks.server.noise[]": {"type", "amplitude"},
+    "scenario.clocks.user.noise[]": {"type", "amplitude"},
+    "scenario.link": {"length_km"},
+    "scenario.access_nodes[]": {"name", "distance_from_server_km"},
+}
+
+CANNED_OBJECTS = [(name, path) for name in canned_scenarios()
+                  for path in object_paths(canned_doc(name))]
+
+
+@pytest.mark.parametrize("name,path", CANNED_OBJECTS,
+                         ids=[f"{n}:{context(p)}" for n, p in CANNED_OBJECTS])
+class TestEveryCannedObject:
+    def test_extra_key_is_named_with_its_path(self, name, path):
+        doc = canned_doc(name)
+        get(doc, path)["extra_key"] = 1
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"unknown key 'extra_key' in {context(path)};")):
+            validate_scenario(doc)
+
+    def test_only_required_keys_cannot_be_dropped(self, name, path):
+        doc = canned_doc(name)
+        required = set(REQUIRED_KEYS.get(re.sub(r"\[\d+\]", "[]", context(path)), ()))
+        if path == () and doc["mode"] == "sync":
+            required |= {"link", "protocol"}
+        for key in get(doc, path):
+            dropped = canned_doc(name)
+            del get(dropped, path)[key]
+            if key in required:
+                with pytest.raises(ValidationError, match=re.escape(key)):
+                    validate_scenario(dropped)
+            else:
+                validate_scenario(dropped)
 
 
 class TestSeeding:

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fotsim.cli import main as cli_main
 from fotsim.errors import ValidationError
+from fotsim.scenario import write_series_csv
 from fotsim.stability import (
     StabilityCurve,
     adev,
@@ -189,3 +191,28 @@ class TestEstimatorFamily:
             return np.std(vals) / np.mean(vals)
 
         assert spread(1024) < spread(64)
+
+
+class TestNonFiniteValues:
+    # finite samples whose squared window sums overflow to inf
+    huge = series(1e300 * (-1.0) ** np.arange(64))
+
+    @pytest.mark.parametrize("statistic", [tdev, adev, mdev])
+    def test_overflow_is_rejected(self, statistic):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValidationError, match="finite"):
+            statistic(self.huge)
+
+    def test_curve_rejects_nan(self):
+        with pytest.raises(ValidationError, match="finite"):
+            StabilityCurve([1.0], [np.nan], [1])
+
+    def test_cli_fails_without_writing(self, tmp_path, capsys):
+        write_series_csv(tmp_path / "series.csv", self.huge)
+        out = tmp_path / "curve.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli_main(["tdev", "--input", str(tmp_path / "series.csv"),
+                             "--tau0", "1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()

@@ -97,28 +97,6 @@ class TestTimeError:
             ClockModel().time_error(-1.0)
 
 
-class TestPulseTimes:
-    def test_ideal_clock_fires_on_the_marks(self):
-        assert ClockModel().pulse_times(0.0, 3) == [0.0, 0.010, 0.020]
-
-    def test_fast_clock_fires_early(self):
-        clock = ClockModel(initial_offset_s=100e-9)
-        got = clock.pulse_times(0.0, 2)
-        assert got[0] == pytest.approx(-100e-9, abs=1e-21)
-        assert got[1] == pytest.approx(0.010 - 100e-9, abs=1e-21)
-
-    def test_frequency_offset_accumulates(self):
-        # k-th pulse early by k * period * y0
-        clock = ClockModel(frac_frequency=1e-9)
-        got = clock.pulse_times(0.0, 5)
-        for k, t in enumerate(got):
-            assert k * 0.010 - t == pytest.approx(k * 0.010 * 1e-9, rel=1e-6, abs=1e-22)
-
-    def test_rejects_zero_count(self):
-        with pytest.raises(ValidationError):
-            ClockModel().pulse_times(0.0, 0)
-
-
 class TestSynthesis:
     def test_empty_profile_is_all_zero(self):
         s = synthesize_time_error_series(NoiseProfile(), 100, 1.0)
