@@ -5,11 +5,9 @@ __version__ = "0.1.0"
 from .access import AccessNode, NodeObservation, observe_round, tap_times
 from .calibration import (
     CalibrationSet,
-    biedfa_asymmetry,
     calibrate_delay_unit,
     calibrate_hardware_delay,
     corrected_offset,
-    dispersion_asymmetry,
 )
 from .channel import (
     Direction,

@@ -18,7 +18,7 @@ and the corrected clock-offset estimate is
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,9 +47,6 @@ class CalibrationSet:
                     f"non-zero calibration field {name} needs a provenance note"
                 )
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def calibrate_hardware_delay(
     t2_init_s: float, t_offset_init_s: float, reversal_constant_s: float,
@@ -68,17 +65,6 @@ def calibrate_hardware_delay(
     if literal_sign:
         return t2_init_s + 2.0 * t_offset_init_s - reversal_constant_s
     return t2_init_s - 2.0 * t_offset_init_s - reversal_constant_s
-
-
-def dispersion_asymmetry(
-    lambda_server_nm: float, lambda_user_nm: float, accumulated_dispersion_ps_per_nm: float
-) -> float:
-    """Chromatic-dispersion delay asymmetry in seconds.
-
-    (lambda_user - lambda_server) * D_A, i.e. server->user minus
-    user->server; antisymmetric under swapping the two wavelengths.
-    """
-    return (lambda_user_nm - lambda_server_nm) * accumulated_dispersion_ps_per_nm * 1e-12
 
 
 @dataclass(frozen=True)
@@ -105,11 +91,6 @@ def calibrate_delay_unit(
     dev = out - inp - programmed_delay_s
     std = float(np.std(dev, ddof=1)) if dev.size > 1 else 0.0
     return DelayUnitCalibration(deviation_s=float(np.mean(dev)), std_s=std, n=int(dev.size))
-
-
-def biedfa_asymmetry(tau_lambda1_s: float, tau_lambda2_s: float) -> float:
-    """Per-wavelength delay difference of the bidirectional amplifier."""
-    return tau_lambda1_s - tau_lambda2_s
 
 
 def corrected_offset(t2_s: float, cal: CalibrationSet) -> float:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .cells import read_columns, read_header
@@ -85,7 +86,7 @@ def _cmd_calibrate(args) -> int:
     scenario = load_scenario(args.scenario)
     cal = build_calibration_set(scenario, master_seed=args.seed,
                                 literal_sign=args.literal_sign)
-    print(json.dumps(cal.as_dict(), indent=2, sort_keys=True))
+    print(json.dumps(asdict(cal), indent=2, sort_keys=True))
     return 0
 
 

@@ -22,7 +22,7 @@ import hashlib
 import inspect
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
@@ -31,15 +31,9 @@ import numpy as np
 
 from . import __version__
 from .access import AccessNode, NodeObservation
-from .calibration import (
-    CalibrationSet,
-    biedfa_asymmetry,
-    calibrate_delay_unit,
-    calibrate_hardware_delay,
-    dispersion_asymmetry,
-)
+from .calibration import CalibrationSet, calibrate_delay_unit, calibrate_hardware_delay
 from .cells import read_columns, write_columns
-from .channel import FluctuationSpec, HardwareDelays, LinkModel, accumulated_dispersion
+from .channel import FluctuationSpec, HardwareDelays, LinkModel
 from .errors import ScenarioParseError, ValidationError
 from .protocol import (
     ProtocolConfig,
@@ -195,7 +189,11 @@ def _calibration(value, path):
         return None
     if not isinstance(value, dict):
         raise ValidationError(f"{path} must be an object or null")
-    return CalibrationSet(**_parse(value, _CALIBRATION, path))
+    fields = _parse(value, _CALIBRATION, path)
+    try:
+        return CalibrationSet(**fields)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 # counter settings; absent, those of an ideal counter
@@ -376,9 +374,27 @@ class ModelSet:
     seeds: dict = field(default_factory=dict)
 
 
-def _build_clock(spec: SimpleNamespace, seed: int) -> ClockModel:
+def _build_clock(spec: SimpleNamespace, reference: SimpleNamespace, seed: int) -> ClockModel:
     noise = NoiseProfile(spec.noise, rng_seed=seed) if spec.noise else None
-    return ClockModel(**{**vars(spec), "noise": noise})
+    # a clock flagged freq_ref_shared takes the scenario's reference frequency
+    # and drift, so two such clocks differ by no deterministic frequency term
+    shared = vars(reference) if spec.freq_ref_shared else {}
+    return ClockModel(**{**vars(spec), "noise": noise, **shared})
+
+
+def _build_sites(scenario: Scenario, seed: int, paths: tuple) -> tuple[dict, list]:
+    """The server clock, user clock, server counter and user counter, in that
+    order and as many as paths names (two or four), each seeded from its
+    path; returned with those seeds by path."""
+    clocks, tics = scenario.clocks, scenario.tics
+    builders = (
+        lambda s: _build_clock(clocks.server, scenario.freq_reference, s),
+        lambda s: _build_clock(clocks.user, scenario.freq_reference, s),
+        lambda s: TicModel(**vars(tics.server), rng_seed=s),
+        lambda s: TicModel(**vars(tics.user), rng_seed=s),
+    )
+    seeds = {path: derive_seed(seed, path) for path in paths}
+    return seeds, [build(s) for build, s in zip(builders, seeds.values())]
 
 
 def _build_link(spec: SimpleNamespace, seed: int) -> LinkModel:
@@ -410,18 +426,16 @@ def build_calibration_set(
         raise ValidationError("calibration needs scenario.protocol and scenario.link")
     seed = scenario.master_seed if master_seed is None else master_seed
     pspec = scenario.protocol
+    hw = scenario.hardware
     c = pspec.reversal_constant_s
 
-    server = _build_clock(scenario.clocks.server, derive_seed(seed, "calibration.clock_server"))
-    user = _build_clock(scenario.clocks.user, derive_seed(seed, "calibration.clock_user"))
-    server, user = _shared_reference(scenario, server, user)
-    tic_server = TicModel(**vars(scenario.tics.server),
-                          rng_seed=derive_seed(seed, "calibration.tic_server"))
-    tic_user = TicModel(**vars(scenario.tics.user),
-                        rng_seed=derive_seed(seed, "calibration.tic_user"))
+    _, (server, user, tic_server, tic_user) = _build_sites(scenario, seed, (
+        "calibration.clock_server", "calibration.clock_user",
+        "calibration.tic_server", "calibration.tic_user",
+    ))
 
     direct_link = LinkModel(length_km=0.0, dispersion_coeff_ps_per_nm_km=0.0)
-    direct_hw = replace(scenario.hardware, biedfa_lambda1_s=0.0, biedfa_lambda2_s=0.0)
+    direct_hw = replace(hw, biedfa_lambda1_s=0.0, biedfa_lambda2_s=0.0)
     cfg = ProtocolConfig(
         reversal_constant_s=c,
         compensation_period_s=pspec.compensation_period_s,
@@ -434,26 +448,21 @@ def build_calibration_set(
     tau_hd = float(np.mean(samples))
 
     # user delay-unit deviation, measured as paired input/output edges
-    full_link = _build_link(scenario.link, derive_seed(seed, "calibration.link"))
     du_tic = TicModel(
         jitter_rms_s=scenario.tics.user.jitter_rms_s,
         resolution_s=0.0,
         rng_seed=derive_seed(seed, "calibration.delay_unit_tic"),
     )
     programmed = 1e-3
-    outputs = [
-        du_tic.measure_interval(0.0, programmed + scenario.hardware.delay_unit_dev_user_s)
-        for _ in range(pspec.calibration_rounds)
-    ]
-    du = calibrate_delay_unit([0.0] * len(outputs), outputs, programmed_delay_s=programmed)
+    n = pspec.calibration_rounds
+    outputs = du_tic.measure_intervals(np.zeros(n),
+                                       np.full(n, programmed + hw.delay_unit_dev_user_s))
+    du = calibrate_delay_unit(np.zeros(n), outputs, programmed_delay_s=programmed)
 
-    tau_disp = dispersion_asymmetry(
-        full_link.lambda_server_nm, full_link.lambda_user_nm,
-        accumulated_dispersion(full_link),
-    )
-    tau_fpda = tau_disp + full_link.sagnac_s
-    tau_oaa = biedfa_asymmetry(scenario.hardware.biedfa_lambda1_s,
-                               scenario.hardware.biedfa_lambda2_s)
+    link = _build_link(scenario.link, derive_seed(seed, "calibration.link"))
+    tau_disp = link.dispersion_asymmetry_s()
+    tau_fpda = tau_disp + link.sagnac_s
+    tau_oaa = hw.biedfa_lambda1_s - hw.biedfa_lambda2_s
 
     provenance = {}
     if tau_hd != 0.0:
@@ -468,7 +477,7 @@ def build_calibration_set(
     if tau_fpda != 0.0:
         provenance["tau_fpda_s"] = (
             f"wavelength difference x accumulated dispersion ({tau_disp:.6e} s) "
-            f"plus Sagnac constant ({full_link.sagnac_s:.6e} s)"
+            f"plus Sagnac constant ({link.sagnac_s:.6e} s)"
         )
     if tau_oaa != 0.0:
         provenance["tau_oaa_s"] = "amplifier per-wavelength delay difference"
@@ -482,39 +491,21 @@ def build_calibration_set(
     )
 
 
-def _shared_reference(scenario: Scenario, server: ClockModel, user: ClockModel):
-    # clocks flagged freq_ref_shared take the scenario's reference frequency and
-    # drift, so the difference of two such clocks has no deterministic frequency term
-    y_ref, d_ref = scenario.freq_reference.frac_frequency, scenario.freq_reference.drift_per_s
-    if server.freq_ref_shared:
-        server = server.with_frequency_reference(y_ref, d_ref)
-    if user.freq_ref_shared:
-        user = user.with_frequency_reference(y_ref, d_ref)
-    return server, user
-
-
 def build_models(scenario: Scenario, master_seed: int | None = None) -> ModelSet:
     """Construct all live model objects for a run, with derived seeds."""
     seed = scenario.master_seed if master_seed is None else master_seed
-    seeds = {
-        "clocks.server.noise": derive_seed(seed, "clocks.server.noise"),
-        "clocks.user.noise": derive_seed(seed, "clocks.user.noise"),
-    }
-    server = _build_clock(scenario.clocks.server, seeds["clocks.server.noise"])
-    user = _build_clock(scenario.clocks.user, seeds["clocks.user.noise"])
-    server, user = _shared_reference(scenario, server, user)
+    # a clocks_only run has no counters, and its manifest records no seeds for them
+    paths = ("clocks.server.noise", "clocks.user.noise", "tics.server", "tics.user")
+    sync = scenario.mode == "sync"
+    seeds, (server, user, *tics) = _build_sites(scenario, seed, paths if sync else paths[:2])
     models = ModelSet(server=server, user=user, hw=scenario.hardware, seeds=seeds)
 
     if scenario.link is not None:
         seeds["link.fluctuation"] = derive_seed(seed, "link.fluctuation")
         models.link = _build_link(scenario.link, seeds["link.fluctuation"])
 
-    if scenario.mode == "sync":
-        seeds["tics.server"] = derive_seed(seed, "tics.server")
-        seeds["tics.user"] = derive_seed(seed, "tics.user")
-        models.tic_server = TicModel(**vars(scenario.tics.server), rng_seed=seeds["tics.server"])
-        models.tic_user = TicModel(**vars(scenario.tics.user), rng_seed=seeds["tics.user"])
-
+    if sync:
+        models.tic_server, models.tic_user = tics
         pspec = scenario.protocol
         calibration = pspec.calibration
         if calibration is None and pspec.auto_calibrate:
@@ -567,7 +558,8 @@ def write_curve_csv(path: Path, curve: StabilityCurve) -> None:
 def read_curve_csv(path: Path) -> StabilityCurve:
     taus, values, counts = read_columns(path, TDEV_HEADER)
     # whole numbers that int64 holds exactly, so astype(int) keeps them
-    if not np.all((counts >= 1) & (counts < 2 ** 53) & (counts % 1 == 0)):
+    # (the range check first: inf % 1 is nan, with a RuntimeWarning)
+    if not (np.all((counts >= 1) & (counts < 2 ** 53)) and np.all(counts % 1 == 0)):
         raise ValidationError(f"{path}: n_samples must be whole numbers >= 1")
     return StabilityCurve(taus, values, counts.astype(int))
 
@@ -652,7 +644,7 @@ def run(scenario: Scenario, out_dir: str | Path | None = None,
         },
     }
     if models.protocol is not None and models.protocol.calibration is not None:
-        manifest["calibration"] = models.protocol.calibration.as_dict()
+        manifest["calibration"] = asdict(models.protocol.calibration)
 
     out_path = None
     if out_dir is not None:

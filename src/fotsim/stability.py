@@ -100,6 +100,9 @@ def _window_sums(x: np.ndarray, n: int, d: np.ndarray, c: np.ndarray) -> np.ndar
     return d[:m]
 
 
+# a finite series whose sums overflow gives inf or nan values, which
+# StabilityCurve rejects; numpy's warnings would only repeat that
+@np.errstate(over="ignore", invalid="ignore")
 def tdev(series: TimeErrorSeries, taus: list[float] | None = None) -> StabilityCurve:
     """Overlapping TDEV of `series` at the requested averaging times.
 
@@ -147,6 +150,7 @@ def mdev(series: TimeErrorSeries, taus: list[float] | None = None) -> StabilityC
     return StabilityCurve(curve.taus, vals, curve.n_samples, estimator="MDEV")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as tdev
 def adev(series: TimeErrorSeries, taus: list[float] | None = None) -> StabilityCurve:
     """Overlapping Allan deviation of the series."""
     x = series.values

@@ -257,18 +257,6 @@ class ClockModel:
             x = x + self._state.values_at(np.rint(t / self.noise_grid_s).astype(np.int64))
         return x
 
-    def with_frequency_reference(self, frac_frequency: float, drift_per_s: float) -> "ClockModel":
-        """Copy of this clock with its deterministic frequency terms replaced."""
-        return ClockModel(
-            initial_offset_s=self.initial_offset_s,
-            frac_frequency=frac_frequency,
-            drift_per_s=drift_per_s,
-            noise=self.noise,
-            freq_ref_shared=self.freq_ref_shared,
-            pulse_period_s=self.pulse_period_s,
-            noise_grid_s=self.noise_grid_s,
-        )
-
 
 def synthesize_time_error_series(
     profile: NoiseProfile, n: int, tau0_s: float

@@ -1,16 +1,16 @@
 """Calibration pipeline: per-term procedures and the corrected estimate."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fotsim.calibration import (
     CalibrationSet,
-    biedfa_asymmetry,
     calibrate_delay_unit,
     calibrate_hardware_delay,
     corrected_offset,
-    dispersion_asymmetry,
 )
 from fotsim.errors import ValidationError
 
@@ -27,20 +27,6 @@ class TestHardwareDelay:
     def test_literal_sign_variant(self):
         got = calibrate_hardware_delay(5e-3 + 123e-12, 40e-12, 5e-3, literal_sign=True)
         assert got == pytest.approx(203e-12, abs=1e-18)
-
-
-class TestDispersionAsymmetry:
-    def test_equal_wavelengths_give_zero(self):
-        assert dispersion_asymmetry(1546.12, 1546.12, 3910.0) == 0.0
-
-    def test_reference_case(self):
-        got = dispersion_asymmetry(1546.12, 1546.92, 3910.0)
-        assert got == pytest.approx(3128e-12, abs=1e-15)
-
-    def test_sign_flips_under_swap(self):
-        a = dispersion_asymmetry(1546.12, 1546.92, 3910.0)
-        b = dispersion_asymmetry(1546.92, 1546.12, 3910.0)
-        assert a == -b
 
 
 class TestDelayUnit:
@@ -74,14 +60,6 @@ class TestDelayUnit:
             calibrate_delay_unit([], [])
         with pytest.raises(ValidationError):
             calibrate_delay_unit([0.0], [0.0, 1.0])
-
-
-class TestBiedfa:
-    def test_equal_paths_zero(self):
-        assert biedfa_asymmetry(5e-12, 5e-12) == 0.0
-
-    def test_difference(self):
-        assert biedfa_asymmetry(8e-12, 5e-12) == pytest.approx(3e-12, abs=1e-24)
 
 
 def full_set(**overrides):
@@ -123,5 +101,5 @@ class TestCalibrationSetValidation:
 
     def test_round_trips_through_dict(self):
         cal = full_set()
-        again = CalibrationSet(**cal.as_dict())
+        again = CalibrationSet(**asdict(cal))
         assert again == cal

@@ -80,6 +80,25 @@ class TestAccumulatedDispersion:
                       accumulated_dispersion_ps_per_nm=17.0)
 
 
+class TestDispersionAsymmetry:
+    @staticmethod
+    def link(lambda_server_nm, lambda_user_nm):
+        return LinkModel(length_km=230.0, accumulated_dispersion_ps_per_nm=3910.0,
+                         lambda_server_nm=lambda_server_nm, lambda_user_nm=lambda_user_nm)
+
+    def test_equal_wavelengths_give_zero(self):
+        assert self.link(1546.12, 1546.12).dispersion_asymmetry_s() == 0.0
+
+    def test_reference_case(self):
+        got = self.link(1546.12, 1546.92).dispersion_asymmetry_s()
+        assert got == pytest.approx(3128e-12, abs=1e-15)
+
+    def test_sign_flips_under_swap(self):
+        a = self.link(1546.12, 1546.92).dispersion_asymmetry_s()
+        b = self.link(1546.92, 1546.12).dispersion_asymmetry_s()
+        assert a == -b
+
+
 class TestAsymmetry:
     def test_fully_reciprocal_link_is_zero(self):
         assert asymmetry(reciprocal_link(), HW0) == 0.0

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fotsim.cli import main as cli_main
-from fotsim.errors import ConfigError, ScenarioParseError, ValidationError
+from fotsim.errors import ConfigError, NonCausalError, ScenarioParseError, ValidationError
 from fotsim.scenario import (
     build_calibration_set,
     build_models,
@@ -134,6 +134,14 @@ class TestValidation:
     def test_freq_reference_must_be_an_object(self):
         with pytest.raises(ConfigError, match="scenario.freq_reference must be an object"):
             validate_scenario(minimal_doc(freq_reference=[0.0, 0.0]))
+
+    def test_calibration_errors_name_their_path(self):
+        doc = sync_doc()
+        doc["protocol"]["calibration"] = {"tau_hd_s": 1e-9}
+        with pytest.raises(ConfigError, match=re.escape(
+                "scenario.protocol.calibration: non-zero calibration field tau_hd_s "
+                "needs a provenance note")):
+            validate_scenario(doc)
 
     def test_calibration_fields_must_be_numbers(self):
         doc = sync_doc()
@@ -317,6 +325,22 @@ class TestCalibrationPipeline:
         assert cal.tau_fpda_s == pytest.approx(3128e-12 + 30e-12, abs=1e-15)
         assert cal.tau_oaa_s == pytest.approx(3e-12, abs=1e-18)
         assert all(cal.provenance.values())
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_clocks_take_the_shared_reference(self, shared):
+        # clocks 2e-4 apart in frequency drift by more than the reversal
+        # constant within the calibration rounds, unless both take the
+        # scenario's reference frequency in place of their own
+        doc = json.loads((resources.files("fotsim") / "scenarios" / "demo_short.json").read_text())
+        for role, y in (("server", 1e-4), ("user", -1e-4)):
+            doc["clocks"][role].update(freq_ref_shared=shared, frac_frequency=y)
+        scenario = validate_scenario(doc)
+        if shared:
+            assert build_calibration_set(scenario) == build_calibration_set(
+                load_scenario("demo_short"))
+        else:
+            with pytest.raises(NonCausalError):
+                build_calibration_set(scenario)
 
 
 class TestCompare:

@@ -193,14 +193,15 @@ class TestEstimatorFamily:
         assert spread(1024) < spread(64)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNonFiniteValues:
-    # finite samples whose squared window sums overflow to inf
+    # finite samples whose squared window sums overflow to inf; the curve is
+    # rejected with a ValidationError alone, no numpy RuntimeWarning first
     huge = series(1e300 * (-1.0) ** np.arange(64))
 
     @pytest.mark.parametrize("statistic", [tdev, adev, mdev])
     def test_overflow_is_rejected(self, statistic):
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ValidationError, match="finite"):
+        with pytest.raises(ValidationError, match="finite"):
             statistic(self.huge)
 
     def test_curve_rejects_nan(self):
@@ -210,9 +211,15 @@ class TestNonFiniteValues:
     def test_cli_fails_without_writing(self, tmp_path, capsys):
         write_series_csv(tmp_path / "series.csv", self.huge)
         out = tmp_path / "curve.csv"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = cli_main(["tdev", "--input", str(tmp_path / "series.csv"),
-                             "--tau0", "1", "--out", str(out)])
+        code = cli_main(["tdev", "--input", str(tmp_path / "series.csv"),
+                         "--tau0", "1", "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+    def test_cli_rejects_non_finite_sample_counts(self, tmp_path, capsys):
+        curve = tmp_path / "tdev.csv"
+        curve.write_text("tau_s,tdev_s,n_samples\n"
+                         "1.0000000000000000e+00,1.0000000000000000e-11,inf\n")
+        assert cli_main(["compare", str(curve), str(curve)]) == 1
+        assert "n_samples must be whole numbers" in capsys.readouterr().err

@@ -227,12 +227,20 @@ class TestHalfIntegrationKernel:
 
 class TestSharedFrequencyReference:
     def test_shared_clocks_lose_their_own_frequency_terms(self):
-        a = ClockModel(frac_frequency=3e-9, drift_per_s=1e-13, freq_ref_shared=True)
-        b = ClockModel(frac_frequency=-4e-9, drift_per_s=-2e-13, freq_ref_shared=True)
-        a2 = a.with_frequency_reference(1e-10, 0.0)
-        b2 = b.with_frequency_reference(1e-10, 0.0)
+        doc = {
+            "name": "ref", "mode": "clocks_only", "duration_s": 32.0,
+            "sample_period_s": 1.0, "master_seed": 7,
+            "freq_reference": {"frac_frequency": 1e-10},
+            "clocks": {
+                "server": {"frac_frequency": 3e-9, "drift_per_s": 1e-13,
+                           "freq_ref_shared": True},
+                "user": {"frac_frequency": -4e-9, "drift_per_s": -2e-13,
+                         "freq_ref_shared": True},
+            },
+        }
+        models = build_models(validate_scenario(doc))
         t = 5000.0
-        assert a2.time_error(t) - b2.time_error(t) == 0.0
+        assert models.server.time_error(t) - models.user.time_error(t) == 0.0
 
     def test_unshared_clock_is_untouched(self):
         # build_models gives the reference to shared clocks only
@@ -254,7 +262,7 @@ class TestSharedFrequencyReference:
         # down instead of growing with tau
         mk = lambda seed: ClockModel(
             noise=NoiseProfile(components=[("white_pm", 1e-11)], rng_seed=seed),
-            freq_ref_shared=True, noise_grid_s=1.0).with_frequency_reference(0.0, 0.0)
+            freq_ref_shared=True, noise_grid_s=1.0)
         a, b = mk(1), mk(2)
         diff = TimeErrorSeries(
             tau0_s=1.0,
