@@ -34,7 +34,7 @@ import numpy as np
 from .calibration import CalibrationSet, corrected_offset
 from .channel import Direction, HardwareDelays, LinkModel, one_way_delay, path_delay
 from .errors import NonCausalError, ProtocolError, ReversalOverflowError, ValidationError
-from .timebase import ClockModel, TimeErrorSeries
+from .timebase import MIN_SAMPLES, ClockModel, TimeErrorSeries
 
 
 class TicModel:
@@ -446,7 +446,7 @@ def tracking_error_series(
     The first warmup_rounds samples cover initial acquisition and are
     dropped; with step steering one round suffices.
     """
-    if warmup_rounds < 0 or warmup_rounds > len(rounds) - 4:
+    if warmup_rounds < 0 or warmup_rounds > len(rounds) - MIN_SAMPLES:
         raise ValidationError("warmup_rounds leaves too few rounds for analysis")
     return TimeErrorSeries(
         tau0_s=cfg.compensation_period_s,

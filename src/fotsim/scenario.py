@@ -397,10 +397,10 @@ def _build_sites(scenario: Scenario, seed: int, paths: tuple) -> tuple[dict, lis
     return seeds, [build(s) for build, s in zip(builders, seeds.values())]
 
 
-def _build_link(spec: SimpleNamespace, seed: int) -> LinkModel:
+def _build_link(spec: SimpleNamespace, seed: int | None) -> LinkModel:
     kwargs = dict(vars(spec))
     if spec.fluctuation is not None:
-        kwargs["fluctuation"] = replace(spec.fluctuation, rng_seed=seed)
+        kwargs["fluctuation"] = None if seed is None else replace(spec.fluctuation, rng_seed=seed)
     # a measured accumulated dispersion overrides the per-km coefficient,
     # and a link with neither source has a zero coefficient
     if spec.accumulated_dispersion_ps_per_nm is not None:
@@ -459,7 +459,8 @@ def build_calibration_set(
                                        np.full(n, programmed + hw.delay_unit_dev_user_s))
     du = calibrate_delay_unit(np.zeros(n), outputs, programmed_delay_s=programmed)
 
-    link = _build_link(scenario.link, derive_seed(seed, "calibration.link"))
+    # only the link's constants are read: no fluctuation process, no seed
+    link = _build_link(scenario.link, None)
     tau_disp = link.dispersion_asymmetry_s()
     tau_fpda = tau_disp + link.sagnac_s
     tau_oaa = hw.biedfa_lambda1_s - hw.biedfa_lambda2_s

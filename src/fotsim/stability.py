@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .timebase import TimeErrorSeries
+from .timebase import MIN_SAMPLES, TimeErrorSeries  # noqa: F401 (MIN_SAMPLES re-exported)
 
 
 @dataclass
@@ -44,19 +44,11 @@ class StabilityCurve:
         if np.any(self.n_samples < 1):
             raise ValidationError("n_samples must be >= 1")
 
-    @property
-    def points(self) -> list[tuple[float, float, int]]:
-        return list(zip(self.taus.tolist(), self.values.tolist(), self.n_samples.tolist()))
-
     def value_at(self, tau: float) -> float:
         idx = np.argmin(np.abs(self.taus - tau))
         if not math.isclose(self.taus[idx], tau, rel_tol=1e-9):
             raise ValidationError(f"tau {tau} not on this curve's grid")
         return float(self.values[idx])
-
-
-# the shortest series with a default tau: tau0 needs n * tau0 / 4 >= tau0
-MIN_SAMPLES = 4
 
 
 def default_taus(tau0_s: float, n: int) -> list[float]:
@@ -74,13 +66,14 @@ def default_taus(tau0_s: float, n: int) -> list[float]:
         decade *= 10
 
 
-def _tau_to_n(tau: float, tau0: float, n_points: int) -> int:
+def _tau_to_n(tau: float, tau0: float, n_points: int, windows: int = 3) -> int:
+    # a statistic over `windows` windows of n samples (TDEV 3, ADEV 2)
     n = int(round(tau / tau0))
     if n < 1 or not math.isclose(n * tau0, tau, rel_tol=1e-9, abs_tol=1e-12 * tau0):
         raise ValidationError(f"tau {tau} is not a positive multiple of tau0 {tau0}")
-    if n_points < 3 * n + 1:
+    if n_points < windows * n + 1:
         raise ValidationError(
-            f"series of length {n_points} is too short for tau {tau} (need >= {3 * n + 1})"
+            f"series of length {n_points} is too short for tau {tau} (need >= {windows * n + 1})"
         )
     return n
 
@@ -156,14 +149,10 @@ def adev(series: TimeErrorSeries, taus: list[float] | None = None) -> StabilityC
     x = series.values
     tau0 = series.tau0_s
     if taus is None:
-        taus = [t for t in default_taus(tau0, x.size) if x.size >= 2 * int(round(t / tau0)) + 1]
+        taus = default_taus(tau0, x.size)
     vals, counts = [], []
     for tau in taus:
-        n = int(round(tau / tau0))
-        if n < 1 or not math.isclose(n * tau0, tau, rel_tol=1e-9):
-            raise ValidationError(f"tau {tau} is not a positive multiple of tau0 {tau0}")
-        if x.size < 2 * n + 1:
-            raise ValidationError(f"series too short for tau {tau}")
+        n = _tau_to_n(tau, tau0, x.size, windows=2)
         d = x[2 * n:] - 2.0 * x[n:-n] + x[:-2 * n]
         m = d.size
         vals.append(math.sqrt(float(np.dot(d, d)) / (2.0 * m)) / (n * tau0))

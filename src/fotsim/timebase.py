@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .errors import ValidationError
 
@@ -55,28 +54,22 @@ def _extend_half_integration_kernel(h: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([h, np.fromiter(tail(float(h[-1])), dtype=float, count=n - m)])
 
 
-def _fft_length(n: int) -> int:
-    """The FFT length fftconvolve pads a full convolution of two n-sample
-    real series to."""
-    return sp_fft.next_fast_len(2 * n - 1, True)
-
-
 def _kernel_spectrum(kernel: np.ndarray) -> np.ndarray:
     """The real FFT of a kernel, as fftconvolve takes it for a series of
     the kernel's length."""
-    return sp_fft.rfftn(kernel, [_fft_length(kernel.size)], axes=[0])
+    return np.fft.rfft(kernel, 2 * kernel.size)
 
 
 def _half_integrate(w: np.ndarray, kernel_spectrum: np.ndarray) -> np.ndarray:
-    """fftconvolve(kernel, w)[:n] for an n-tap kernel given by its spectrum:
-    the same rfftn/irfftn calls at the same length, so the same bits."""
+    """fftconvolve(kernel, w)[:n] bit for bit, for an n-tap kernel given by
+    its spectrum: n is a power of two >= _MIN_CHUNK, which fftconvolve also
+    pads to 2n, and numpy's rfft/irfft are the same pocketfft transforms."""
     n = w.size
-    shape = [_fft_length(n)]
-    white = sp_fft.rfftn(w, shape, axes=[0])
+    white = np.fft.rfft(w, 2 * n)
     # kernel first, as fftconvolve multiplies: numpy's complex product
     # rounds by operand order, and `a * <temporary>` may run as
     # `<temporary> * a` in the temporary's buffer
-    return sp_fft.irfftn(np.multiply(kernel_spectrum, white), shape, axes=[0])[:n]
+    return np.fft.irfft(np.multiply(kernel_spectrum, white), 2 * n)[:n]
 
 
 def _component_series(
@@ -117,6 +110,10 @@ class NoiseProfile:
             if amp < 0 or not math.isfinite(amp):
                 raise ValidationError(f"noise amplitude for {kind} must be finite and >= 0")
         object.__setattr__(self, "components", comps)
+
+
+# the shortest series with a default tau: tau0 needs n * tau0 / 4 >= tau0
+MIN_SAMPLES = 4
 
 
 @dataclass
@@ -266,8 +263,8 @@ def synthesize_time_error_series(
     Bit-reproducible for identical (profile, n, tau0_s).  An empty profile
     yields the all-zero series.
     """
-    if n < 4:
-        raise ValidationError("n must be >= 4 (minimum for one stability point)")
+    if n < MIN_SAMPLES:
+        raise ValidationError(f"n must be >= {MIN_SAMPLES} (minimum for one stability point)")
     if not tau0_s > 0:
         raise ValidationError("tau0_s must be > 0")
     if profile.components:

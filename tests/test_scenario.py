@@ -8,6 +8,8 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from fotsim import channel
+from fotsim import scenario as scenario_module
 from fotsim.cli import main as cli_main
 from fotsim.errors import ConfigError, NonCausalError, ScenarioParseError, ValidationError
 from fotsim.scenario import (
@@ -325,6 +327,25 @@ class TestCalibrationPipeline:
         assert cal.tau_fpda_s == pytest.approx(3128e-12 + 30e-12, abs=1e-15)
         assert cal.tau_oaa_s == pytest.approx(3e-12, abs=1e-18)
         assert all(cal.provenance.values())
+
+    def test_link_constants_need_no_fluctuation(self, monkeypatch):
+        # calibration reads only the link's dispersion and Sagnac terms: it
+        # derives no seed for the link and starts no fluctuation process
+        paths = []
+        derive = scenario_module.derive_seed
+        monkeypatch.setattr(scenario_module, "derive_seed",
+                            lambda seed, path: paths.append(path) or derive(seed, path))
+
+        def no_process(spec):
+            raise AssertionError("calibration built a fluctuation process")
+
+        monkeypatch.setattr(channel, "_OuProcess", no_process)
+        scenario = load_scenario("link_sync_230km")
+        assert scenario.link.fluctuation.amplitude_s > 0
+        build_calibration_set(scenario)
+        assert paths == ["calibration.clock_server", "calibration.clock_user",
+                         "calibration.tic_server", "calibration.tic_user",
+                         "calibration.delay_unit_tic"]
 
     @pytest.mark.parametrize("shared", [True, False])
     def test_clocks_take_the_shared_reference(self, shared):

@@ -181,6 +181,22 @@ class TestEstimatorFamily:
             avars.append(adev(s, taus=[4.0]).values[0] ** 2)
         assert math.sqrt(np.mean(avars)) == pytest.approx(amp / 2.0, rel=0.05)
 
+    def test_adev_rejects_tau_off_the_grid(self):
+        s = series(np.random.default_rng(5).standard_normal(64))
+        with pytest.raises(ValidationError, match="not a positive multiple"):
+            adev(s, taus=[1.5])
+
+    def test_adev_needs_two_windows_plus_one_sample(self):
+        # tau = n * tau0 needs 2n + 1 samples, one fewer window than TDEV
+        s = series(np.random.default_rng(5).standard_normal(9))
+        assert adev(s, taus=[4.0]).n_samples.tolist() == [1]
+        with pytest.raises(ValidationError, match=r"too short for tau 5\.0 \(need >= 11\)"):
+            adev(s, taus=[5.0])
+
+    def test_adev_default_grid_is_tdev_grid(self):
+        s = series(np.random.default_rng(5).standard_normal(1000))
+        assert adev(s).taus.tolist() == default_taus(1.0, 1000)
+
     def test_estimator_variance_shrinks_with_length(self):
         # Monte-Carlo check that the point estimate tightens as N grows
         def spread(n):

@@ -1,7 +1,13 @@
 """Clock model: deterministic evolution, noise statistics, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
 from fotsim import timebase
@@ -184,6 +190,14 @@ class TestHalfIntegrationKernel:
         got = timebase._half_integrate(w, timebase._kernel_spectrum(h))
         assert got.tobytes() == fftconvolve(h, w)[:n].tobytes()
 
+    @pytest.mark.parametrize("log2_n", range(10, 25))
+    def test_fftconvolve_pads_buffer_sizes_to_twice_their_length(self, log2_n):
+        # a noise buffer holds a power of two >= 1024 samples; for those
+        # sizes fftconvolve's FFT length is exactly 2n, the length
+        # _half_integrate transforms at
+        n = 1 << log2_n
+        assert next_fast_len(2 * n - 1, True) == 2 * n
+
     def test_state_takes_one_kernel_spectrum_per_doubling(self, monkeypatch):
         sizes = []
         spectrum = timebase._kernel_spectrum
@@ -271,3 +285,13 @@ class TestSharedFrequencyReference:
         )
         curve = tdev(diff, taus=[1.0, 100.0])
         assert curve.values[1] < curve.values[0]
+
+
+def test_package_imports_no_scipy():
+    # fotsim runs on numpy alone; scipy is a reference for the tests only
+    src = Path(timebase.__file__).resolve().parent.parent
+    code = ("import sys, fotsim, fotsim.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert out.stdout == "[]\n"
