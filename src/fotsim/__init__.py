@@ -29,7 +29,6 @@ from .errors import (
 )
 from .protocol import (
     ProtocolConfig,
-    SessionResult,
     SyncRoundResult,
     TicModel,
     compute_reversal_delay,

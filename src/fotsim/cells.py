@@ -16,13 +16,13 @@ exact scaled value by less than 2 units of their last bit: truncating
 ``5**k`` loses less than one unit of T_k, which ``m << 11 < 2**64`` turns
 into less than one unit of the kept bits, and dropping the product's low 64
 bits loses less than one more.  So the computed fraction decides the
-rounding, unless it lies within 2 units of one half.  Those cells, which
+rounding, unless it lies at one half or one unit below.  Those cells, which
 include every exact decimal tie, are left to ``'%.16e' %``, as are
 subnormals, ``nan``, ``inf`` and the rare value whose scaled value lies
 within 2 units of a power of ten.  ``'%.16e' %`` is the reference the kernel
 matches, not a second path: it formats only what the kernel leaves open.
-The kernel multiplies by the high half of T_k first and adds the low half
-only where the fraction comes near one half.
+The kernel multiplies by the high half of T_k first, and _round_up adds the
+low half only where the fraction comes near one half.
 
 A chunk is laid out as a matrix of 4-byte words, seven per cell, in the
 order the text is read.  Slots a cell does not use (a ``-`` of a positive
@@ -133,12 +133,29 @@ def _scaled(m, biased, j):
     return hi, lo, (_SHIFT[j] - biased).astype(np.uint64)
 
 
-def _add_low_half(m, j, hi, lo):
-    """hi and lo of _scaled with the table's low half added: the top 128
-    bits of m * T_k, short of the exact product by less than 2 units of lo."""
-    carry, _ = _mul64(m >> _U32, m & _M32, _POW5[2][j], _POW5[3][j])
-    lo = lo + carry
-    return hi + (lo < carry), lo
+def _round_up(m, j, hi, lo, half):
+    """Whether each value rounds up, and the indices of those left open,
+    from hi and lo, the words of m * (T >> 64) at table row j (clipped), and
+    one half in units of hi.
+
+    The table's low half adds a carry below 2**64 to lo, giving Z, which
+    falls short of the exact value by less than 2 units of lo.  So only a
+    fraction in hi at one half or one below needs the low half, and after
+    it only a Z at one half with lo = 0, or one unit below, may be a tie.
+    """
+    frac = hi & ((half << np.uint64(1)) - np.uint64(1))
+    up = frac > half
+    near = np.flatnonzero(frac - half + np.uint64(1) <= np.uint64(1))
+    if near.size:
+        m, j, half = m[near], j[near], half[near]
+        carry, _ = _mul64(m >> _U32, m & _M32, _POW5[2].take(j, mode="clip"),
+                          _POW5[3].take(j, mode="clip"))
+        lo = lo[near] + carry
+        frac = frac[near] + (lo < carry)
+        up[near] = (frac > half) | ((frac == half) & (lo > 0))
+        near = near[((frac == half) & (lo == 0))
+                    | ((frac == half - np.uint64(1)) & (lo == np.uint64(2 ** 64 - 1)))]
+    return up, near
 
 
 def _float_words(x: np.ndarray, out: np.ndarray) -> None:
@@ -174,21 +191,7 @@ def _float_words(x: np.ndarray, out: np.ndarray) -> None:
         d[redo] = hi[redo] >> r[redo]
         redo = redo[(d[redo] < 10 ** 16) | (d[redo] >= 10 ** 17)]
 
-    # without the table's low half, hi and lo fall short by less than
-    # 2**64 + 2 units of lo.  That decides nothing unless the fraction's
-    # high bits lie at one half or within 2 units below it: only there is
-    # the low half added.
-    half = np.uint64(1) << (r - np.uint64(1))
-    frac = hi & ((half << np.uint64(1)) - np.uint64(1))
-    up = frac > half
-    near = np.flatnonzero((frac + np.uint64(2) >= half) & (frac <= half))
-    if near.size:
-        hi_n, lo_n = _add_low_half(m[near], j[near], hi[near], lo[near])
-        frac_n, half_n = hi_n & ((half[near] << np.uint64(1)) - np.uint64(1)), half[near]
-        up[near] = (frac_n > half_n) | ((frac_n == half_n) & (lo_n > 2))
-        # within 2 units of one half, ties included, the reference decides
-        near = near[((frac_n == half_n) & (lo_n <= 2))
-                    | ((frac_n == half_n - np.uint64(1)) & (lo_n >= np.uint64(2 ** 64 - 3)))]
+    up, near = _round_up(m, j, hi, lo, np.uint64(1) << (r - np.uint64(1)))
     d += up
     top = d == 10 ** 17
     d[top] = 10 ** 16
@@ -315,11 +318,11 @@ def _parse_cells(b, windows, start, end):
     (Lemire, *Number Parsing at a Gigabyte per Second*, 2021, here with this
     bound instead of his rounded-up table).  The 53-bit significand is the
     top of Z, and the 74 or 75 bits below it decide the rounding unless they
-    lie within 2 units of one half.  Those cells, every exact tie among
+    lie at one half or one unit below.  Those cells, every exact tie among
     them, are left to float(), as are zeros, results that would be
     subnormal or overflow, and every cell not in the shape, checked byte by
-    byte.  As in _float_words, the low half of T_q is added only where the
-    high half leaves the rounding open.
+    byte.  As in _float_words, _round_up adds the low half of T_q only where
+    the high half leaves the rounding open.
     """
     neg = b[start] == _MINUS
     s = start + neg
@@ -350,19 +353,9 @@ def _parse_cells(b, windows, start, end):
     # Z's top bit is bit 126 + u; the significand is the 53 bits from there
     u = hi >> np.uint64(63)
     r = np.uint64(10) + u
-    frac = hi & ((np.uint64(1) << r) - np.uint64(1))
-    half = np.uint64(512) << u
     mant = hi >> r
-    up = frac > half
-    # without the table's low half Z falls short by less than 2**64 + 2
-    # units, which decides nothing where frac lies at or one below one half
-    near = np.flatnonzero(frac - half + np.uint64(1) <= np.uint64(1))
-    if near.size:
-        hi_n, lo_n = _add_low_half(w[near], j[near].clip(0, _SHIFT.size - 1), hi[near], lo[near])
-        frac_n, half_n = hi_n & ((half[near] << np.uint64(1)) - np.uint64(1)), half[near]
-        up[near] = (frac_n > half_n) | ((frac_n == half_n) & (lo_n > 0))
-        valid[near[((frac_n == half_n) & (lo_n == 0))
-                   | ((frac_n == half_n - np.uint64(1)) & (lo_n == np.uint64(2 ** 64 - 1)))]] = False
+    up, near = _round_up(w, j, hi, lo, np.uint64(512) << u)
+    valid[near] = False
     mant += up
     carry = mant >> np.uint64(53)
     mant >>= carry

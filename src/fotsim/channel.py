@@ -183,12 +183,9 @@ def accumulated_dispersion(link: LinkModel) -> float:
     when a measured value is configured.
     """
     coeff = link.dispersion_coeff_ps_per_nm_km
-    direct = link.accumulated_dispersion_ps_per_nm
-    if (coeff is None) == (direct is None):
-        raise ValidationError("exactly one dispersion source must be configured")
     if coeff is not None:
         return float(coeff) * link.length_km
-    return float(direct)
+    return float(link.accumulated_dispersion_ps_per_nm)
 
 
 def one_way_delay(

@@ -21,7 +21,6 @@ from .scenario import (
     compare_curves,
     load_scenario,
     read_curve_csv,
-    read_series_csv,
     run,
     write_curve_csv,
 )
@@ -44,8 +43,8 @@ def _load_series(path: Path, column: str, tau0: float | None) -> TimeErrorSeries
     if header == SERIES_HEADER:
         if tau0 is None:
             raise ConfigError("--tau0 is required for index,x_seconds series input")
-        series = read_series_csv(path, tau0)
-    elif tau0 is not None:
+        column = SERIES_HEADER[1]
+    if tau0 is not None:
         (values,) = read_columns(path, [column])
         series = TimeErrorSeries(tau0_s=tau0, values=values)
     elif "t_s" not in header:

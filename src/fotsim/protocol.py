@@ -57,12 +57,8 @@ class TicModel:
 
     def measure_interval(self, t_start_s: float, t_stop_s: float) -> float:
         """Measured interval t_stop - t_start with jitter and quantization."""
-        if not (math.isfinite(t_start_s) and math.isfinite(t_stop_s)):
-            raise ValidationError("timestamps must be finite")
-        value = (t_stop_s - t_start_s) + self.jitter_rms_s * float(self._rng.standard_normal())
-        if self.resolution_s > 0:
-            value = _quantize(value, self.resolution_s)
-        return value
+        return float(self.measure_intervals(np.array([t_start_s], dtype=float),
+                                            np.array([t_stop_s], dtype=float))[0])
 
     def jitter(self, n: int) -> np.ndarray:
         """Jitter of the next n readings, drawn as n readings would draw it."""
@@ -110,6 +106,15 @@ class ProtocolConfig:
                     "calibration reversal constant differs from protocol config"
                 )
 
+    @property
+    def corrections(self) -> CalibrationSet:
+        """What the estimate and the steering subtract: the calibration when
+        it is applied, else zeros, whose subtraction leaves every value as
+        it is."""
+        if self.apply_calibration:
+            return self.calibration
+        return CalibrationSet(reversal_constant_s=self.reversal_constant_s)
+
 
 @dataclass
 class RoundEvents:
@@ -133,7 +138,13 @@ class RoundEvents:
 
 @dataclass
 class SyncRoundResult:
-    """Measurements and ground truth of one protocol round."""
+    """Measurements and ground truth of protocol rounds.
+
+    sync_round fills the fields with floats; run_rounds fills them, and the
+    time fields of events, with arrays, one entry per round.  nodes maps
+    each access node's name to its NodeObservation, whose fields are arrays
+    too (run_rounds only).
+    """
 
     t_round_s: float
     t1_s: float
@@ -142,37 +153,17 @@ class SyncRoundResult:
     offset_estimate_s: float
     true_offset_s: float
     residual_s: float
-    events: RoundEvents = field(repr=False, default=None)
-
-
-@dataclass
-class SessionResult:
-    """Columns of a session, one entry per round, named as in SyncRoundResult.
-
-    events holds the rounds' event times as arrays; nodes maps each access
-    node's name to its NodeObservation, whose fields are arrays too.
-    """
-
-    t_round_s: np.ndarray
-    t1_s: np.ndarray
-    t2_s: np.ndarray
-    reversal_delay_applied_s: np.ndarray
-    offset_estimate_s: np.ndarray
-    true_offset_s: np.ndarray
-    residual_s: np.ndarray
     events: RoundEvents = field(repr=False)
     nodes: dict = field(repr=False, default_factory=dict)
 
     def __len__(self):
-        return self.t_round_s.size
+        return np.size(self.t_round_s)
 
 
 def steering_shift(cfg: ProtocolConfig, hw: HardwareDelays) -> float:
     """Offset of the steered user output from the user clock: its delay-unit
-    deviation, less the calibrated value when calibration is applied."""
-    if cfg.apply_calibration:
-        return hw.delay_unit_dev_user_s - cfg.calibration.tau_delay_u_s
-    return hw.delay_unit_dev_user_s
+    deviation, less the corrections' value of it."""
+    return hw.delay_unit_dev_user_s - cfg.corrections.tau_delay_u_s
 
 
 def compute_reversal_delay(reversal_constant_s: float, t1_s: float) -> float:
@@ -201,9 +192,7 @@ def sync_round(
     user_steer_s is subtracted from the user clock's time error, which is how
     the session loop applies accumulated step corrections.
     """
-    if hw is None:
-        hw = HardwareDelays()
-    if cfg.textbook_mode:
+    if hw is None or cfg.textbook_mode:
         hw = HardwareDelays()
 
     x_server = server.time_error(t)
@@ -235,11 +224,7 @@ def sync_round(
     rxu = reversal_emit + tau_su
 
     t2 = tic_user.measure_interval(user_emit, rxu)
-
-    if cfg.apply_calibration:
-        estimate = corrected_offset(t2, cfg.calibration)
-    else:
-        estimate = 0.5 * (t2 - cfg.reversal_constant_s)
+    estimate = corrected_offset(t2, cfg.corrections)
 
     events = RoundEvents(
         epoch_s=t,
@@ -277,7 +262,7 @@ def run_rounds(
     n_rounds: int,
     steering_enabled: bool = True,
     nodes=(),
-) -> SessionResult:
+) -> SyncRoundResult:
     """Run n_rounds rounds at epochs k * compensation_period_s.
 
     The columns equal, bit for bit, a loop of sync_round that adds each
@@ -291,12 +276,8 @@ def run_rounds(
         hw = HardwareDelays()
     c = cfg.reversal_constant_s
     du_server = hw.delay_unit_dev_server_s
-    if cfg.apply_calibration:
-        cal = cfg.calibration
-        c_cal, hd, fpda, oaa = cal.reversal_constant_s, cal.tau_hd_s, cal.tau_fpda_s, cal.tau_oaa_s
-    else:
-        # subtracting 0.0 leaves every value as it is: this is 0.5 * (t2 - C)
-        c_cal, hd, fpda, oaa = c, 0.0, 0.0, 0.0
+    cal = cfg.corrections
+    c_cal, hd, fpda, oaa = cal.reversal_constant_s, cal.tau_hd_s, cal.tau_fpda_s, cal.tau_oaa_s
     us, su = Direction.USER_TO_SERVER, Direction.SERVER_TO_USER
     base = link.base_delay_s()
     half_us, half_su = link.asymmetry_share_s(us), link.asymmetry_share_s(su)
@@ -394,7 +375,7 @@ def run_rounds(
     observations = {node.name: node.observe_rounds(events) for node in nodes} if m else {}
     if failure is not None:
         raise failure
-    return SessionResult(
+    return SyncRoundResult(
         t_round_s=events.epoch_s,
         t1_s=t1,
         t2_s=np.asarray(t2s, dtype=float),
@@ -418,7 +399,7 @@ def run_session(
     duration_s: float,
     steering_enabled: bool = True,
     nodes=(),
-) -> SessionResult:
+) -> SyncRoundResult:
     """Repeat sync rounds every compensation period over duration_s.
 
     Between rounds the user clock is steered by the latest offset estimate
@@ -434,15 +415,15 @@ def run_session(
 
 
 def tracking_error_series(
-    rounds: SessionResult,
+    rounds: SyncRoundResult,
     cfg: ProtocolConfig,
-    hw: HardwareDelays,
     warmup_rounds: int = 1,
 ) -> TimeErrorSeries:
     """Per-round error of the steered user output against the server.
 
     The value at round k is the effective clock offset before round k's
-    correction, shifted by the (un)calibrated user delay-unit deviation.
+    correction, shifted as the rounds' residuals are by the (un)calibrated
+    user delay-unit deviation of the hardware they ran on.
     The first warmup_rounds samples cover initial acquisition and are
     dropped; with step steering one round suffices.
     """
@@ -450,7 +431,7 @@ def tracking_error_series(
         raise ValidationError("warmup_rounds leaves too few rounds for analysis")
     return TimeErrorSeries(
         tau0_s=cfg.compensation_period_s,
-        values=rounds.true_offset_s[warmup_rounds:] + steering_shift(cfg, hw),
+        values=rounds.true_offset_s[warmup_rounds:] + steering_shift(cfg, rounds.events.hw),
         meta={"kind": "tracking_error", "warmup_rounds": warmup_rounds},
     )
 

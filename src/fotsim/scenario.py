@@ -37,7 +37,7 @@ from .channel import FluctuationSpec, HardwareDelays, LinkModel
 from .errors import ScenarioParseError, ValidationError
 from .protocol import (
     ProtocolConfig,
-    SessionResult,
+    SyncRoundResult,
     TicModel,
     run_rounds,
     run_session,
@@ -540,16 +540,11 @@ class RunReport:
     curves: dict
     series: dict
     manifest: dict
-    rounds: SessionResult | None = None
+    rounds: SyncRoundResult | None = None
 
 
 def write_series_csv(path: Path, series: TimeErrorSeries) -> None:
     write_columns(path, SERIES_HEADER, [np.arange(len(series)), series.values])
-
-
-def read_series_csv(path: Path, tau0_s: float) -> TimeErrorSeries:
-    (values,) = read_columns(path, SERIES_HEADER[1:])
-    return TimeErrorSeries(tau0_s=tau0_s, values=values, meta={"source": str(path)})
 
 
 def write_curve_csv(path: Path, curve: StabilityCurve) -> None:
@@ -565,20 +560,19 @@ def read_curve_csv(path: Path) -> StabilityCurve:
     return StabilityCurve(taus, values, counts.astype(int))
 
 
-def write_rounds_csv(path: Path, rounds: SessionResult) -> None:
+def write_rounds_csv(path: Path, rounds: SyncRoundResult) -> None:
     write_columns(path, ROUNDS_HEADER, [
         rounds.t_round_s, rounds.t1_s, rounds.t2_s, rounds.offset_estimate_s,
         rounds.true_offset_s, rounds.residual_s,
     ])
 
 
-def write_node_csv(path: Path, rounds: SessionResult, observations: NodeObservation,
-                   reversal_constant_s: float) -> None:
+def write_node_csv(path: Path, rounds: SyncRoundResult, observations: NodeObservation) -> None:
     # same shape as the rounds CSV: the node's tap interval sits in the T2
     # column and its implied half-interval estimate in offset_est
     t3 = observations.t3_s
     write_columns(path, NODE_HEADER, [
-        rounds.t_round_s, rounds.t1_s, t3, 0.5 * (t3 - reversal_constant_s),
+        rounds.t_round_s, rounds.t1_s, t3, 0.5 * (t3 - rounds.events.reversal_constant_s),
         rounds.true_offset_s, observations.residual_s,
         np.full(t3.size, observations.position_km, dtype=float),
     ])
@@ -612,8 +606,7 @@ def run(scenario: Scenario, out_dir: str | Path | None = None,
             models.tic_server, models.tic_user, cfg, scenario.duration_s,
             nodes=models.nodes,
         )
-        series["main"] = tracking_error_series(rounds, cfg, models.hw,
-                                               warmup_rounds=scenario.warmup_rounds)
+        series["main"] = tracking_error_series(rounds, cfg, warmup_rounds=scenario.warmup_rounds)
         for name, obs in rounds.nodes.items():
             series[name] = TimeErrorSeries(
                 tau0_s=cfg.compensation_period_s,
@@ -662,8 +655,7 @@ def run(scenario: Scenario, out_dir: str | Path | None = None,
         if rounds is not None:
             emit("rounds.csv", write_rounds_csv, rounds)
             for name, obs in rounds.nodes.items():
-                emit(f"rounds_{name}.csv", write_node_csv, rounds, obs,
-                     models.protocol.reversal_constant_s)
+                emit(f"rounds_{name}.csv", write_node_csv, rounds, obs)
                 emit(f"tdev_{name}.csv", write_curve_csv, curves[name])
         manifest["outputs"] = sorted(outputs + ["manifest.json"])
         with open(out_path / "manifest.json", "w") as fh:

@@ -176,14 +176,9 @@ class _NoiseState:
         realized = self._x.size
         self._x = np.concatenate([self._x, total[realized:]])
 
-    def value_at(self, index: int) -> float:
-        if index >= self._x.size:
-            self._extend(index + 1)
-        return float(self._x[index])
-
     def values_at(self, indices: np.ndarray) -> np.ndarray:
-        """Samples at each index, bit for bit what value_at returns when
-        queried in this order: the buffer grows through the same sequence of
+        """Samples at each index, bit for bit what one call per index returns
+        in this order: the buffer grows through the same sequence of
         extensions, so the flicker filters see the same FFT sizes."""
         if indices.size:
             reach = np.maximum.accumulate(indices)
@@ -236,12 +231,7 @@ class ClockModel:
 
     def time_error(self, t: float) -> float:
         """Time error x(t) in seconds at true time t >= 0."""
-        if not (math.isfinite(t) and t >= 0):
-            raise ValidationError(f"query time must be finite and >= 0, got {t}")
-        x = self.initial_offset_s + self.frac_frequency * t + 0.5 * self.drift_per_s * t * t
-        if self._state is not None:
-            x += self._state.value_at(int(round(t / self.noise_grid_s)))
-        return x
+        return float(self.time_errors(np.array([t], dtype=float))[0])
 
     def time_errors(self, t: np.ndarray) -> np.ndarray:
         """Time errors at each true time of t, bit for bit what time_error

@@ -70,6 +70,27 @@ def test_kernel_matches_percent_format_on_a_million_values():
     assert total >= 1_000_000
 
 
+def test_million_values_reach_both_edges_of_the_rounding_window(monkeypatch):
+    # the high half's fraction decides a cell unless it lies at one half or
+    # one unit below; the test above formats cells at both and at two units
+    # below, the first the high half decides alone
+    offsets = []
+    round_up = cells._round_up
+
+    def spy(m, j, hi, lo, half):
+        frac = hi & ((half << np.uint64(1)) - np.uint64(1))
+        offsets.append(frac.astype(np.int64) - half.astype(np.int64))
+        return round_up(m, j, hi, lo, half)
+
+    monkeypatch.setattr(cells, "_round_up", spy)
+    for x in kernel_cases(np.random.default_rng(20260418)).values():
+        for start in range(0, x.size, cells._CHUNK_ROWS):
+            cells._chunk_text([x[start:start + cells._CHUNK_ROWS]])
+    offsets = np.concatenate(offsets)
+    counts = {k: int(np.count_nonzero(offsets == k)) for k in (-2, -1, 0)}
+    assert all(counts.values()), counts
+
+
 def test_fallback_formats_only_what_the_kernel_leaves_open(monkeypatch):
     # an upper-case reference marks the cells it formatted: 'E', 'NAN', 'INF'
     monkeypatch.setattr(cells, "_FLOAT_CELL", "%.16E")

@@ -269,6 +269,28 @@ def test_emit_time_mode_runs_and_matches_replay(name):
         assert float(np.max(np.abs(diff))) > 1e-18
 
 
+# --- the uncalibrated estimate ---------------------------------------------
+
+def test_uncalibrated_estimate_is_half_of_t2_less_c():
+    # a calibration set that is present but not applied subtracts nothing:
+    # the estimate is 0.5 * (T2 - C) bit for bit, in the engine and the oracle
+    c = 5e-3
+    taus = {name: 1e-9 for name in ("tau_hd_s", "tau_delay_u_s", "tau_fpda_s", "tau_oaa_s")}
+    cfg = ProtocolConfig(reversal_constant_s=c, apply_calibration=False,
+                         calibration=CalibrationSet(reversal_constant_s=c,
+                                                    provenance=dict.fromkeys(taus, "x"), **taus))
+    noise = NoiseProfile(components=[("white_pm", 2e-11), ("white_fm", 1e-12)], rng_seed=5)
+    parts = (ClockModel(noise=noise), ClockModel(initial_offset_s=1e-7, frac_frequency=1e-10),
+             LinkModel(length_km=230.0, dispersion_coeff_ps_per_nm_km=17.0, sagnac_s=3e-11),
+             HardwareDelays(tx_server_s=3.5e-8, rx_user_s=2.8e-8, delay_unit_dev_user_s=1.2e-11),
+             TicModel(jitter_rms_s=3e-11, rng_seed=1), TicModel(jitter_rms_s=3e-11, rng_seed=2),
+             cfg, [])
+    result, _, (cols, _), _ = run_both(parts, 50, True)
+    assert same_bits(result.offset_estimate_s, 0.5 * (result.t2_s - c))
+    assert same_bits(cols["offset_estimate_s"], [0.5 * (t2 - c) for t2 in cols["t2_s"]])
+    assert same_bits(result.t2_s, cols["t2_s"])
+
+
 # --- batched reads that feed the engine -----------------------------------
 
 def test_clock_array_read_equals_scalar_queries():

@@ -285,7 +285,7 @@ class TestSession:
         cfg = ProtocolConfig(reversal_constant_s=5e-3)
         rounds = run_session(ClockModel(), ClockModel(initial_offset_s=100e-9),
                              reciprocal_link(), hw, IDEAL_TIC(), IDEAL_TIC(), cfg, 20.0)
-        series = tracking_error_series(rounds, cfg, hw, warmup_rounds=1)
+        series = tracking_error_series(rounds, cfg, warmup_rounds=1)
         assert len(series) == 19
         # uncalibrated: the constant delay-unit deviation shifts the output
         assert series.values == pytest.approx(np.full(19, 12e-12), abs=1e-15)

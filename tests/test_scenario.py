@@ -286,6 +286,19 @@ class TestRun:
             tmp_path / "a", tmp_path / "b", names, shallow=False)
         assert mismatch == [] and errors == []
 
+    def test_textbook_series_ignores_the_hardware_it_zeroes(self, tmp_path):
+        # textbook mode runs the rounds on zeroed hardware, so the user's
+        # delay-unit deviation shifts neither rounds.csv nor series.csv
+        doc = canned_doc("demo_short")
+        doc["protocol"].update(textbook_mode=True, apply_calibration=False)
+        files = []
+        for dev in (0.0, 1.2e-11):
+            doc["hardware"]["delay_unit_dev_user_s"] = dev
+            out = tmp_path / f"dev{dev}"
+            run(validate_scenario(doc), out_dir=out)
+            files.append([(out / name).read_bytes() for name in ("series.csv", "rounds.csv")])
+        assert files[0] == files[1]
+
     def test_seed_override_changes_outputs(self, tmp_path):
         scenario = validate_scenario(minimal_doc())
         a = run(scenario)
