@@ -7,7 +7,7 @@ One round, all in true time relative to the round's pulse mark:
     3. the server re-emits its pulse delayed by C - T1 (plus its delay-unit
        deviation) and the reversed signal crosses back;
     4. the user counter measures T2 between its own pulse and the arrival;
-    5. half of T2 - C (after calibration corrections, if enabled) is the
+    5. half of T2 - C, less the calibration's correction terms, is the
        clock-offset estimate.
 
 Event times within a round are kept relative to the round's nominal epoch so
@@ -52,7 +52,6 @@ class TicModel:
             raise ValidationError("resolution_s must be >= 0")
         self.jitter_rms_s = float(jitter_rms_s)
         self.resolution_s = float(resolution_s)
-        self.rng_seed = rng_seed
         self._rng = np.random.default_rng(rng_seed)
 
     def measure_interval(self, t_start_s: float, t_stop_s: float) -> float:
@@ -83,37 +82,24 @@ class ProtocolConfig:
     """Protocol constants for a run.
 
     reversal_constant_s (C) must stay above any measured request interval.
-    textbook_mode zeroes all hardware terms inside the round, reproducing
-    the bare protocol algebra.
+    calibration is what the estimate and the steering subtract, and must
+    share C; absent, it is the all-zero set, whose subtraction leaves every
+    value as it is.
     """
 
     reversal_constant_s: float = 5e-3
     compensation_period_s: float = 1.0
     calibration: CalibrationSet | None = None
-    apply_calibration: bool = False
-    textbook_mode: bool = False
 
     def __post_init__(self):
         if not self.reversal_constant_s > 0:
             raise ValidationError("reversal_constant_s must be > 0")
         if not self.compensation_period_s > 0:
             raise ValidationError("compensation_period_s must be > 0")
-        if self.apply_calibration:
-            if self.calibration is None:
-                raise ValidationError("apply_calibration requires a calibration set")
-            if self.calibration.reversal_constant_s != self.reversal_constant_s:
-                raise ValidationError(
-                    "calibration reversal constant differs from protocol config"
-                )
-
-    @property
-    def corrections(self) -> CalibrationSet:
-        """What the estimate and the steering subtract: the calibration when
-        it is applied, else zeros, whose subtraction leaves every value as
-        it is."""
-        if self.apply_calibration:
-            return self.calibration
-        return CalibrationSet(reversal_constant_s=self.reversal_constant_s)
+        if self.calibration is None:
+            self.calibration = CalibrationSet(reversal_constant_s=self.reversal_constant_s)
+        elif self.calibration.reversal_constant_s != self.reversal_constant_s:
+            raise ValidationError("calibration reversal constant differs from protocol config")
 
 
 @dataclass
@@ -162,8 +148,8 @@ class SyncRoundResult:
 
 def steering_shift(cfg: ProtocolConfig, hw: HardwareDelays) -> float:
     """Offset of the steered user output from the user clock: its delay-unit
-    deviation, less the corrections' value of it."""
-    return hw.delay_unit_dev_user_s - cfg.corrections.tau_delay_u_s
+    deviation, less the calibration's value of it."""
+    return hw.delay_unit_dev_user_s - cfg.calibration.tau_delay_u_s
 
 
 def compute_reversal_delay(reversal_constant_s: float, t1_s: float) -> float:
@@ -192,9 +178,6 @@ def sync_round(
     user_steer_s is subtracted from the user clock's time error, which is how
     the session loop applies accumulated step corrections.
     """
-    if hw is None or cfg.textbook_mode:
-        hw = HardwareDelays()
-
     x_server = server.time_error(t)
     x_user = user.time_error(t) - user_steer_s
     true_offset = x_user - x_server  # server pulse minus user pulse, in true time
@@ -224,7 +207,7 @@ def sync_round(
     rxu = reversal_emit + tau_su
 
     t2 = tic_user.measure_interval(user_emit, rxu)
-    estimate = corrected_offset(t2, cfg.corrections)
+    estimate = corrected_offset(t2, cfg.calibration)
 
     events = RoundEvents(
         epoch_s=t,
@@ -272,11 +255,9 @@ def run_rounds(
     that loop would raise first: a node's NegativeT3Error in an earlier
     round, else the round's own ProtocolError.
     """
-    if hw is None or cfg.textbook_mode:
-        hw = HardwareDelays()
     c = cfg.reversal_constant_s
     du_server = hw.delay_unit_dev_server_s
-    cal = cfg.corrections
+    cal = cfg.calibration
     c_cal, hd, fpda, oaa = cal.reversal_constant_s, cal.tau_hd_s, cal.tau_fpda_s, cal.tau_oaa_s
     us, su = Direction.USER_TO_SERVER, Direction.SERVER_TO_USER
     base = link.base_delay_s()
@@ -432,7 +413,6 @@ def tracking_error_series(
     return TimeErrorSeries(
         tau0_s=cfg.compensation_period_s,
         values=rounds.true_offset_s[warmup_rounds:] + steering_shift(cfg, rounds.events.hw),
-        meta={"kind": "tracking_error", "warmup_rounds": warmup_rounds},
     )
 
 

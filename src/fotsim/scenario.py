@@ -205,7 +205,7 @@ _CLOCK = _object(_table(
     # (type, amplitude) pairs; _build_clock seeds them into a NoiseProfile
     noise=_list_of(_object(_NOISE, into=lambda **c: tuple(c.values()))),
     initial_offset_s=_finite(), frac_frequency=_finite(), drift_per_s=_finite(),
-    freq_ref_shared=_bool, pulse_period_s=_finite(0.0, strict=True),
+    freq_ref_shared=(_bool, False), pulse_period_s=_finite(0.0, strict=True),
     noise_grid_s=_finite(0.0, strict=True),
 ))
 _FLUCTUATION = _table(FluctuationSpec, amplitude_s=_finite(0.0),
@@ -229,7 +229,8 @@ _PROTOCOL = _table(
     calibration_rounds=(_integer(1, "a positive integer"), 100),
     reversal_constant_s=_finite(0.0, strict=True),
     compensation_period_s=_finite(0.0, strict=True),
-    apply_calibration=_bool, auto_calibrate=(_bool, False), textbook_mode=_bool,
+    apply_calibration=(_bool, False), auto_calibrate=(_bool, False),
+    textbook_mode=(_bool, False),
 )
 _NODE = _table(
     AccessNode,
@@ -259,7 +260,8 @@ _SCENARIO = _table(
 
 class Scenario(SimpleNamespace):
     """A validated scenario: one attribute per key of _SCENARIO, each object
-    parsed by its table, plus raw, the document itself."""
+    parsed by its table, plus raw, the document itself.  Under textbook_mode
+    hardware is zeroed, for the run and its calibration alike."""
 
 
 def validate_scenario(doc: dict) -> Scenario:
@@ -268,6 +270,8 @@ def validate_scenario(doc: dict) -> Scenario:
     Raises ValidationError naming the offending key on any problem.
     """
     scenario = Scenario(**_parse(doc, _SCENARIO, "scenario"), raw=doc)
+    if scenario.protocol is not None and scenario.protocol.textbook_mode:
+        scenario.hardware = HardwareDelays()
     if scenario.mode == "sync":
         if scenario.link is None:
             raise ValidationError("scenario.link is required in sync mode")
@@ -361,7 +365,8 @@ def load_scenario(path_or_name: str | Path) -> Scenario:
 
 @dataclass
 class ModelSet:
-    """Live model objects for one run, seeded from the scenario."""
+    """Live model objects for one run, seeded from the scenario.  calibration
+    is the given or auto-built set, whether protocol applies it or not."""
 
     server: ClockModel
     user: ClockModel
@@ -370,16 +375,18 @@ class ModelSet:
     tic_server: TicModel | None = None
     tic_user: TicModel | None = None
     protocol: ProtocolConfig | None = None
+    calibration: CalibrationSet | None = None
     nodes: list[AccessNode] = field(default_factory=list)
     seeds: dict = field(default_factory=dict)
 
 
 def _build_clock(spec: SimpleNamespace, reference: SimpleNamespace, seed: int) -> ClockModel:
+    kwargs = dict(vars(spec))
     noise = NoiseProfile(spec.noise, rng_seed=seed) if spec.noise else None
     # a clock flagged freq_ref_shared takes the scenario's reference frequency
     # and drift, so two such clocks differ by no deterministic frequency term
-    shared = vars(reference) if spec.freq_ref_shared else {}
-    return ClockModel(**{**vars(spec), "noise": noise, **shared})
+    shared = vars(reference) if kwargs.pop("freq_ref_shared") else {}
+    return ClockModel(**{**kwargs, "noise": noise, **shared})
 
 
 def _build_sites(scenario: Scenario, seed: int, paths: tuple) -> tuple[dict, list]:
@@ -436,11 +443,7 @@ def build_calibration_set(
 
     direct_link = LinkModel(length_km=0.0, dispersion_coeff_ps_per_nm_km=0.0)
     direct_hw = replace(hw, biedfa_lambda1_s=0.0, biedfa_lambda2_s=0.0)
-    cfg = ProtocolConfig(
-        reversal_constant_s=c,
-        compensation_period_s=pspec.compensation_period_s,
-        apply_calibration=False,
-    )
+    cfg = ProtocolConfig(reversal_constant_s=c, compensation_period_s=pspec.compensation_period_s)
     direct = run_rounds(server, user, direct_link, direct_hw, tic_server, tic_user, cfg,
                         pspec.calibration_rounds, steering_enabled=False)
     samples = calibrate_hardware_delay(direct.t2_s, direct.true_offset_s, c,
@@ -511,12 +514,13 @@ def build_models(scenario: Scenario, master_seed: int | None = None) -> ModelSet
         calibration = pspec.calibration
         if calibration is None and pspec.auto_calibrate:
             calibration = build_calibration_set(scenario, master_seed=seed)
+        if pspec.apply_calibration and calibration is None:
+            raise ValidationError("apply_calibration requires a calibration set")
+        models.calibration = calibration
         models.protocol = ProtocolConfig(
             reversal_constant_s=pspec.reversal_constant_s,
             compensation_period_s=pspec.compensation_period_s,
-            calibration=calibration,
-            apply_calibration=pspec.apply_calibration,
-            textbook_mode=pspec.textbook_mode,
+            calibration=calibration if pspec.apply_calibration else None,
         )
         for node in scenario.access_nodes:
             path = f"access_nodes.{node.name}.tic"
@@ -597,7 +601,6 @@ def run(scenario: Scenario, out_dir: str | Path | None = None,
         series["main"] = TimeErrorSeries(
             tau0_s=period,
             values=models.user.time_errors(epochs) - models.server.time_errors(epochs),
-            meta={"kind": "clock_difference", "master_seed": seed},
         )
     else:
         cfg = models.protocol
@@ -608,11 +611,8 @@ def run(scenario: Scenario, out_dir: str | Path | None = None,
         )
         series["main"] = tracking_error_series(rounds, cfg, warmup_rounds=scenario.warmup_rounds)
         for name, obs in rounds.nodes.items():
-            series[name] = TimeErrorSeries(
-                tau0_s=cfg.compensation_period_s,
-                values=obs.residual_s[_node_warmup(scenario):],
-                meta={"kind": "node_residual", "node": name},
-            )
+            series[name] = TimeErrorSeries(tau0_s=cfg.compensation_period_s,
+                                           values=obs.residual_s[_node_warmup(scenario):])
 
     taus = list(scenario.tdev_taus) if scenario.tdev_taus is not None else None
     for key, s in series.items():
@@ -637,8 +637,8 @@ def run(scenario: Scenario, out_dir: str | Path | None = None,
             for key, s in series.items()
         },
     }
-    if models.protocol is not None and models.protocol.calibration is not None:
-        manifest["calibration"] = asdict(models.protocol.calibration)
+    if models.calibration is not None:
+        manifest["calibration"] = asdict(models.calibration)
 
     out_path = None
     if out_dir is not None:

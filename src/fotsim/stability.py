@@ -29,7 +29,6 @@ class StabilityCurve:
     taus: np.ndarray
     values: np.ndarray
     n_samples: np.ndarray
-    estimator: str = "overlapping-TDEV"
 
     def __post_init__(self):
         self.taus = np.asarray(self.taus, dtype=float)
@@ -114,8 +113,7 @@ def tdev(series: TimeErrorSeries, taus: list[float] | None = None) -> StabilityC
         m = s.size
         vals.append(math.sqrt(float(np.dot(s, s)) / (6.0 * n * n * m)))
         counts.append(m)
-    return StabilityCurve(np.asarray(taus), np.asarray(vals), np.asarray(counts),
-                          estimator="overlapping-TDEV")
+    return StabilityCurve(np.asarray(taus), np.asarray(vals), np.asarray(counts))
 
 
 def tdev_bruteforce(series: TimeErrorSeries, tau: float) -> float:
@@ -140,7 +138,7 @@ def mdev(series: TimeErrorSeries, taus: list[float] | None = None) -> StabilityC
     """Modified Allan deviation; MDEV(tau) = sqrt(3) * TDEV(tau) / tau."""
     curve = tdev(series, taus)
     vals = math.sqrt(3.0) * curve.values / curve.taus
-    return StabilityCurve(curve.taus, vals, curve.n_samples, estimator="MDEV")
+    return StabilityCurve(curve.taus, vals, curve.n_samples)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as tdev
@@ -157,8 +155,7 @@ def adev(series: TimeErrorSeries, taus: list[float] | None = None) -> StabilityC
         m = d.size
         vals.append(math.sqrt(float(np.dot(d, d)) / (2.0 * m)) / (n * tau0))
         counts.append(m)
-    return StabilityCurve(np.asarray(taus), np.asarray(vals), np.asarray(counts),
-                          estimator="overlapping-ADEV")
+    return StabilityCurve(np.asarray(taus), np.asarray(vals), np.asarray(counts))
 
 
 def slope(curve: StabilityCurve, tau_lo: float, tau_hi: float) -> float:

@@ -24,7 +24,7 @@ flicker scalings are tied to the grid they are generated on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,7 +122,6 @@ class TimeErrorSeries:
 
     tau0_s: float
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -209,7 +208,6 @@ class ClockModel:
         frac_frequency: float = 0.0,
         drift_per_s: float = 0.0,
         noise: NoiseProfile | None = None,
-        freq_ref_shared: bool = False,
         pulse_period_s: float = 0.010,
         noise_grid_s: float | None = None,
     ):
@@ -222,7 +220,6 @@ class ClockModel:
         self.frac_frequency = float(frac_frequency)
         self.drift_per_s = float(drift_per_s)
         self.noise = noise
-        self.freq_ref_shared = bool(freq_ref_shared)
         self.pulse_period_s = float(pulse_period_s)
         self.noise_grid_s = float(grid)
         self._state = (
@@ -261,10 +258,4 @@ def synthesize_time_error_series(
         values = _NoiseState(profile, tau0_s).prefix(n)
     else:
         values = np.zeros(n)
-    meta = {
-        "rng_seed": profile.rng_seed,
-        "components": list(profile.components),
-        "n": n,
-        "tau0_s": tau0_s,
-    }
-    return TimeErrorSeries(tau0_s=tau0_s, values=values, meta=meta)
+    return TimeErrorSeries(tau0_s=tau0_s, values=values)

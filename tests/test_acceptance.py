@@ -90,8 +90,7 @@ def test_criterion_2_asymmetry_and_calibration_theorem():
     assert abs(cal.tau_hd_s - 43e-12) <= FS
     assert abs(cal.tau_fpda_s - 3158e-12) <= FS
     assert abs(cal.tau_oaa_s - 3e-12) <= FS
-    cfg = ProtocolConfig(reversal_constant_s=5e-3, calibration=cal,
-                         apply_calibration=True)
+    cfg = ProtocolConfig(reversal_constant_s=5e-3, calibration=cal)
     r2 = sync_round(models.server, models.user, models.link, models.hw,
                     ideal_tic(), ideal_tic(), cfg, 1.0)
     assert abs(r2.offset_estimate_s - r2.true_offset_s) <= FS

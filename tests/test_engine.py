@@ -146,7 +146,8 @@ def sessions(draw):
     skew = draw(st.sampled_from([0.0, 0.0, -1.5e-3, -2.5e-3]))
     delays["tx_server_s"] += skew
     delays["rx_user_s"] -= skew
-    hw = HardwareDelays(**delays)
+    # zeroed hardware runs the bare protocol algebra, as textbook mode does
+    hw = HardwareDelays() if draw(st.booleans()) else HardwareDelays(**delays)
 
     def tic():
         return TicModel(jitter_rms_s=draw(st.sampled_from([0.0, 3e-11, 1e-9])),
@@ -155,8 +156,7 @@ def sessions(draw):
 
     c = draw(st.sampled_from([5e-3, 2e-3, 1.3e-3]))
     calibration = None
-    apply = draw(st.booleans())
-    if apply:
+    if draw(st.booleans()):
         taus = {name: draw(st.floats(-1e-8, 1e-8))
                 for name in ("tau_hd_s", "tau_delay_u_s", "tau_fpda_s", "tau_oaa_s")}
         calibration = CalibrationSet(reversal_constant_s=c,
@@ -165,8 +165,6 @@ def sessions(draw):
         reversal_constant_s=c,
         compensation_period_s=draw(st.sampled_from([1.0, 0.37, 10.0])),
         calibration=calibration,
-        apply_calibration=apply,
-        textbook_mode=draw(st.booleans()),
     )
     positions = draw(st.lists(
         st.sampled_from([0.0, length, amp_pos if amp_pos is not None else length / 2,
@@ -272,13 +270,11 @@ def test_emit_time_mode_runs_and_matches_replay(name):
 # --- the uncalibrated estimate ---------------------------------------------
 
 def test_uncalibrated_estimate_is_half_of_t2_less_c():
-    # a calibration set that is present but not applied subtracts nothing:
-    # the estimate is 0.5 * (T2 - C) bit for bit, in the engine and the oracle
+    # without a calibration set the corrections are zeros, which subtract
+    # nothing: the estimate is 0.5 * (T2 - C) bit for bit, in the engine and
+    # the oracle
     c = 5e-3
-    taus = {name: 1e-9 for name in ("tau_hd_s", "tau_delay_u_s", "tau_fpda_s", "tau_oaa_s")}
-    cfg = ProtocolConfig(reversal_constant_s=c, apply_calibration=False,
-                         calibration=CalibrationSet(reversal_constant_s=c,
-                                                    provenance=dict.fromkeys(taus, "x"), **taus))
+    cfg = ProtocolConfig(reversal_constant_s=c)
     noise = NoiseProfile(components=[("white_pm", 2e-11), ("white_fm", 1e-12)], rng_seed=5)
     parts = (ClockModel(noise=noise), ClockModel(initial_offset_s=1e-7, frac_frequency=1e-10),
              LinkModel(length_km=230.0, dispersion_coeff_ps_per_nm_km=17.0, sagnac_s=3e-11),

@@ -117,7 +117,7 @@ class TestSyncRound:
         link = reciprocal_link(sagnac_s=100e-12)
         cal = CalibrationSet(tau_fpda_s=100e-12, reversal_constant_s=5e-3,
                              provenance={"tau_fpda_s": "injected"})
-        cfg = self.cfg(calibration=cal, apply_calibration=True)
+        cfg = self.cfg(calibration=cal)
         r = sync_round(server, user, link, HW0, IDEAL_TIC(), IDEAL_TIC(), cfg, 0.0)
         assert r.offset_estimate_s == pytest.approx(100e-9, abs=1e-15)
         assert r.residual_s == pytest.approx(0.0, abs=1e-15)
@@ -138,15 +138,10 @@ class TestSyncRound:
         assert r.t2_s == pytest.approx(t2, abs=1e-18)
         assert r.offset_estimate_s == pytest.approx(est, abs=1e-18)
 
-    def test_textbook_mode_zeroes_hardware(self):
-        hw = HardwareDelays(tx_server_s=35e-9, rx_server_s=28e-9, tx_user_s=35.02e-9,
-                            rx_user_s=27.99e-9, delay_unit_dev_server_s=15e-12)
-        server = ClockModel()
-        user = ClockModel(initial_offset_s=100e-9)
-        cfg = self.cfg(textbook_mode=True)
-        r = sync_round(server, user, reciprocal_link(), hw, IDEAL_TIC(), IDEAL_TIC(),
-                       cfg, 0.0)
-        assert r.offset_estimate_s == pytest.approx(100e-9, abs=1e-15)
+    def test_calibration_must_share_the_reversal_constant(self):
+        cal = CalibrationSet(reversal_constant_s=4e-3)
+        with pytest.raises(ValidationError, match="calibration reversal constant differs"):
+            self.cfg(calibration=cal)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -271,7 +266,7 @@ class TestSession:
     def test_steering_disabled_reverts_to_raw_clock_difference(self):
         mk = lambda seed: ClockModel(
             noise=NoiseProfile(components=[("white_pm", 20e-12)], rng_seed=seed),
-            freq_ref_shared=True, noise_grid_s=1.0)
+            noise_grid_s=1.0)
         server, user = mk(1), mk(2)
         cfg = ProtocolConfig(reversal_constant_s=5e-3)
         rounds = run_session(server, user, reciprocal_link(), HW0, IDEAL_TIC(),

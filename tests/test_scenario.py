@@ -3,6 +3,7 @@
 import filecmp
 import json
 import re
+from dataclasses import asdict
 from importlib import resources
 
 import numpy as np
@@ -299,6 +300,36 @@ class TestRun:
             files.append([(out / name).read_bytes() for name in ("series.csv", "rounds.csv")])
         assert files[0] == files[1]
 
+    def test_textbook_mode_equals_zeroed_hardware(self, tmp_path):
+        # textbook mode zeroes the hardware where the scenario is built, so
+        # the auto-calibration measures the hardware the rounds run on, and
+        # the run equals one of the same document without hardware delays
+        textbook, zeroed = canned_doc("demo_short"), canned_doc("demo_short")
+        assert textbook["protocol"]["apply_calibration"] and textbook["protocol"]["auto_calibrate"]
+        textbook["protocol"]["textbook_mode"] = True
+        zeroed["hardware"] = {}
+        files, calibrations = [], []
+        for label, doc in (("textbook", textbook), ("zeroed", zeroed)):
+            scenario = validate_scenario(doc)
+            out = tmp_path / label
+            run(scenario, out_dir=out)
+            files.append({name: (out / name).read_bytes()
+                          for name in ("series.csv", "rounds.csv", "tdev.csv")})
+            calibrations.append(build_calibration_set(scenario))
+        for name in files[0]:
+            assert files[0][name] == files[1][name], name
+        assert calibrations[0] == calibrations[1]
+
+    def test_unapplied_calibration_is_recorded_but_not_subtracted(self):
+        doc = canned_doc("demo_short")
+        doc["protocol"]["apply_calibration"] = False
+        scenario = validate_scenario(doc)
+        report = run(scenario)
+        assert report.manifest["calibration"] == asdict(build_calibration_set(scenario))
+        c = scenario.protocol.reversal_constant_s
+        rounds = report.rounds
+        assert rounds.offset_estimate_s.tobytes() == (0.5 * (rounds.t2_s - c)).tobytes()
+
     def test_seed_override_changes_outputs(self, tmp_path):
         scenario = validate_scenario(minimal_doc())
         a = run(scenario)
@@ -461,6 +492,17 @@ class TestCli:
         assert cli_main(["run", "--scenario", str(f), "--out", str(tmp_path / "o")]) == 1
         assert "tdev_taus" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_apply_calibration_without_a_set_exits_1(self, tmp_path, capsys):
+        # the document validates; the missing set is found where the models
+        # are built, and the run exits as on any other config error
+        doc = canned_doc("demo_short")
+        doc["protocol"]["auto_calibrate"] = False
+        validate_scenario(doc)
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(doc))
+        assert cli_main(["run", "--scenario", str(f), "--out", str(tmp_path / "o")]) == 1
+        assert "apply_calibration requires a calibration set" in capsys.readouterr().err
 
     def test_missing_input_exits_1(self, tmp_path, capsys):
         assert cli_main(["run", "--scenario", str(tmp_path / "none.json"),

@@ -276,7 +276,7 @@ class TestSharedFrequencyReference:
         # down instead of growing with tau
         mk = lambda seed: ClockModel(
             noise=NoiseProfile(components=[("white_pm", 1e-11)], rng_seed=seed),
-            freq_ref_shared=True, noise_grid_s=1.0)
+            noise_grid_s=1.0)
         a, b = mk(1), mk(2)
         diff = TimeErrorSeries(
             tau0_s=1.0,
