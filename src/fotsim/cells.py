@@ -3,8 +3,8 @@
 Every float cell is ``'%.16e' % value``: 17 significant digits, enough to
 round-trip a float64.  Every integer cell is ``'%d' % value``.  Python's
 ``%.16e`` is correctly rounded and pays for it with a bignum path per value,
-so ``write_columns`` formats whole chunks of a column with numpy instead and
-writes the same bytes.
+so ``write_tables`` formats whole chunks of a column with numpy instead and
+writes the same bytes, for several tables in one pass.
 
 For a finite normal ``x = m * 2**e`` with ``E = floor(log10|x|)`` and
 ``k = 16 - E``, the 17 digits are ``D = round(x * 10**k)``, an integer in
@@ -24,10 +24,10 @@ matches, not a second path: it formats only what the kernel leaves open.
 The kernel multiplies by the high half of T_k first, and _round_up adds the
 low half only where the fraction comes near one half.
 
-A chunk is laid out as a matrix of 4-byte words, seven per cell, in the
-order the text is read.  Slots a cell does not use (a ``-`` of a positive
-value, a third exponent digit, the leading zeros of an integer) hold NUL
-bytes, and one ``bytes.translate`` drops them all.
+A chunk of a table is laid out as a matrix of 4-byte words, seven per cell,
+in the order the text is read.  Slots a cell does not use (a ``-`` of a
+positive value, a third exponent digit, the leading zeros of an integer)
+hold NUL bytes, and one ``bytes.translate`` drops them all.
 
 ``read_columns`` is the mirror: it reads cells in that shape with the same
 table (row k = E - 16) and leaves every other cell, and the few whose
@@ -37,14 +37,20 @@ rounding the bound leaves open, to ``float()``, the reference.
 from __future__ import annotations
 
 import os
+from collections import Counter
+from collections.abc import Iterator
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
 
-# rows per write: bounds the text held at once whatever the run length
-_CHUNK_ROWS = 8192
+# rows per chunk: bounds the memory a write holds whatever the run length.
+# A chunk's bytes of a seven-column table stay under 1 MB; at twice the rows
+# glibc mapped them afresh for every chunk (page faults on each write, and
+# more peak memory over repeated runs)
+_CHUNK_ROWS = 4096
 # the reference format of a float cell; it formats the cells the kernel leaves
 _FLOAT_CELL = "%.16e"
 
@@ -218,12 +224,12 @@ def _float_words(x: np.ndarray, out: np.ndarray) -> None:
         text[i, :len(raw)] = np.frombuffer(raw, dtype=np.uint8)
 
 
-def _int_words(v: np.ndarray) -> np.ndarray:
-    """The (n, 7) cell words of int64 array v, as '%d' writes them,
-    separator not included."""
+def _int_words(v: np.ndarray, out: np.ndarray) -> None:
+    """Write the cell words of int64 array v, as '%d' writes them, into the
+    (n, 7) array out, separator not included."""
     neg = v < 0
     a = np.where(neg, -v, v).view(np.uint64)  # -(-2**63) wraps to 2**63 here
-    out = np.zeros((v.size, _WORDS), dtype=np.uint32)
+    out[:] = 0
     out[:, 0] = _INT_SIGN.take(neg)
     for j in range((len(str(int(a.max(initial=0)))) + 3) // 4):
         q = a // np.uint64(10_000)
@@ -232,33 +238,84 @@ def _int_words(v: np.ndarray) -> np.ndarray:
         out[:, _INT_GROUPS - j] = np.where(q > 0, _DIGITS4.take(g), _BLANK4.take(g))
         a = q
     out[v == 0, _INT_GROUPS] = _ZERO_WORD
-    return out
 
 
-def _chunk_text(columns: list) -> str:
-    """CSV rows of equal-length column chunks, each line ending in '\\n'."""
-    words = np.empty((len(columns[0]), len(columns), _WORDS), dtype=np.uint32)
-    for j, col in enumerate(columns):
-        if np.issubdtype(col.dtype, np.integer):
-            words[:, j] = _int_words(col.astype(np.int64, copy=False))
-        else:
-            _float_words(np.ascontiguousarray(col, dtype=np.float64), words[:, j])
-    words[:, :-1, -1] |= _COMMA
-    words[:, -1, -1] |= _NEWLINE
-    return words.tobytes().translate(None, b"\0").decode("ascii")
+def _cell_words(col: np.ndarray, out: np.ndarray) -> None:
+    """Write the cell words of a column chunk into the (n, 7) array out,
+    separator not included."""
+    if np.issubdtype(col.dtype, np.integer):
+        _int_words(col.astype(np.int64, copy=False), out)
+    else:
+        _float_words(np.ascontiguousarray(col, dtype=np.float64), out)
+
+
+def _table_texts(tables: list) -> Iterator[tuple]:
+    """For each chunk of _CHUNK_ROWS rows, (t, text) for every table t in
+    order: the CSV rows of the chunk as bytes, each line ending in '\\n'.  A
+    table is a list of columns, all of one length.
+
+    A column is formatted straight into its slot of one word matrix that the
+    tables take in turn.  A column array that several tables (or columns)
+    share is formatted once per chunk into a buffer of its own and copied
+    into each slot, and a constant column (stride 0, as np.broadcast_to
+    makes) once for the whole pass.  Every buffer is reused from chunk to
+    chunk, so the memory held is bounded by the chunk.
+    """
+    arrays: dict = {}
+    tables = [[arrays.setdefault(id(col), np.asarray(col)) for col in columns]
+              for columns in tables]
+    n = len(tables[0][0])
+    rows = min(n, _CHUNK_ROWS)
+    matrix = np.empty(rows * max(map(len, tables)) * _WORDS, dtype=np.uint32)
+    uses = Counter(id(col) for columns in tables for col in columns)
+    constant, shared = {}, {}
+    for col in arrays.values():
+        if col.size and col.strides == (0,):
+            constant[id(col)] = np.empty((1, _WORDS), dtype=np.uint32)
+            _cell_words(col[:1], constant[id(col)])
+        elif uses[id(col)] > 1:
+            shared[id(col)] = np.empty((rows, _WORDS), dtype=np.uint32)
+    for start in range(0, n, _CHUNK_ROWS):
+        k = min(n - start, _CHUNK_ROWS)
+        # the cell words of this chunk kept by column id
+        done = dict(constant)
+        for t, columns in enumerate(tables):
+            words = matrix[:k * len(columns) * _WORDS].reshape(k, len(columns), _WORDS)
+            for j, col in enumerate(columns):
+                key = id(col)
+                if key in shared and key not in done:
+                    done[key] = shared[key][:k]
+                    _cell_words(col[start:start + k], done[key])
+                if key in done:
+                    words[:, j] = done[key]
+                else:
+                    _cell_words(col[start:start + k], words[:, j])
+            words[:, :-1, -1] |= _COMMA
+            words[:, -1, -1] |= _NEWLINE
+            yield t, words.tobytes().translate(None, b"\0")
+
+
+def write_tables(tables: list) -> None:
+    """Write tables as CSV files in one pass over their rows.
+
+    Each table is (path, header, columns), and every column of every table
+    has one length.  A column with an integer dtype holds int64 values and
+    is written as '%d' writes them, any other as float64 cells as '%.16e'
+    writes them.  The files are written as bytes, so every line ends in
+    '\\n' on every platform.
+    """
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(path, "wb")) for path, _, _ in tables]
+        for fh, (_, header, _) in zip(files, tables):
+            fh.write((",".join(header) + "\n").encode("ascii"))
+        for t, text in _table_texts([columns for _, _, columns in tables]):
+            files[t].write(text)
 
 
 def write_columns(path: Path, header: list[str], columns: list) -> None:
-    """Write equal-length columns as CSV rows under a header line.
-
-    A column with an integer dtype holds int64 values and is written as
-    '%d' writes them, any other as float64 cells as '%.16e' writes them.
-    """
-    columns = [np.asarray(col) for col in columns]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), _CHUNK_ROWS):
-            fh.write(_chunk_text([col[start:start + _CHUNK_ROWS] for col in columns]))
+    """Write equal-length columns as CSV rows under a header line: the
+    one-table case of write_tables."""
+    write_tables([(path, header, columns)])
 
 
 # bytes per read of read_columns: bounds the text held at once whatever the

@@ -30,9 +30,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .access import AccessNode, NodeObservation
+from .access import AccessNode
 from .calibration import CalibrationSet, calibrate_delay_unit, calibrate_hardware_delay
-from .cells import read_columns, write_columns
+from .cells import read_columns, write_columns, write_tables
 from .channel import FluctuationSpec, HardwareDelays, LinkModel
 from .errors import ScenarioParseError, ValidationError
 from .protocol import (
@@ -564,22 +564,28 @@ def read_curve_csv(path: Path) -> StabilityCurve:
     return StabilityCurve(taus, values, counts.astype(int))
 
 
-def write_rounds_csv(path: Path, rounds: SyncRoundResult) -> None:
-    write_columns(path, ROUNDS_HEADER, [
+def write_rounds_csv(out_dir: Path, rounds: SyncRoundResult) -> list[str]:
+    """Write rounds.csv and one rounds_<node>.csv per access node into
+    out_dir in one pass, and return their file names.
+
+    A node table has the rounds table's shape plus a constant position_km
+    column: the node's tap interval sits in the T2 column and its implied
+    half-interval estimate in offset_est.  Its t_s, T1_s and true_offset_s
+    are the rounds table's own arrays, so their cells are formatted once.
+    """
+    tables = {"rounds.csv": (ROUNDS_HEADER, [
         rounds.t_round_s, rounds.t1_s, rounds.t2_s, rounds.offset_estimate_s,
         rounds.true_offset_s, rounds.residual_s,
-    ])
-
-
-def write_node_csv(path: Path, rounds: SyncRoundResult, observations: NodeObservation) -> None:
-    # same shape as the rounds CSV: the node's tap interval sits in the T2
-    # column and its implied half-interval estimate in offset_est
-    t3 = observations.t3_s
-    write_columns(path, NODE_HEADER, [
-        rounds.t_round_s, rounds.t1_s, t3, 0.5 * (t3 - rounds.events.reversal_constant_s),
-        rounds.true_offset_s, observations.residual_s,
-        np.full(t3.size, observations.position_km, dtype=float),
-    ])
+    ])}
+    for name, obs in rounds.nodes.items():
+        t3 = obs.t3_s
+        tables[f"rounds_{name}.csv"] = (NODE_HEADER, [
+            rounds.t_round_s, rounds.t1_s, t3, 0.5 * (t3 - rounds.events.reversal_constant_s),
+            rounds.true_offset_s, obs.residual_s,
+            np.broadcast_to(np.float64(obs.position_km), t3.shape),
+        ])
+    write_tables([(out_dir / filename, *table) for filename, table in tables.items()])
+    return list(tables)
 
 
 def run(scenario: Scenario, out_dir: str | Path | None = None,
@@ -653,9 +659,8 @@ def run(scenario: Scenario, out_dir: str | Path | None = None,
         emit("series.csv", write_series_csv, series["main"])
         emit("tdev.csv", write_curve_csv, curves["main"])
         if rounds is not None:
-            emit("rounds.csv", write_rounds_csv, rounds)
-            for name, obs in rounds.nodes.items():
-                emit(f"rounds_{name}.csv", write_node_csv, rounds, obs)
+            outputs += write_rounds_csv(out_path, rounds)
+            for name in rounds.nodes:
                 emit(f"tdev_{name}.csv", write_curve_csv, curves[name])
         manifest["outputs"] = sorted(outputs + ["manifest.json"])
         with open(out_path / "manifest.json", "w") as fh:

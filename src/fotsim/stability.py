@@ -77,17 +77,30 @@ def _tau_to_n(tau: float, tau0: float, n_points: int, windows: int = 3) -> int:
     return n
 
 
-def _window_sums(x: np.ndarray, n: int, d: np.ndarray, c: np.ndarray) -> np.ndarray:
+# values per block of _window_sums: a block's second differences stay in L2
+_BLOCK = 1 << 15
+
+
+def _window_sums(x: np.ndarray, n: int, d: np.ndarray, c: np.ndarray,
+                 b: np.ndarray) -> np.ndarray:
     # sums of n consecutive second differences, all N-3n+1 overlapping windows;
-    # d (N values) and c (N+1 values) are work buffers, the result is d[:m]
+    # d (N values), c (N+1 values) and b (_BLOCK values) are work buffers, the
+    # result is d[:m].  The second differences are taken one block at a time
+    # in b and summed on into c: a cumsum is a sequential sum, so adding the
+    # running sum to a block's first cell gives the bits of one global cumsum
+    # (not to the first block's: 0.0 + -0.0 is 0.0, and the cumsum keeps -0.0)
     k = x.size - 2 * n
     m = k - n + 1
-    dk = d[:k]
-    np.multiply(x[n:-n], 2.0, out=dk)
-    np.subtract(x[2 * n:], dk, out=dk)
-    np.add(dk, x[:-2 * n], out=dk)
     c[0] = 0.0
-    np.cumsum(dk, out=c[1:k + 1])
+    for start in range(0, k, _BLOCK):
+        stop = min(start + _BLOCK, k)
+        bk = b[:stop - start]
+        np.multiply(x[n + start:n + stop], 2.0, out=bk)
+        np.subtract(x[2 * n + start:2 * n + stop], bk, out=bk)
+        np.add(bk, x[start:stop], out=bk)
+        if start:
+            bk[0] += c[start]
+        np.cumsum(bk, out=c[start + 1:stop + 1])
     np.subtract(c[n:k + 1], c[:m], out=d[:m])
     return d[:m]
 
@@ -105,11 +118,11 @@ def tdev(series: TimeErrorSeries, taus: list[float] | None = None) -> StabilityC
     tau0 = series.tau0_s
     if taus is None:
         taus = default_taus(tau0, x.size)
-    d, c = np.empty(x.size), np.empty(x.size + 1)
+    d, c, b = np.empty(x.size), np.empty(x.size + 1), np.empty(min(x.size, _BLOCK))
     vals, counts = [], []
     for tau in taus:
         n = _tau_to_n(tau, tau0, x.size)
-        s = _window_sums(x, n, d, c)
+        s = _window_sums(x, n, d, c, b)
         m = s.size
         vals.append(math.sqrt(float(np.dot(s, s)) / (6.0 * n * n * m)))
         counts.append(m)

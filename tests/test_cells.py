@@ -17,11 +17,28 @@ def reference_rows(columns):
     return "".join(row + "\n" for row in rows)
 
 
+def check_text(got, want, what=""):
+    # on a difference, name the first line that differs: pytest's own diff of
+    # two long texts takes minutes
+    if got != want:
+        g, w = got.split("\n"), want.split("\n")
+        i = next((i for i, (a, b) in enumerate(zip(g, w)) if a != b), min(len(g), len(w)))
+        pytest.fail(f"{what}: line {i + 1} differs, {g[i:i + 1]} != {w[i:i + 1]} "
+                    f"({len(g)} and {len(w)} lines)")
+
+
 def written(tmp_path, header, columns):
     path = tmp_path / "cells.csv"
     cells.write_columns(path, header, columns)
-    with open(path) as fh:
-        return fh.read()
+    data = path.read_bytes()
+    assert b"\r" not in data
+    return data.decode("ascii")
+
+
+def chunk_lines(columns):
+    """The lines the writer makes of one table's columns, and a last ''."""
+    text = b"".join(text for _, text in cells._table_texts([columns]))
+    return text.decode("ascii").split("\n")
 
 
 def kernel_cases(rng):
@@ -61,7 +78,7 @@ def test_kernel_matches_percent_format_on_a_million_values():
     for name, x in kernel_cases(rng).items():
         for start in range(0, x.size, cells._CHUNK_ROWS):
             part = x[start:start + cells._CHUNK_ROWS].tolist()
-            got = cells._chunk_text([np.array(part)]).split("\n")
+            got = chunk_lines([np.array(part)])
             want = ["%.16e" % v for v in part] + [""]
             if got != want:
                 bad = [(v, g, w) for v, g, w in zip(part, got, want) if g != w]
@@ -84,8 +101,8 @@ def test_million_values_reach_both_edges_of_the_rounding_window(monkeypatch):
 
     monkeypatch.setattr(cells, "_round_up", spy)
     for x in kernel_cases(np.random.default_rng(20260418)).values():
-        for start in range(0, x.size, cells._CHUNK_ROWS):
-            cells._chunk_text([x[start:start + cells._CHUNK_ROWS]])
+        for _ in cells._table_texts([[x]]):
+            pass
     offsets = np.concatenate(offsets)
     counts = {k: int(np.count_nonzero(offsets == k)) for k in (-2, -1, 0)}
     assert all(counts.values()), counts
@@ -96,7 +113,7 @@ def test_fallback_formats_only_what_the_kernel_leaves_open(monkeypatch):
     monkeypatch.setattr(cells, "_FLOAT_CELL", "%.16E")
 
     def by_reference(x):
-        return [cell != cell.lower() for cell in cells._chunk_text([x]).split("\n")[:-1]]
+        return [cell != cell.lower() for cell in chunk_lines([x])[:-1]]
 
     cases = kernel_cases(np.random.default_rng(7))
     for name in ("residuals", "round times", "intervals", "integers"):
@@ -123,11 +140,41 @@ def test_mixed_columns_with_fallback_cells_inside_chunks(tmp_path):
         y[start:start + len(special)] = special
     columns = [index, x, signed, y, np.full(n, 50.0)]
     got = written(tmp_path, ["index", "x", "signed", "y", "km"], columns)
-    assert got == "index,x,signed,y,km\n" + reference_rows(columns)
+    check_text(got, "index,x,signed,y,km\n" + reference_rows(columns))
 
 
 def test_empty_columns_write_only_the_header(tmp_path):
     assert written(tmp_path, ["a", "b"], [np.arange(0), np.zeros(0)]) == "a,b\n"
+
+
+@pytest.mark.parametrize("n", [0, 1, cells._CHUNK_ROWS, 2 * cells._CHUNK_ROWS + 1])
+def test_tables_written_in_one_pass_match_the_reference(tmp_path, monkeypatch, n):
+    # three tables over one length: a float column shared by all three, an
+    # integer column shared by two, constant float and integer columns
+    rng = np.random.default_rng(n)
+    index = np.arange(n)
+    shared = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    shared[:3] = [0.0, -0.0, np.nan][:n]
+    position = np.broadcast_to(np.float64(25.0), n)
+    tables = {
+        "a.csv": (["i", "x", "y"], [index, shared, 1e-9 * rng.standard_normal(n)]),
+        "b.csv": (["x", "km", "signed", "i"],
+                  [shared, position, rng.integers(-10 ** 12, 10 ** 12, n), index]),
+        "c.csv": (["k", "x", "km"], [np.broadcast_to(np.int64(-7), n), shared, position]),
+    }
+    calls = []
+    cell_words = cells._cell_words
+    monkeypatch.setattr(cells, "_cell_words", lambda col, out: calls.append(col.size)
+                        or cell_words(col, out))
+    cells.write_tables([(tmp_path / name, *table) for name, table in tables.items()])
+    for name, (header, columns) in tables.items():
+        data = (tmp_path / name).read_bytes()
+        assert b"\r" not in data
+        check_text(data.decode("ascii"), ",".join(header) + "\n" + reference_rows(columns), name)
+    # the two constant columns formatted once, the four other distinct
+    # columns once a chunk
+    sizes = [min(n - start, cells._CHUNK_ROWS) for start in range(0, n, cells._CHUNK_ROWS)]
+    assert calls == [1, 1] * (n > 0) + [k for k in sizes for _ in range(4)]
 
 
 # the read side: read_columns against float(), the reference, bit for bit

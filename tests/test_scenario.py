@@ -25,6 +25,7 @@ from fotsim.scenario import (
     run,
     validate_scenario,
 )
+from test_cells import check_text, reference_rows
 
 
 def minimal_doc(**overrides):
@@ -274,6 +275,37 @@ class TestRun:
         lines = (tmp_path / "out" / "rounds_mid.csv").read_text().splitlines()
         assert lines[0].endswith(",position_km")
         assert float(lines[1].split(",")[-1]) == 25.0
+
+    def test_round_tables_share_their_cells(self, tmp_path):
+        # one node upstream and one downstream of the amplifier at 25 km
+        doc = sync_doc(access_nodes=[
+            {"name": name, "distance_from_server_km": km, "tic": {"jitter_rms_s": 5e-12}}
+            for name, km in (("up", 10.0), ("down", 40.0))])
+        doc["link"]["biedfa_position_km"] = 25.0
+        out = tmp_path / "out"
+        rounds = run(validate_scenario(doc), out_dir=out).rounds
+        tables = {"rounds.csv": [rounds.t_round_s, rounds.t1_s, rounds.t2_s,
+                                 rounds.offset_estimate_s, rounds.true_offset_s,
+                                 rounds.residual_s]}
+        for name, obs in rounds.nodes.items():
+            tables[f"rounds_{name}.csv"] = [
+                rounds.t_round_s, rounds.t1_s, obs.t3_s,
+                0.5 * (obs.t3_s - rounds.events.reversal_constant_s),
+                rounds.true_offset_s, obs.residual_s, np.full(obs.t3_s.size, obs.position_km)]
+        assert set(tables) == {"rounds.csv", "rounds_up.csv", "rounds_down.csv"}
+        cells = {}
+        for name, columns in tables.items():
+            data = (out / name).read_bytes()
+            assert b"\r" not in data
+            header, body = data.decode("ascii").split("\n", 1)
+            check_text(body, reference_rows(columns), name)
+            cells[name] = dict(zip(header.split(","),
+                                   zip(*(row.split(",") for row in body.splitlines()))))
+        for node, km in (("up", "1.0000000000000000e+01"), ("down", "4.0000000000000000e+01")):
+            table = cells[f"rounds_{node}.csv"]
+            for column in ("t_s", "T1_s", "true_offset_s"):
+                assert table[column] == cells["rounds.csv"][column]
+            assert set(table["position_km"]) == {km}
 
     def test_reruns_are_byte_identical(self, tmp_path):
         scenario = validate_scenario(sync_doc(access_nodes=[

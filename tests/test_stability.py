@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fotsim import stability
 from fotsim.cli import main as cli_main
 from fotsim.errors import ValidationError
 from fotsim.scenario import write_series_csv
@@ -207,6 +208,42 @@ class TestEstimatorFamily:
             return np.std(vals) / np.mean(vals)
 
         assert spread(1024) < spread(64)
+
+
+def unfused_window_sums(x, n):
+    # the one-pass reference: every second difference, then one cumsum
+    k = x.size - 2 * n
+    dk = x[2 * n:] - 2.0 * x[n:-n] + x[:-2 * n]
+    c = np.concatenate(([0.0], np.cumsum(dk)))
+    return c[n:k + 1] - c[:k - n + 1]
+
+
+class TestBlockedWindowSums:
+    B = stability._BLOCK
+
+    @pytest.mark.parametrize("kind", ["drift", "wide"])
+    @pytest.mark.parametrize("size,n", [
+        (1000, 5),                 # k shorter than one block
+        (3 * B + 1234, 7),         # n below the block size, k not a multiple of it
+        (2 * 10 + 2 * B, 10),      # k exactly two blocks
+        (3 * (B + 100) + 50, B + 100),  # n above the block size
+        (3 * B + 1, B),            # n at the block size, one window
+    ])
+    def test_equal_to_one_cumsum_bit_for_bit(self, size, n, kind):
+        rng = np.random.default_rng(size)
+        if kind == "drift":
+            # a clock's time error: offset, drift, random walk and white noise
+            x = (3e-7 + 2e-9 * np.arange(size) + 1e-10 * np.cumsum(rng.standard_normal(size))
+                 + 1e-11 * rng.standard_normal(size))
+        else:
+            # magnitudes over 20 decades: nearly every running sum rounds, so
+            # a sum in any other order than one cumsum's shows
+            x = rng.standard_normal(size) * 10.0 ** rng.uniform(-20, 0, size)
+        d, c, b = np.empty(size), np.empty(size + 1), np.empty(self.B)
+        got = stability._window_sums(x, n, d, c, b)
+        want = unfused_window_sums(x, n)
+        assert got.size == size - 3 * n + 1
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
