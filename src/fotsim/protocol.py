@@ -27,7 +27,9 @@ engine's columns equal a sync_round replay bit for bit.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -234,6 +236,18 @@ def sync_round(
     )
 
 
+# rounds per block of scan inputs converted to Python floats
+_SCAN_ROWS = 4096
+
+
+def _scan_rows(*columns):
+    # the rows of equal-length columns as tuples of Python floats, converted
+    # _SCAN_ROWS rows at a time; a None column reads None in every row
+    for start in range(0, len(columns[0]), _SCAN_ROWS):
+        yield from zip(*(repeat(None) if col is None else col[start:start + _SCAN_ROWS].tolist()
+                         for col in columns))
+
+
 def run_rounds(
     server: ClockModel,
     user: ClockModel,
@@ -270,27 +284,26 @@ def run_rounds(
     x_user_free = user.time_errors(epochs)
     jitter_server = tic_server.jitter(n_rounds)
     jitter_user = tic_user.jitter(n_rounds)
+    tau_us = tau_su = None
     if not emit:
         fluct = link.fluctuation_values(epochs)
         fiber_us, fiber_su = (base + fluct) + half_us, (base + fluct) + half_su
-        tau_us = path_delay(hw, us, fiber_us).tolist()
-        tau_su = path_delay(hw, su, fiber_su).tolist()
+        tau_us, tau_su = path_delay(hw, us, fiber_us), path_delay(hw, su, fiber_su)
     res_server, res_user = tic_server.resolution_s, tic_user.resolution_s
+    server_pulses = -x_server
 
     # the scan: only what depends on the steering accumulator
-    steers, t1s, t2s, estimates, fluct_us, fluct_su = [], [], [], [], [], []
+    steers, t1s, t2s, estimates, fluct_us, fluct_su = (array("d") for _ in range(6))
     steer = 0.0
     failure = None
-    inputs = zip(epochs.tolist(), (-x_server).tolist(), x_user_free.tolist(),
-                 jitter_server.tolist(), jitter_user.tolist())
+    rows = _scan_rows(epochs, server_pulses, x_user_free, jitter_server, jitter_user,
+                      tau_us, tau_su)
     try:
-        for k, (t, server_pulse, xu_free, j1, j2) in enumerate(inputs):
+        for t, server_pulse, xu_free, j1, j2, tu, ts in rows:
             user_emit = -(xu_free - steer)
             if emit:
                 f_us = link.fluctuation_value(link.query_time(t, user_emit))
                 tu = path_delay(hw, us, (base + f_us) + half_us)
-            else:
-                tu = tau_us[k]
             if tu < 0:
                 raise NonCausalError("user->server path delay is negative")
             rxs = user_emit + tu
@@ -305,8 +318,6 @@ def run_rounds(
             if emit:
                 f_su = link.fluctuation_value(link.query_time(t, reversal_emit))
                 ts = path_delay(hw, su, (base + f_su) + half_su)
-            else:
-                ts = tau_su[k]
             if ts < 0:
                 raise NonCausalError("server->user path delay is negative")
             t2 = ((reversal_emit + ts) - user_emit) + j2
@@ -326,27 +337,28 @@ def run_rounds(
         failure = exc
 
     # the rest, as arrays over the rounds that completed
-    m = len(estimates)
+    steers, t1, t2, estimate, fluct_us, fluct_su = (
+        np.frombuffer(a, dtype=float) for a in (steers, t1s, t2s, estimates, fluct_us, fluct_su))
+    m = estimate.size
     if emit:
-        fiber_us = (base + np.asarray(fluct_us, dtype=float)) + half_us
-        fiber_su = (base + np.asarray(fluct_su, dtype=float)) + half_su
+        fiber_us = (base + fluct_us) + half_us
+        fiber_su = (base + fluct_su) + half_su
+        tau_us, tau_su = path_delay(hw, us, fiber_us), path_delay(hw, su, fiber_su)
     else:
-        fiber_us, fiber_su = fiber_us[:m], fiber_su[:m]
-    x_user = x_user_free[:m] - np.asarray(steers, dtype=float)
+        fiber_us, fiber_su, tau_us, tau_su = fiber_us[:m], fiber_su[:m], tau_us[:m], tau_su[:m]
+    x_user = x_user_free[:m] - steers
     true_offset = x_user - x_server[:m]
     user_emit = -x_user
-    server_pulse = -x_server[:m]
-    t1 = np.asarray(t1s, dtype=float)
+    server_pulse = server_pulses[:m]
     applied = (c - t1) + du_server
     reversal_emit = server_pulse + applied
-    estimate = np.asarray(estimates, dtype=float)
     events = RoundEvents(
         epoch_s=epochs[:m],
         user_emit_rel_s=user_emit,
         server_pulse_rel_s=server_pulse,
-        rxs_rel_s=user_emit + path_delay(hw, us, fiber_us),
+        rxs_rel_s=user_emit + tau_us,
         reversal_emit_rel_s=reversal_emit,
-        rxu_rel_s=reversal_emit + path_delay(hw, su, fiber_su),
+        rxu_rel_s=reversal_emit + tau_su,
         fiber_us_s=fiber_us,
         fiber_su_s=fiber_su,
         reversal_constant_s=c,
@@ -359,7 +371,7 @@ def run_rounds(
     return SyncRoundResult(
         t_round_s=events.epoch_s,
         t1_s=t1,
-        t2_s=np.asarray(t2s, dtype=float),
+        t2_s=t2,
         reversal_delay_applied_s=applied,
         offset_estimate_s=estimate,
         true_offset_s=true_offset,

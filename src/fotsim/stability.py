@@ -81,17 +81,21 @@ def _tau_to_n(tau: float, tau0: float, n_points: int, windows: int = 3) -> int:
 _BLOCK = 1 << 15
 
 
-def _window_sums(x: np.ndarray, n: int, d: np.ndarray, c: np.ndarray,
-                 b: np.ndarray) -> np.ndarray:
+def _window_sums(x: np.ndarray, n: int, c: np.ndarray, b: np.ndarray) -> np.ndarray:
     # sums of n consecutive second differences, all N-3n+1 overlapping windows;
-    # d (N values), c (N+1 values) and b (_BLOCK values) are work buffers, the
-    # result is d[:m].  The second differences are taken one block at a time
-    # in b and summed on into c: a cumsum is a sequential sum, so adding the
-    # running sum to a block's first cell gives the bits of one global cumsum
-    # (not to the first block's: 0.0 + -0.0 is 0.0, and the cumsum keeps -0.0)
+    # c (N+1 values) and b (_BLOCK values) are work buffers, the result is
+    # c[:m].  The second differences are taken one block at a time in b and
+    # summed on into c: a cumsum is a sequential sum, so adding the running
+    # sum to a block's first cell gives the bits of one global cumsum (not to
+    # the first block's: 0.0 + -0.0 is 0.0, and the cumsum keeps -0.0).  Once
+    # a block is summed, every window whose end it reaches is taken as
+    # c[i+n] - c[i] through b into c[i]; later windows read c only at or
+    # above their own i, and every i written lies below the block's end,
+    # where the next block adds on, so no value is read after it is overwritten
     k = x.size - 2 * n
     m = k - n + 1
     c[0] = 0.0
+    done = 0
     for start in range(0, k, _BLOCK):
         stop = min(start + _BLOCK, k)
         bk = b[:stop - start]
@@ -101,8 +105,13 @@ def _window_sums(x: np.ndarray, n: int, d: np.ndarray, c: np.ndarray,
         if start:
             bk[0] += c[start]
         np.cumsum(bk, out=c[start + 1:stop + 1])
-    np.subtract(c[n:k + 1], c[:m], out=d[:m])
-    return d[:m]
+        end = min(stop - n + 1, m)
+        if end > done:
+            bw = b[:end - done]
+            np.subtract(c[done + n:end + n], c[done:end], out=bw)
+            c[done:end] = bw
+            done = end
+    return c[:m]
 
 
 # a finite series whose sums overflow gives inf or nan values, which
@@ -118,11 +127,11 @@ def tdev(series: TimeErrorSeries, taus: list[float] | None = None) -> StabilityC
     tau0 = series.tau0_s
     if taus is None:
         taus = default_taus(tau0, x.size)
-    d, c, b = np.empty(x.size), np.empty(x.size + 1), np.empty(min(x.size, _BLOCK))
+    c, b = np.empty(x.size + 1), np.empty(min(x.size, _BLOCK))
     vals, counts = [], []
     for tau in taus:
         n = _tau_to_n(tau, tau0, x.size)
-        s = _window_sums(x, n, d, c, b)
+        s = _window_sums(x, n, c, b)
         m = s.size
         vals.append(math.sqrt(float(np.dot(s, s)) / (6.0 * n * n * m)))
         counts.append(m)
@@ -161,11 +170,15 @@ def adev(series: TimeErrorSeries, taus: list[float] | None = None) -> StabilityC
     tau0 = series.tau0_s
     if taus is None:
         taus = default_taus(tau0, x.size)
+    buf = np.empty(x.size)
     vals, counts = [], []
     for tau in taus:
         n = _tau_to_n(tau, tau0, x.size, windows=2)
-        d = x[2 * n:] - 2.0 * x[n:-n] + x[:-2 * n]
-        m = d.size
+        # the second differences (x[2n:] - 2.0*x[n:-n]) + x[:-2n], in buf
+        m = x.size - 2 * n
+        d = np.multiply(x[n:-n], 2.0, out=buf[:m])
+        np.subtract(x[2 * n:], d, out=d)
+        np.add(d, x[:-2 * n], out=d)
         vals.append(math.sqrt(float(np.dot(d, d)) / (2.0 * m)) / (n * tau0))
         counts.append(m)
     return StabilityCurve(np.asarray(taus), np.asarray(vals), np.asarray(counts))

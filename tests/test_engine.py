@@ -22,7 +22,8 @@ from fotsim.errors import (
     ProtocolError,
     ReversalOverflowError,
 )
-from fotsim.protocol import ProtocolConfig, TicModel, run_rounds, sync_round
+from fotsim import protocol
+from fotsim.protocol import ProtocolConfig, RoundEvents, TicModel, run_rounds, sync_round
 from fotsim.scenario import build_models, load_scenario, run, validate_scenario
 from fotsim.timebase import ClockModel, NoiseProfile, NOISE_TYPES
 
@@ -176,9 +177,7 @@ def sessions(draw):
     return parts, draw(st.integers(1, 40)), draw(st.booleans())
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(sessions())
-def test_engine_equals_per_round_replay(case):
+def check_engine_equals_replay(case):
     parts, n_rounds, steering_enabled = case
     result, engine_error, replayed, replay_error = run_both(parts, n_rounds,
                                                            steering_enabled)
@@ -187,6 +186,22 @@ def test_engine_equals_per_round_replay(case):
         return
     assert engine_error is None
     assert_engine_matches(result, *replayed)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(sessions())
+def test_engine_equals_per_round_replay(case):
+    check_engine_equals_replay(case)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(sessions())
+def test_engine_equals_per_round_replay_across_scan_blocks(case):
+    # three rounds per block of scan inputs: a session of up to 40 rounds
+    # spans up to 14 blocks, and a failing round can fall in any of them
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "_SCAN_ROWS", 3)
+        check_engine_equals_replay(case)
 
 
 # --- failing rounds ----------------------------------------------------------
@@ -225,6 +240,42 @@ def test_node_failure_in_an_earlier_round_wins():
     assert isinstance(replay_error, NegativeT3Error)
     assert type(engine_error) is NegativeT3Error
     assert str(engine_error) == str(replay_error)
+
+
+@pytest.mark.parametrize("nodes", [False, True])
+def test_failure_in_a_later_scan_block_matches_replay(monkeypatch, nodes):
+    # with three rounds per block, round 14 (the first whose reversal
+    # emission precedes the request) is in the fifth block and the node's
+    # first negative tap interval, in round 9, in the fourth
+    monkeypatch.setattr(protocol, "_SCAN_ROWS", 3)
+    parts = drifting_parts(-1e-4, tx_server_s=-2e-3, nodes=nodes)
+    completed = []
+
+    def recording_events(**fields):
+        completed.append(RoundEvents(**fields))
+        return completed[-1]
+
+    *models, node_list = copy.deepcopy(parts)
+    monkeypatch.setattr(protocol, "RoundEvents", recording_events)
+    with pytest.raises(ProtocolError) as engine_error:
+        run_rounds(*models, 100, steering_enabled=False, nodes=node_list)
+    monkeypatch.undo()
+    _, _, _, replay_error = run_both(parts, 100, False)
+    assert type(engine_error.value) is type(replay_error)
+    assert str(engine_error.value) == str(replay_error)
+    assert isinstance(replay_error, NegativeT3Error if nodes else NonCausalError)
+
+    # the engine completed exactly the rounds before round 14, as the replay
+    # without nodes computes them
+    (events,) = completed
+    assert events.epoch_s.size == 14
+    *models, _ = copy.deepcopy(parts)
+    cols, _ = replay(*models, 14, False)
+    for name in EVENT_FIELDS:
+        assert same_bits(getattr(events, name), cols[name]), name
+    *models, _ = copy.deepcopy(parts)
+    with pytest.raises(NonCausalError):
+        replay(*models, 15, False)
 
 
 # --- the emit-time fluctuation mode on the canned sync scenarios ---------------

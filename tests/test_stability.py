@@ -239,11 +239,31 @@ class TestBlockedWindowSums:
             # magnitudes over 20 decades: nearly every running sum rounds, so
             # a sum in any other order than one cumsum's shows
             x = rng.standard_normal(size) * 10.0 ** rng.uniform(-20, 0, size)
-        d, c, b = np.empty(size), np.empty(size + 1), np.empty(self.B)
-        got = stability._window_sums(x, n, d, c, b)
+        c, b = np.empty(size + 1), np.empty(self.B)
+        got = stability._window_sums(x, n, c, b)
         want = unfused_window_sums(x, n)
         assert got.size == size - 3 * n + 1
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("size,taus", [
+    (5, [1.0, 2.0]),               # two windows plus one sample at n = 2
+    (1000, [1.0, 7.0, 250.0]),
+    (3 * stability._BLOCK + 17, [1.0, 3.0, 40.0, 1000.0]),
+])
+def test_adev_equals_the_second_difference_formula_bit_for_bit(size, taus):
+    # a drifting clock: adev's values through its reused buffer are those of
+    # one fresh array per tau, x[2n:] - 2.0*x[n:-n] + x[:-2n]
+    rng = np.random.default_rng(size)
+    x = (3e-7 + 2e-9 * np.arange(size) + 1e-10 * np.cumsum(rng.standard_normal(size))
+         + 1e-11 * rng.standard_normal(size))
+    want = []
+    for tau in taus:
+        n = int(tau)
+        d = x[2 * n:] - 2.0 * x[n:-n] + x[:-2 * n]
+        want.append(math.sqrt(float(np.dot(d, d)) / (2.0 * d.size)) / (n * 1.0))
+    got = adev(series(x), taus=taus).values
+    assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
