@@ -23,7 +23,9 @@ flicker scalings are tied to the grid they are generated on.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,38 +56,87 @@ def _extend_half_integration_kernel(h: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([h, np.fromiter(tail(float(h[-1])), dtype=float, count=n - m)])
 
 
-def _kernel_spectrum(kernel: np.ndarray) -> np.ndarray:
-    """The real FFT of a kernel, as fftconvolve takes it for a series of
-    the kernel's length."""
-    return np.fft.rfft(kernel, 2 * kernel.size)
+# The process-wide half-integration kernel, shared by every clock.  It only
+# grows, and read-only: the first n taps of a longer kernel are the n-tap one,
+# so which clock grew it first changes no bit.  The lock keeps a clock in one
+# thread from replacing it with a shorter one grown in parallel.
+_kernel = np.ones(1)
+_kernel.flags.writeable = False
+_kernel_lock = threading.Lock()
 
 
-def _half_integrate(w: np.ndarray, kernel_spectrum: np.ndarray) -> np.ndarray:
-    """fftconvolve(kernel, w)[:n] bit for bit, for an n-tap kernel given by
-    its spectrum: n is a power of two >= _MIN_CHUNK, which fftconvolve also
-    pads to 2n, and numpy's rfft/irfft are the same pocketfft transforms."""
+def _half_integration_kernel(n: int) -> np.ndarray:
+    """The first n taps of the process-wide kernel (a read-only view)."""
+    global _kernel
+    with _kernel_lock:
+        if _kernel.size < n:
+            _kernel = _extend_half_integration_kernel(_kernel, n)
+            _kernel.flags.writeable = False
+        return _kernel[:n]
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_spectrum(n: int) -> np.ndarray:
+    """The real FFT of the n-tap kernel, as fftconvolve takes it for an
+    n-sample series; taken once per size in the process, and read-only."""
+    spectrum = np.fft.rfft(_half_integration_kernel(n), 2 * n)
+    spectrum.flags.writeable = False
+    return spectrum
+
+
+def _half_integrate(w: np.ndarray) -> np.ndarray:
+    """fftconvolve(kernel, w)[:n] bit for bit, for the n-tap kernel: n is a
+    power of two >= _MIN_CHUNK, which fftconvolve also pads to 2n, and
+    numpy's rfft/irfft are the same pocketfft transforms."""
     n = w.size
     white = np.fft.rfft(w, 2 * n)
     # kernel first, as fftconvolve multiplies: numpy's complex product
     # rounds by operand order, and `a * <temporary>` may run as
     # `<temporary> * a` in the temporary's buffer
-    return np.fft.irfft(np.multiply(kernel_spectrum, white), 2 * n)[:n]
+    return np.fft.irfft(np.multiply(_kernel_spectrum(n), white), 2 * n)[:n]
+
+
+def _cumsum_from(start: tuple, v: np.ndarray) -> np.ndarray:
+    """np.cumsum of v in place, continued from the running sum in start
+    (empty at the start of the series).  np.cumsum adds in sequence, so this
+    is the tail of the whole series' cumsum bit for bit."""
+    if start:
+        v[0] += start[0]
+    return np.cumsum(v, out=v)
 
 
 def _component_series(
-    kind: str, amplitude: float, w: np.ndarray, dt: float,
-    kernel_spectrum: np.ndarray | None,
-) -> np.ndarray:
+    kind: str, amplitude: float, dt: float, w: np.ndarray, carry,
+) -> tuple:
+    """The next samples of one noise class from its next whites w, and what
+    the class carries into its following extension.
+
+    white_pm, white_fm and random_walk_fm carry the last values of the
+    cumsums they take (() at the start) and keep no white prefix.  The
+    flicker classes carry their white prefix: the filter is applied anew to
+    the whole prefix at each buffer size, and only the samples past the old
+    end are returned.
+    """
     if kind == "white_pm":
-        return amplitude * w
-    if kind == "flicker_pm":
-        return amplitude * _half_integrate(w, kernel_spectrum)
+        return amplitude * w, carry
     if kind == "white_fm":
-        return amplitude * math.sqrt(dt) * np.cumsum(w)
-    if kind == "flicker_fm":
-        return amplitude * dt * np.cumsum(_half_integrate(w, kernel_spectrum))
+        s = _cumsum_from(carry, w)
+        return amplitude * math.sqrt(dt) * s, (s[-1],)
     if kind == "random_walk_fm":
-        return amplitude * dt ** 1.5 * np.cumsum(np.cumsum(w))
+        s = _cumsum_from(carry[:1], w)
+        last = s[-1]
+        s = _cumsum_from(carry[1:], s)
+        return amplitude * dt ** 1.5 * s, (last, s[-1])
+    if kind in _FLICKER_TYPES:
+        realized = carry.size
+        prefix = np.concatenate([carry, w])
+        y = _half_integrate(prefix)
+        if kind == "flicker_pm":
+            return amplitude * y[realized:], prefix
+        # flicker_fm sums the whole filtered prefix: the filter at this size
+        # rounds the early samples differently from the last size, so a
+        # carried sum would not give the same bits
+        return amplitude * dt * np.cumsum(y)[realized:], prefix
     raise ValidationError(f"unknown noise type {kind!r}; expected one of {NOISE_TYPES}")
 
 
@@ -140,12 +191,12 @@ class _NoiseState:
     """Lazily extended noise realization on a fixed grid.
 
     Each component draws white noise from its own child stream (split off
-    the profile seed).  The colored filters are causal, so an extension is
-    computed over the full white prefix; samples already handed out are
-    kept verbatim rather than recomputed, which pins every realized value
-    for the lifetime of the instance.  A state with flicker components
-    owns one half-integration kernel, grown with the buffer; its spectrum
-    is taken once per extension and shared by those components.
+    the profile seed), in pieces as the buffer grows.  An extension computes
+    only the samples past the realized end: the filters are causal, and
+    samples already handed out are kept verbatim, which pins every realized
+    value for the lifetime of the instance.  The flicker components keep
+    their white prefix and filter it anew with the process-wide kernel at
+    each size; the others keep only their running sums.
     """
 
     def __init__(self, profile: NoiseProfile, dt: float):
@@ -153,27 +204,19 @@ class _NoiseState:
         self.dt = float(dt)
         children = np.random.SeedSequence(profile.rng_seed).spawn(len(profile.components))
         self._rngs = [np.random.default_rng(s) for s in children]
-        self._whites = [np.empty(0) for _ in profile.components]
+        self._carries = [
+            np.empty(0) if kind in _FLICKER_TYPES else () for kind, _ in profile.components
+        ]
         self._x = np.empty(0)
-        flicker = any(kind in _FLICKER_TYPES for kind, _ in profile.components)
-        self._kernel = np.ones(1) if flicker else None
 
     def _extend(self, n: int) -> None:
         size = max(_MIN_CHUNK, 1 << (n - 1).bit_length())
-        total = np.zeros(size)
-        spectrum = None
-        if self._kernel is not None:
-            self._kernel = _extend_half_integration_kernel(self._kernel, size)
-            spectrum = _kernel_spectrum(self._kernel)
+        new = np.zeros(size - self._x.size)
         for i, (kind, amp) in enumerate(self.profile.components):
-            w = self._whites[i]
-            if w.size < size:
-                extra = self._rngs[i].standard_normal(size - w.size)
-                w = np.concatenate([w, extra])
-                self._whites[i] = w
-            total += _component_series(kind, amp, w[:size], self.dt, spectrum)
-        realized = self._x.size
-        self._x = np.concatenate([self._x, total[realized:]])
+            w = self._rngs[i].standard_normal(new.size)
+            x, self._carries[i] = _component_series(kind, amp, self.dt, w, self._carries[i])
+            new += x
+        self._x = np.concatenate([self._x, new])
 
     def values_at(self, indices: np.ndarray) -> np.ndarray:
         """Samples at each index, bit for bit what one call per index returns
@@ -236,9 +279,14 @@ class ClockModel:
         t = np.asarray(t, dtype=float)
         if not np.all(np.isfinite(t) & (t >= 0)):
             raise ValidationError("query times must be finite and >= 0")
+        if self._state is not None:
+            with np.errstate(over="ignore"):
+                k = np.rint(t / self.noise_grid_s)
+            if not np.all(k < 2.0 ** 63):
+                raise ValidationError("query times must index the noise grid within int64")
         x = self.initial_offset_s + self.frac_frequency * t + 0.5 * self.drift_per_s * t * t
         if self._state is not None:
-            x = x + self._state.values_at(np.rint(t / self.noise_grid_s).astype(np.int64))
+            x = x + self._state.values_at(k.astype(np.int64))
         return x
 
 

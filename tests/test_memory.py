@@ -1,4 +1,5 @@
-"""Transient memory of the loops that run over a whole run.
+"""Transient memory of the loops that run over a whole run, and what a noise
+state keeps.
 
 tracemalloc sees numpy's buffers as well as Python objects, so a traced
 peak counts every float64 column a call holds.  Each bound below is the
@@ -12,11 +13,12 @@ import tracemalloc
 
 import numpy as np
 
+from fotsim import timebase
 from fotsim.access import AccessNode
 from fotsim.channel import FluctuationSpec, HardwareDelays, LinkModel
 from fotsim.protocol import ProtocolConfig, TicModel, run_rounds
 from fotsim.stability import _BLOCK, adev, tdev
-from fotsim.timebase import ClockModel, TimeErrorSeries
+from fotsim.timebase import NOISE_TYPES, ClockModel, NoiseProfile, TimeErrorSeries, _NoiseState
 
 COLUMN = 8  # bytes per round or sample of one float64 column
 
@@ -84,3 +86,63 @@ def test_adev_holds_one_buffer():
     series = TimeErrorSeries(tau0_s=1.0, values=values)
     _, peak, _ = traced(lambda: adev(series))
     assert peak <= n * COLUMN + (64 << 10)
+
+
+ALL_KINDS = NoiseProfile(components=[(kind, 1e-12) for kind in NOISE_TYPES], rng_seed=3)
+NO_FLICKER = NoiseProfile(
+    components=[("white_pm", 1e-11), ("white_fm", 1e-12), ("random_walk_fm", 1e-16)], rng_seed=3)
+
+
+def grow(state, n):
+    """prefix() through every doubling of the buffer up to n samples."""
+    for k in range(10, n.bit_length()):
+        x = state.prefix(1 << k)
+    return x
+
+
+def test_noise_state_keeps_white_prefixes_of_flicker_classes_only():
+    """After prefix(n), a noise state holds its realized samples and one
+    white prefix per flicker class, and nothing per other class.
+
+    With the process-wide kernel and spectra already built, growing a state
+    through its doublings to n samples leaves, besides the n-sample copy
+    prefix() returns: the realized buffer, plus the white prefix of each
+    flicker class (the filter is applied anew to it at each size).
+    white_pm, white_fm and random_walk_fm carry at most two floats.  So the
+    five-class mix holds 1 + 2 columns, and a mix without flicker 1 column;
+    64 KiB of slack covers the generators and the lists.
+
+    The last doubling of the five-class mix, from n/2 to n samples, holds at
+    its peak, above the realized half and the old white prefixes it held
+    before, while it filters flicker_fm: the half being summed and the last
+    class's new samples (0.5 + 0.5), flicker_pm's new white prefix (1),
+    flicker_fm's new whites and new white prefix (0.5 + 1), and the
+    filter's three 2n-point arrays: the white spectrum, its product with the
+    kernel's and the inverse transform (6 columns), 9.5 columns in all.
+    """
+    n = 1 << 16
+    grow(_NoiseState(ALL_KINDS, 1.0), n)  # the kernel, the spectra and the FFT plans
+    for profile, columns in ((ALL_KINDS, 3), (NO_FLICKER, 1)):
+        state = _NoiseState(profile, 1.0)
+        x, peak, transient = traced(lambda: grow(state, n))
+        assert x.size == n
+        assert peak - transient <= (columns + 1) * COLUMN * n + (64 << 10)
+    state = _NoiseState(ALL_KINDS, 1.0)
+    state.prefix(n // 2)
+    _, peak, _ = traced(lambda: state.prefix(n))
+    assert peak <= 9.5 * COLUMN * n + (64 << 10)
+
+
+def test_process_wide_kernel_and_spectra_hold_about_40_bytes_per_sample(cold_kernel_cache):
+    """What the first state to reach n samples leaves in the process-wide
+    cache: the kernel's n taps (8 bytes each) and the spectrum of every
+    buffer size from 1024 to n, n/2 + 1 complex values each (16 bytes), so
+    about 32 bytes x n over all spectra: 5 columns above the 4 of the
+    warm case.  A column of slack covers numpy's cached FFT plans.
+    """
+    n = 1 << 16
+    state = _NoiseState(ALL_KINDS, 1.0)
+    _, peak, transient = traced(lambda: grow(state, n))
+    assert peak - transient <= (4 + 5 + 1) * COLUMN * n
+    assert timebase._kernel.size == n
+    assert timebase._kernel_spectrum.cache_info().currsize == n.bit_length() - 10

@@ -1,12 +1,16 @@
 """Clock model: deterministic evolution, noise statistics, determinism."""
 
+import functools
+import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
@@ -22,6 +26,7 @@ from fotsim.timebase import (
 )
 
 
+@functools.lru_cache(maxsize=None)
 def half_integration_kernel(n):
     # reference: the impulse response of (1 - z^-1)^(-1/2) built in one pass
     # on float64 scalars, h[0] = 1, h[i] = h[i-1] * (i - 1/2) / i
@@ -29,17 +34,58 @@ def half_integration_kernel(n):
     h[0] = 1.0
     for i in range(1, n):
         h[i] = h[i - 1] * (i - 0.5) / i
+    h.flags.writeable = False
     return h
 
 
-def component_reference(kind, amp, w, h):
-    # reference at dt = 1: the flicker filters as fftconvolve with the
-    # one-pass kernel, the other classes as timebase computes them
+def component_reference(kind, amp, w, dt, h):
+    # reference: one noise class over its whole white prefix w, the flicker
+    # filters as fftconvolve with the one-pass kernel h
+    if kind == "white_pm":
+        return amp * w
     if kind == "flicker_pm":
         return amp * fftconvolve(h, w)[:w.size]
+    if kind == "white_fm":
+        return amp * math.sqrt(dt) * np.cumsum(w)
     if kind == "flicker_fm":
-        return amp * np.cumsum(fftconvolve(h, w)[:w.size])
-    return timebase._component_series(kind, amp, w, 1.0, None)
+        return amp * dt * np.cumsum(fftconvolve(h, w)[:w.size])
+    if kind == "random_walk_fm":
+        return amp * dt ** 1.5 * np.cumsum(np.cumsum(w))
+    raise AssertionError(kind)
+
+
+class ReferenceState:
+    """A noise realization built from scratch at every doubling: the whole
+    white prefix of each class, a fresh one-pass kernel and fftconvolve;
+    each extension keeps only its samples past the old end."""
+
+    def __init__(self, profile, dt):
+        self.profile, self.dt = profile, dt
+        children = np.random.SeedSequence(profile.rng_seed).spawn(len(profile.components))
+        self.rngs = [np.random.default_rng(c) for c in children]
+        self.whites = [np.empty(0) for _ in profile.components]
+        self.x = np.empty(0)
+
+    def extend(self, n):
+        size = max(1024, 1 << (n - 1).bit_length())
+        h = half_integration_kernel(size)
+        total = np.zeros(size)
+        for i, (kind, amp) in enumerate(self.profile.components):
+            extra = self.rngs[i].standard_normal(size - self.whites[i].size)
+            self.whites[i] = np.concatenate([self.whites[i], extra])
+            total += component_reference(kind, amp, self.whites[i], self.dt, h)
+        self.x = np.concatenate([self.x, total[self.x.size:]])
+
+    def values_at(self, indices):
+        for k in indices:
+            if k >= self.x.size:
+                self.extend(int(k) + 1)
+        return self.x[indices]
+
+    def prefix(self, n):
+        if n > self.x.size:
+            self.extend(n)
+        return self.x[:n].copy()
 
 
 class TestTimeError:
@@ -102,6 +148,16 @@ class TestTimeError:
         with pytest.raises(ValidationError):
             ClockModel().time_error(-1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("t, grid", [(1e20, 1.0), (1e308, 1e-3), (2.0 ** 63, 1.0)])
+    def test_rejects_time_past_the_int64_grid_without_a_warning(self, t, grid):
+        clock = ClockModel(noise=NoiseProfile(components=[("white_pm", 1e-11)]),
+                           drift_per_s=1e-15, noise_grid_s=grid)
+        with pytest.raises(ValidationError, match="int64"):
+            clock.time_error(t)
+        with pytest.raises(ValidationError, match="int64"):
+            clock.time_errors(np.array([1.0, t]))
+
 
 class TestSynthesis:
     def test_empty_profile_is_all_zero(self):
@@ -158,36 +214,20 @@ class TestHalfIntegrationKernel:
         got = timebase._extend_half_integration_kernel(want[:m].copy(), n)
         assert got.tobytes() == want.tobytes()
 
-    def test_state_grows_one_kernel_per_doubling(self, monkeypatch):
-        calls = []
-        extend = timebase._extend_half_integration_kernel
-
-        def counting(h, n):
-            calls.append((h.size, n))
-            return extend(h, n)
-
-        monkeypatch.setattr(timebase, "_extend_half_integration_kernel", counting)
-        profile = NoiseProfile(
-            components=[("flicker_pm", 1e-12), ("white_pm", 1e-11), ("flicker_fm", 1e-13)],
-            rng_seed=4)
-        state = timebase._NoiseState(profile, 1.0)
-        for n in (1, 2000, 3000, 4000, 5000):
-            state.prefix(n)
-        assert calls == [(1, 1024), (1024, 2048), (2048, 4096), (4096, 8192)]
-
-    def test_no_kernel_without_flicker(self, monkeypatch):
+    def test_no_kernel_without_flicker(self, cold_kernel_cache, monkeypatch):
         def fail(h, n):
             raise AssertionError("kernel built for a clock without flicker noise")
 
         monkeypatch.setattr(timebase, "_extend_half_integration_kernel", fail)
         profile = NoiseProfile(components=[("white_pm", 1e-11), ("white_fm", 1e-12)])
         timebase._NoiseState(profile, 1.0).prefix(5000)
+        assert timebase._kernel_spectrum.cache_info().currsize == 0
 
     @pytest.mark.parametrize("n", [1024, 3000, 1 << 16, 1 << 18])
     def test_shared_spectrum_matches_fftconvolve_bit_for_bit(self, n):
         h = half_integration_kernel(n)
         w = np.random.default_rng(n).standard_normal(n)
-        got = timebase._half_integrate(w, timebase._kernel_spectrum(h))
+        got = timebase._half_integrate(w)
         assert got.tobytes() == fftconvolve(h, w)[:n].tobytes()
 
     @pytest.mark.parametrize("log2_n", range(10, 25))
@@ -198,45 +238,132 @@ class TestHalfIntegrationKernel:
         n = 1 << log2_n
         assert next_fast_len(2 * n - 1, True) == 2 * n
 
-    def test_state_takes_one_kernel_spectrum_per_doubling(self, monkeypatch):
-        sizes = []
-        spectrum = timebase._kernel_spectrum
+    def test_kernel_grows_once_per_size_across_states(self, cold_kernel_cache, monkeypatch):
+        # the kernel and its spectra are process-wide: a second state, and
+        # a second flicker component, reuse what the first one built
+        calls = []
+        extend = timebase._extend_half_integration_kernel
 
-        def counting(h):
-            sizes.append(h.size)
-            return spectrum(h)
+        def counting(h, n):
+            calls.append((h.size, n))
+            return extend(h, n)
 
-        monkeypatch.setattr(timebase, "_kernel_spectrum", counting)
-        profile = NoiseProfile(
+        monkeypatch.setattr(timebase, "_extend_half_integration_kernel", counting)
+        first = timebase._NoiseState(NoiseProfile(
             components=[("flicker_pm", 1e-12), ("white_pm", 1e-11), ("flicker_fm", 1e-13)],
-            rng_seed=4)
-        state = timebase._NoiseState(profile, 1.0)
+            rng_seed=4), 1.0)
         for n in (1, 2000, 3000, 4000, 5000):
-            state.prefix(n)
-        assert sizes == [1024, 2048, 4096, 8192]
+            first.prefix(n)
+        second = timebase._NoiseState(NoiseProfile(
+            components=[("flicker_fm", 1e-13)], rng_seed=5), 0.5)
+        for n in (3000, 9000):
+            second.prefix(n)
+        assert calls == [(1, 1024), (1024, 2048), (2048, 4096), (4096, 8192), (8192, 16384)]
+        info = timebase._kernel_spectrum.cache_info()
+        assert (info.misses, info.currsize) == (5, 5)
 
-    def test_values_match_one_pass_kernels(self):
-        # the realization as it was built with a fresh one-pass kernel and
-        # fftconvolve at every doubling: each extension keeps its samples
-        # past the old end
+    def test_kernel_and_spectra_are_read_only(self):
+        timebase._NoiseState(NoiseProfile(components=[("flicker_pm", 1e-12)]), 1.0).prefix(2000)
+        assert not timebase._half_integration_kernel(2048).flags.writeable
+        assert not timebase._kernel_spectrum(2048).flags.writeable
+
+    def test_warm_cache_gives_the_bits_of_a_cold_one(self):
+        # a small state built after a large one has warmed the cache equals
+        # the same state built in a fresh process, also when its spectra
+        # are taken from a prefix of the grown kernel
+        build = (
+            "from fotsim.timebase import NoiseProfile, _NoiseState\n"
+            "def build():\n"
+            "    state = _NoiseState(NoiseProfile(components=[('flicker_pm', 1e-12), "
+            "('random_walk_fm', 1e-16), ('flicker_fm', 1e-13)], rng_seed=9), 0.3)\n"
+            "    state.prefix(1500)\n"
+            "    return state.prefix(3000).tobytes()\n"
+        )
+        src = Path(timebase.__file__).resolve().parent.parent
+        cold = subprocess.run(
+            [sys.executable, "-c", build + "import sys; sys.stdout.buffer.write(build())"],
+            capture_output=True, env=dict(os.environ, PYTHONPATH=str(src)), check=True).stdout
+        assert len(cold) == 3000 * 8
+        namespace = {}
+        exec(build, namespace)
+        timebase._NoiseState(NoiseProfile(
+            components=[("flicker_fm", 1e-13), ("flicker_pm", 1e-12)], rng_seed=1),
+            1.0).prefix(1 << 16)
+        assert namespace["build"]() == cold
+        timebase._kernel_spectrum.cache_clear()
+        assert namespace["build"]() == cold
+
+    def test_threads_growing_a_cold_cache_get_the_bits_of_one_thread(self, cold_kernel_cache):
+        # more threads than cores grow the shared kernel to different sizes
+        # at once; a lost or shrinking update would give some state a short
+        # kernel and a spectrum of the wrong filter
+        profiles = [NoiseProfile(components=[("flicker_pm", 1e-12), ("flicker_fm", 1e-13)],
+                                 rng_seed=seed) for seed in range(6)]
+        stages = [(1 << (11 + seed % 3), 1 << (13 + seed % 3)) for seed in range(6)]
+
+        def realize(state, stage):
+            for n in stage:
+                state.prefix(n)
+            return state.prefix(stage[-1]).tobytes()
+
+        want = [realize(ReferenceState(p, 1.0), s) for p, s in zip(profiles, stages)]
+        got = [None] * len(profiles)
+
+        def work(i):
+            got[i] = realize(timebase._NoiseState(profiles[i], 1.0), stages[i])
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(profiles))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == want
+
+    def test_one_pass_synthesis_matches_one_extension(self):
         profile = NoiseProfile(
             components=[("flicker_pm", 1e-12), ("white_pm", 1e-11), ("flicker_fm", 1e-13)],
             rng_seed=21)
-        children = np.random.SeedSequence(profile.rng_seed).spawn(len(profile.components))
-        whites = [np.random.default_rng(c).standard_normal(8192) for c in children]
-        want = np.empty(0)
-        for size in (1024, 2048, 4096, 8192):
-            h = half_integration_kernel(size)
-            total = np.zeros(size)
-            for (kind, amp), w in zip(profile.components, whites):
-                total += component_reference(kind, amp, w[:size], h)
-            want = np.concatenate([want, total[want.size:]])
-        state = timebase._NoiseState(profile, 1.0)
-        for n in (1, 2000, 3000, 8000):
-            state.prefix(n)
-        assert state.prefix(8192).tobytes() == want.tobytes()
         one_pass = synthesize_time_error_series(profile, 5000, 1.0).values
-        assert one_pass.tobytes() == total[:5000].tobytes()
+        assert one_pass.tobytes() == ReferenceState(profile, 1.0).prefix(5000).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        components=st.lists(
+            st.tuples(st.sampled_from(timebase.NOISE_TYPES),
+                      st.sampled_from([1e-16, 3e-13, 1e-11, 1.0])),
+            min_size=1, max_size=5),
+        dt=st.sampled_from([1.0, 0.3, 0.01]),
+        seed=st.integers(0, 2**32 - 1),
+        queries=st.lists(
+            st.one_of(
+                st.integers(1, 10_000).map(lambda n: ("prefix", n)),
+                st.lists(st.integers(0, 10_000), min_size=1, max_size=20).map(
+                    lambda ks: ("values_at", np.array(ks, dtype=np.int64)))),
+            min_size=1, max_size=4),
+    )
+    # the staged flicker_fm case: a sum carried over from the last size
+    # would differ from the whole prefix's cumsum in about half the samples
+    @example(components=[("flicker_fm", 1e-13)], dt=1.0, seed=3,
+             queries=[("prefix", 1), ("prefix", 5000), ("prefix", 8192)])
+    @example(components=[("flicker_pm", 1e-12), ("white_pm", 1e-11), ("flicker_fm", 1e-13)],
+             dt=1.0, seed=21,
+             queries=[("prefix", 1), ("prefix", 2000), ("prefix", 3000), ("prefix", 8192)])
+    def test_staged_queries_match_the_whole_prefix_construction(
+            self, components, dt, seed, queries):
+        profile = NoiseProfile(components=components, rng_seed=seed)
+        reference = ReferenceState(profile, dt)
+        state = timebase._NoiseState(profile, dt)
+        for method, arg in queries:
+            got = getattr(state, method)(arg)
+            want = getattr(reference, method)(arg)
+            assert got.tobytes() == want.tobytes()
+        assert state._x.tobytes() == reference.x.tobytes()
 
 
 class TestSharedFrequencyReference:
