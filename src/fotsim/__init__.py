@@ -14,9 +14,7 @@ from .channel import (
     FluctuationSpec,
     HardwareDelays,
     LinkModel,
-    accumulated_dispersion,
-    asymmetry,
-    one_way_delay,
+    path_delay,
 )
 from .errors import (
     ConfigError,

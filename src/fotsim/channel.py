@@ -85,6 +85,8 @@ class _OuProcess:
         self._path = [spec.amplitude_s * float(self._rng.standard_normal())]
 
     def value(self, t: float) -> float:
+        if not 0.0 <= t < math.inf:
+            raise ValidationError(f"fluctuation query time {t!r} must be finite and >= 0")
         idx = int(t / self.grid)
         while len(self._path) <= idx:
             prev = self._path[-1]
@@ -92,9 +94,10 @@ class _OuProcess:
         return self._path[idx]
 
     def values(self, t: np.ndarray) -> np.ndarray:
-        """value() at each time of t (all >= 0)."""
+        """value() at each time of t."""
         if t.size:
-            self.value(float(t.max()))
+            self.value(float(t.min()))  # checks the times: the min is nan if any is
+            self.value(float(t.max()))  # and grows the path for all of them
         return np.asarray(self._path)[(t / self.grid).astype(np.int64)]
 
 
@@ -142,14 +145,11 @@ class LinkModel:
         self.biedfa_position_km = float(biedfa_position_km)
         self._fluct = _OuProcess(self.fluctuation) if self.fluctuation.amplitude_s > 0 else None
 
-    def base_delay_s(self) -> float:
-        return self.length_km * self.group_delay_s_per_km
-
     def fluctuation_value(self, t: float) -> float:
         return self._fluct.value(t) if self._fluct is not None else 0.0
 
     def fluctuation_values(self, t: np.ndarray) -> np.ndarray:
-        """fluctuation_value at each time of t (all >= 0)."""
+        """fluctuation_value at each time of t."""
         return self._fluct.values(t) if self._fluct is not None else np.zeros(t.size)
 
     def query_time(self, epoch_s: float, emit_rel_s: float) -> float:
@@ -162,66 +162,31 @@ class LinkModel:
         return max(epoch_s + emit_rel_s, 0.0)
 
     def dispersion_asymmetry_s(self) -> float:
-        """Server->user minus user->server delay due to chromatic dispersion."""
-        d_a = accumulated_dispersion(self)
+        """Server->user minus user->server delay due to chromatic dispersion:
+        the wavelength difference times the accumulated dispersion D * L, or
+        the measured one when that is set instead of the coefficient D."""
+        coeff = self.dispersion_coeff_ps_per_nm_km
+        d_a = (float(self.accumulated_dispersion_ps_per_nm) if coeff is None
+               else float(coeff) * self.length_km)
         return (self.lambda_user_nm - self.lambda_server_nm) * d_a * 1e-12
 
-    def asymmetry_share_s(self, direction: Direction) -> float:
-        """The direction's half of the dispersion plus Sagnac asymmetry."""
-        asym = self.dispersion_asymmetry_s() + self.sagnac_s
-        return 0.5 * asym if direction is Direction.SERVER_TO_USER else -0.5 * asym
-
-    def fiber_delay_s(self, direction: Direction, t: float) -> float:
-        """One-way fiber propagation delay (no site hardware, no amplifier)."""
-        return self.base_delay_s() + self.fluctuation_value(t) + self.asymmetry_share_s(direction)
-
-
-def accumulated_dispersion(link: LinkModel) -> float:
-    """Accumulated dispersion of the link in ps/nm.
-
-    Product D * L when the per-km coefficient is configured, pass-through
-    when a measured value is configured.
-    """
-    coeff = link.dispersion_coeff_ps_per_nm_km
-    if coeff is not None:
-        return float(coeff) * link.length_km
-    return float(link.accumulated_dispersion_ps_per_nm)
-
-
-def one_way_delay(
-    link: LinkModel, hw: HardwareDelays, direction: Direction, t_emit: float
-) -> float:
-    """Full one-way path delay at emission time t_emit.
-
-    Composes transmitter hardware, fiber (with fluctuation and the
-    direction's asymmetry share), the amplifier delay at the direction's
-    wavelength, and receiver hardware.
-    """
-    if t_emit < 0:
-        raise ValidationError("t_emit must be >= 0")
-    return path_delay(hw, direction, link.fiber_delay_s(direction, t_emit))
+    def fiber_delay_s(self, direction: Direction, t):
+        """One-way fiber delay at query time t, a float or an array of them:
+        the base delay plus the fluctuation, plus the direction's half of the
+        dispersion and Sagnac asymmetry; no site hardware, no amplifier."""
+        fluct = (self.fluctuation_values(t) if isinstance(t, np.ndarray)
+                 else self.fluctuation_value(t))
+        half = 0.5 * (self.dispersion_asymmetry_s() + self.sagnac_s)
+        share = half if direction is Direction.SERVER_TO_USER else -half
+        return (self.length_km * self.group_delay_s_per_km + fluct) + share
 
 
 def path_delay(hw: HardwareDelays, direction: Direction, fiber_s):
     """One-way delay around a fiber delay (a float or an array of them):
-    transmitter, fiber, amplifier at the direction's wavelength, receiver."""
+    transmitter, fiber, amplifier at the direction's wavelength, receiver.
+    A crossing's full delay is path_delay(hw, d, link.fiber_delay_s(d, t))."""
     if direction is Direction.USER_TO_SERVER:
         return hw.tx_user_s + fiber_s + hw.biedfa_lambda2_s + hw.rx_server_s
     if direction is Direction.SERVER_TO_USER:
         return hw.tx_server_s + fiber_s + hw.biedfa_lambda1_s + hw.rx_user_s
     raise ValidationError(f"invalid direction {direction!r}")
-
-
-def asymmetry(link: LinkModel, hw: HardwareDelays) -> float:
-    """Total server->user minus user->server path delay difference.
-
-    Includes dispersion, Sagnac and the amplifier's per-wavelength split;
-    independent of the fluctuation realization.  Zero for a fully
-    reciprocal link.
-    """
-    return (
-        link.dispersion_asymmetry_s()
-        + link.sagnac_s
-        + hw.biedfa_lambda1_s
-        - hw.biedfa_lambda2_s
-    )

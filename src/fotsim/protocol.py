@@ -34,7 +34,7 @@ from itertools import repeat
 import numpy as np
 
 from .calibration import CalibrationSet, corrected_offset
-from .channel import Direction, HardwareDelays, LinkModel, one_way_delay, path_delay
+from .channel import Direction, HardwareDelays, LinkModel, path_delay
 from .errors import NonCausalError, ProtocolError, ReversalOverflowError, ValidationError
 from .timebase import MIN_SAMPLES, ClockModel, TimeErrorSeries
 
@@ -187,8 +187,8 @@ def sync_round(
     user_emit = -x_user
     server_pulse = -x_server
 
-    q_us = link.query_time(t, user_emit)
-    tau_us = one_way_delay(link, hw, Direction.USER_TO_SERVER, q_us)
+    fiber_us = link.fiber_delay_s(Direction.USER_TO_SERVER, link.query_time(t, user_emit))
+    tau_us = path_delay(hw, Direction.USER_TO_SERVER, fiber_us)
     if tau_us < 0:
         raise NonCausalError("user->server path delay is negative")
     rxs = user_emit + tau_us
@@ -202,8 +202,8 @@ def sync_round(
             "reversal emission precedes the request measurement; C is too small"
         )
 
-    q_su = link.query_time(t, reversal_emit)
-    tau_su = one_way_delay(link, hw, Direction.SERVER_TO_USER, q_su)
+    fiber_su = link.fiber_delay_s(Direction.SERVER_TO_USER, link.query_time(t, reversal_emit))
+    tau_su = path_delay(hw, Direction.SERVER_TO_USER, fiber_su)
     if tau_su < 0:
         raise NonCausalError("server->user path delay is negative")
     rxu = reversal_emit + tau_su
@@ -218,8 +218,8 @@ def sync_round(
         rxs_rel_s=rxs,
         reversal_emit_rel_s=reversal_emit,
         rxu_rel_s=rxu,
-        fiber_us_s=link.fiber_delay_s(Direction.USER_TO_SERVER, q_us),
-        fiber_su_s=link.fiber_delay_s(Direction.SERVER_TO_USER, q_su),
+        fiber_us_s=fiber_us,
+        fiber_su_s=fiber_su,
         reversal_constant_s=cfg.reversal_constant_s,
         link=link,
         hw=hw,
@@ -274,8 +274,6 @@ def run_rounds(
     cal = cfg.calibration
     c_cal, hd, fpda, oaa = cal.reversal_constant_s, cal.tau_hd_s, cal.tau_fpda_s, cal.tau_oaa_s
     us, su = Direction.USER_TO_SERVER, Direction.SERVER_TO_USER
-    base = link.base_delay_s()
-    half_us, half_su = link.asymmetry_share_s(us), link.asymmetry_share_s(su)
     emit = link.evaluate_at_emit_time
 
     # the inputs of every round that do not depend on the steering
@@ -286,14 +284,13 @@ def run_rounds(
     jitter_user = tic_user.jitter(n_rounds)
     tau_us = tau_su = None
     if not emit:
-        fluct = link.fluctuation_values(epochs)
-        fiber_us, fiber_su = (base + fluct) + half_us, (base + fluct) + half_su
+        fiber_us, fiber_su = link.fiber_delay_s(us, epochs), link.fiber_delay_s(su, epochs)
         tau_us, tau_su = path_delay(hw, us, fiber_us), path_delay(hw, su, fiber_su)
     res_server, res_user = tic_server.resolution_s, tic_user.resolution_s
     server_pulses = -x_server
 
     # the scan: only what depends on the steering accumulator
-    steers, t1s, t2s, estimates, fluct_us, fluct_su = (array("d") for _ in range(6))
+    steers, t1s, t2s, estimates, fibers_us, fibers_su = (array("d") for _ in range(6))
     steer = 0.0
     failure = None
     rows = _scan_rows(epochs, server_pulses, x_user_free, jitter_server, jitter_user,
@@ -302,8 +299,8 @@ def run_rounds(
         for t, server_pulse, xu_free, j1, j2, tu, ts in rows:
             user_emit = -(xu_free - steer)
             if emit:
-                f_us = link.fluctuation_value(link.query_time(t, user_emit))
-                tu = path_delay(hw, us, (base + f_us) + half_us)
+                f_us = link.fiber_delay_s(us, link.query_time(t, user_emit))
+                tu = path_delay(hw, us, f_us)
             if tu < 0:
                 raise NonCausalError("user->server path delay is negative")
             rxs = user_emit + tu
@@ -316,8 +313,8 @@ def run_rounds(
                     "reversal emission precedes the request measurement; C is too small"
                 )
             if emit:
-                f_su = link.fluctuation_value(link.query_time(t, reversal_emit))
-                ts = path_delay(hw, su, (base + f_su) + half_su)
+                f_su = link.fiber_delay_s(su, link.query_time(t, reversal_emit))
+                ts = path_delay(hw, su, f_su)
             if ts < 0:
                 raise NonCausalError("server->user path delay is negative")
             t2 = ((reversal_emit + ts) - user_emit) + j2
@@ -329,20 +326,19 @@ def run_rounds(
             t2s.append(t2)
             estimates.append(estimate)
             if emit:
-                fluct_us.append(f_us)
-                fluct_su.append(f_su)
+                fibers_us.append(f_us)
+                fibers_su.append(f_su)
             if steering_enabled:
                 steer += estimate
     except ProtocolError as exc:
         failure = exc
 
     # the rest, as arrays over the rounds that completed
-    steers, t1, t2, estimate, fluct_us, fluct_su = (
-        np.frombuffer(a, dtype=float) for a in (steers, t1s, t2s, estimates, fluct_us, fluct_su))
+    steers, t1, t2, estimate = (
+        np.frombuffer(a, dtype=float) for a in (steers, t1s, t2s, estimates))
     m = estimate.size
     if emit:
-        fiber_us = (base + fluct_us) + half_us
-        fiber_su = (base + fluct_su) + half_su
+        fiber_us, fiber_su = np.frombuffer(fibers_us), np.frombuffer(fibers_su)
         tau_us, tau_su = path_delay(hw, us, fiber_us), path_delay(hw, su, fiber_su)
     else:
         fiber_us, fiber_su, tau_us, tau_su = fiber_us[:m], fiber_su[:m], tau_us[:m], tau_su[:m]

@@ -284,7 +284,10 @@ class ClockModel:
                 k = np.rint(t / self.noise_grid_s)
             if not np.all(k < 2.0 ** 63):
                 raise ValidationError("query times must index the noise grid within int64")
-        x = self.initial_offset_s + self.frac_frequency * t + 0.5 * self.drift_per_s * t * t
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = self.initial_offset_s + self.frac_frequency * t + 0.5 * self.drift_per_s * t * t
+        if not np.all(np.isfinite(x)):
+            raise ValidationError("clock time error overflows at these query times")
         if self._state is not None:
             x = x + self._state.values_at(k.astype(np.int64))
         return x

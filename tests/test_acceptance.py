@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fotsim.access import observe_round
-from fotsim.channel import Direction, FluctuationSpec, HardwareDelays, LinkModel, one_way_delay
+from fotsim.channel import Direction, FluctuationSpec, HardwareDelays, LinkModel, path_delay
 from fotsim.protocol import ProtocolConfig, TicModel, run_session, sync_round, tdm_admission, two_way_offset
 from fotsim.scenario import build_calibration_set, load_scenario, run, validate_scenario
 from fotsim.stability import StabilityCurve, slope, tdev, tdev_bruteforce
@@ -155,7 +155,8 @@ def test_criterion_4_baseline_equivalence():
         t = float(rng.uniform(0.0, 1000.0))
         r = sync_round(server, user, link, hw, ideal_tic(), ideal_tic(), cfg, t)
         t_fwd = r.t1_s
-        t_rev = one_way_delay(link, hw, Direction.SERVER_TO_USER, t) + r.true_offset_s
+        su = Direction.SERVER_TO_USER
+        t_rev = path_delay(hw, su, link.fiber_delay_s(su, t)) + r.true_offset_s
         worst = max(worst, abs(two_way_offset(t_fwd, t_rev) - r.offset_estimate_s))
     assert worst <= FS
     ok(f"criterion 4: reversal vs two-way, worst disagreement {worst:.2e} s "

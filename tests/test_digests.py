@@ -8,6 +8,7 @@ fails here.  The manifests record the numpy version, so the pinned digests
 hold only under the numpy version the benchmark baseline recorded.
 """
 
+import copy
 import hashlib
 import json
 import os
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 import fotsim
-from fotsim.scenario import canned_scenarios, load_scenario, run
+from fotsim.scenario import canned_scenarios, load_scenario, run, validate_scenario
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 DIGESTS = json.loads((PERFBENCH / "digests.json").read_text())
@@ -87,3 +88,32 @@ def test_canned_artifacts_match_golden_digests(name, tmp_path):
 def test_workload_artifacts_match_golden_digests(name, tmp_path):
     run_workload(name, tmp_path)
     assert hash_tree(tmp_path) == WORKLOADS[name]["files"]
+
+
+# No canned scenario runs the emit-time fluctuation mode, so its bytes are
+# pinned here: the two 230 km sync scenarios switched to
+# link.evaluate_at_emit_time.  Only the round tables and the tracking-error
+# series are pinned; tdev*.csv bytes depend on the BLAS thread count, and
+# manifest.json records the numpy version.
+EMIT_MODE = {
+    "link_sync_230km": {
+        "rounds.csv": "5de1767795e81211fcb675400e3a1ad5b96e57a4ebe025fc8238d0d9bc52773d",
+        "series.csv": "e603cbfda11522ac17fea97864449cafbc710fa4f9b527105d03fa265c835c5f",
+    },
+    "midlink_access_230km": {
+        "rounds.csv": "5de1767795e81211fcb675400e3a1ad5b96e57a4ebe025fc8238d0d9bc52773d",
+        "rounds_node_50km.csv": "343e765c123b16605703360210417012d716ed6ace4dc7f37690390af76c9591",
+        "series.csv": "e603cbfda11522ac17fea97864449cafbc710fa4f9b527105d03fa265c835c5f",
+    },
+}
+
+
+@needs_pinned_numpy
+@pytest.mark.parametrize("name", sorted(EMIT_MODE))
+def test_emit_mode_artifacts_match_pinned_digests(name, tmp_path):
+    doc = copy.deepcopy(load_scenario(name).raw)
+    doc["link"]["evaluate_at_emit_time"] = True
+    run(validate_scenario(doc), out_dir=tmp_path)
+    pinned = {f: digest for f, digest in hash_tree(tmp_path).items()
+              if f.startswith("rounds") or f == "series.csv"}
+    assert pinned == EMIT_MODE[name]

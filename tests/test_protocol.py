@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fotsim.calibration import CalibrationSet
-from fotsim.channel import Direction, FluctuationSpec, HardwareDelays, LinkModel, one_way_delay
+from fotsim.channel import Direction, FluctuationSpec, HardwareDelays, LinkModel, path_delay
 from fotsim.errors import NonCausalError, ReversalOverflowError, ValidationError
 from fotsim.protocol import (
     ProtocolConfig,
@@ -131,8 +131,9 @@ class TestSyncRound:
         server = ClockModel(initial_offset_s=-20e-9)
         user = ClockModel(initial_offset_s=80e-9)
         r = sync_round(server, user, link, hw, IDEAL_TIC(), IDEAL_TIC(), self.cfg(), 0.0)
-        tau_us = one_way_delay(link, hw, Direction.USER_TO_SERVER, 0.0)
-        tau_su = one_way_delay(link, hw, Direction.SERVER_TO_USER, 0.0)
+        us, su = Direction.USER_TO_SERVER, Direction.SERVER_TO_USER
+        tau_us = path_delay(hw, us, link.fiber_delay_s(us, 0.0))
+        tau_su = path_delay(hw, su, link.fiber_delay_s(su, 0.0))
         t1, t2, est = oracle_round(100e-9, tau_us, tau_su, 5e-3, tau_delay_s=15e-12)
         assert r.t1_s == pytest.approx(t1, abs=1e-18)
         assert r.t2_s == pytest.approx(t2, abs=1e-18)
@@ -243,7 +244,8 @@ class TestTwoWayBaseline:
         cfg = ProtocolConfig(reversal_constant_s=10e-3)
         r = sync_round(server, user, link, hw, IDEAL_TIC(), IDEAL_TIC(), cfg, 0.0)
         t_fwd = r.t1_s
-        t_rev = one_way_delay(link, hw, Direction.SERVER_TO_USER, 0.0) + r.true_offset_s
+        su = Direction.SERVER_TO_USER
+        t_rev = path_delay(hw, su, link.fiber_delay_s(su, 0.0)) + r.true_offset_s
         assert two_way_offset(t_fwd, t_rev) == pytest.approx(
             r.offset_estimate_s, abs=1e-15)
 

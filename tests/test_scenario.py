@@ -536,6 +536,17 @@ class TestCli:
         assert cli_main(["run", "--scenario", str(f), "--out", str(tmp_path / "o")]) == 1
         assert "apply_calibration requires a calibration set" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_clock_drift_exits_1(self, tmp_path, capsys):
+        # a user clock off the shared reference with a drift whose time error
+        # overflows within the run ends as a config error, before calibration
+        doc = canned_doc("demo_short")
+        doc["clocks"]["user"].update(freq_ref_shared=False, drift_per_s=1e307)
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(doc))
+        assert cli_main(["run", "--scenario", str(f), "--out", str(tmp_path / "o")]) == 1
+        assert "clock time error overflows" in capsys.readouterr().err
+
     def test_missing_input_exits_1(self, tmp_path, capsys):
         assert cli_main(["run", "--scenario", str(tmp_path / "none.json"),
                          "--out", str(tmp_path / "o")]) == 1

@@ -158,6 +158,18 @@ class TestTimeError:
         with pytest.raises(ValidationError, match="int64"):
             clock.time_errors(np.array([1.0, t]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("clock, t", [
+        (ClockModel(drift_per_s=1e-15), 1e200),
+        (ClockModel(frac_frequency=1e300), 1e10),
+        (ClockModel(frac_frequency=1e300, drift_per_s=-1e300), 1e10),
+    ])
+    def test_rejects_an_overflowing_polynomial_without_a_warning(self, clock, t):
+        with pytest.raises(ValidationError, match="overflows"):
+            clock.time_error(t)
+        with pytest.raises(ValidationError, match="overflows"):
+            clock.time_errors(np.array([1.0, t]))
+
 
 class TestSynthesis:
     def test_empty_profile_is_all_zero(self):
