@@ -13,7 +13,10 @@ evaluator of the same defining sum is provided as an independent check.
 
 from __future__ import annotations
 
+import collections
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,9 +117,72 @@ def _window_sums(x: np.ndarray, n: int, c: np.ndarray, b: np.ndarray) -> np.ndar
     return c[:m]
 
 
-# a finite series whose sums overflow gives inf or nan values, which
-# StabilityCurve rejects; numpy's warnings would only repeat that
-@np.errstate(over="ignore", invalid="ignore")
+def _worker_count() -> int:
+    # 2 where this process may run on more than one CPU, else 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return 2 if cpus > 1 else 1
+
+
+def _curve(series: TimeErrorSeries, taus, windows: int, stat, buffers) -> StabilityCurve:
+    """The curve of stat(n, *buffers()) -> (value, m) over `taus` (the
+    default grid when None), for a statistic over `windows` windows of n
+    samples.
+
+    Every tau is checked before any is computed.  The taus are independent
+    and carry equal work, so the calling thread and, where _worker_count()
+    allows, one helper thread take the next tau from one shared iterator.
+    Each worker has its own work buffers, all allocated here in the calling
+    thread (so they come from its heap arena).  A tau's value takes the same
+    operations whichever thread computes it, so the curve does not depend on
+    the worker count.  An exception in either worker stops both and is
+    raised here after the helper has ended.
+    """
+    x, tau0 = series.values, series.tau0_s
+    if taus is None:
+        taus = default_taus(tau0, x.size)
+    ns = [_tau_to_n(tau, tau0, x.size, windows) for tau in taus]
+    if np.any(np.diff(np.asarray(taus, dtype=float)) <= 0):
+        raise ValidationError("taus must be strictly increasing")
+    results: list = [None] * len(ns)
+    todo = iter(range(len(ns)))
+    lock = threading.Lock()
+    failed: list[BaseException] = []
+
+    def work(*bufs):
+        # np.errstate is per thread.  A finite series whose sums overflow
+        # gives inf or nan values, which StabilityCurve rejects; numpy's
+        # warnings would only repeat that
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                while True:
+                    with lock:
+                        i = next(todo, None)
+                    if i is None:
+                        return
+                    results[i] = stat(ns[i], *bufs)
+        except BaseException as exc:
+            failed.append(exc)
+            with lock:
+                collections.deque(todo, maxlen=0)  # the other worker stops too
+
+    worker_bufs = [buffers() for _ in range(min(_worker_count(), len(ns)))]
+    helpers = [threading.Thread(target=work, args=bufs, daemon=True)
+               for bufs in worker_bufs[1:]]
+    for helper in helpers:
+        helper.start()
+    if worker_bufs:
+        work(*worker_bufs[0])
+    for helper in helpers:
+        helper.join()
+    if failed:
+        raise failed[0]
+    return StabilityCurve(np.asarray(taus), np.asarray([v for v, _ in results]),
+                          np.asarray([m for _, m in results]))
+
+
 def tdev(series: TimeErrorSeries, taus: list[float] | None = None) -> StabilityCurve:
     """Overlapping TDEV of `series` at the requested averaging times.
 
@@ -124,18 +190,14 @@ def tdev(series: TimeErrorSeries, taus: list[float] | None = None) -> StabilityC
     requested taus must be multiples of tau0 and satisfy N >= 3n + 1.
     """
     x = series.values
-    tau0 = series.tau0_s
-    if taus is None:
-        taus = default_taus(tau0, x.size)
-    c, b = np.empty(x.size + 1), np.empty(min(x.size, _BLOCK))
-    vals, counts = [], []
-    for tau in taus:
-        n = _tau_to_n(tau, tau0, x.size)
+
+    def one_tau(n, c, b):
         s = _window_sums(x, n, c, b)
         m = s.size
-        vals.append(math.sqrt(float(np.dot(s, s)) / (6.0 * n * n * m)))
-        counts.append(m)
-    return StabilityCurve(np.asarray(taus), np.asarray(vals), np.asarray(counts))
+        return math.sqrt(float(np.dot(s, s)) / (6.0 * n * n * m)), m
+
+    return _curve(series, taus, 3, one_tau,
+                  lambda: (np.empty(x.size + 1), np.empty(min(x.size, _BLOCK))))
 
 
 def tdev_bruteforce(series: TimeErrorSeries, tau: float) -> float:
@@ -163,25 +225,19 @@ def mdev(series: TimeErrorSeries, taus: list[float] | None = None) -> StabilityC
     return StabilityCurve(curve.taus, vals, curve.n_samples)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as tdev
 def adev(series: TimeErrorSeries, taus: list[float] | None = None) -> StabilityCurve:
     """Overlapping Allan deviation of the series."""
     x = series.values
-    tau0 = series.tau0_s
-    if taus is None:
-        taus = default_taus(tau0, x.size)
-    buf = np.empty(x.size)
-    vals, counts = [], []
-    for tau in taus:
-        n = _tau_to_n(tau, tau0, x.size, windows=2)
+
+    def one_tau(n, buf):
         # the second differences (x[2n:] - 2.0*x[n:-n]) + x[:-2n], in buf
         m = x.size - 2 * n
         d = np.multiply(x[n:-n], 2.0, out=buf[:m])
         np.subtract(x[2 * n:], d, out=d)
         np.add(d, x[:-2 * n], out=d)
-        vals.append(math.sqrt(float(np.dot(d, d)) / (2.0 * m)) / (n * tau0))
-        counts.append(m)
-    return StabilityCurve(np.asarray(taus), np.asarray(vals), np.asarray(counts))
+        return math.sqrt(float(np.dot(d, d)) / (2.0 * m)) / (n * series.tau0_s), m
+
+    return _curve(series, taus, 2, one_tau, lambda: (np.empty(x.size),))
 
 
 def slope(curve: StabilityCurve, tau_lo: float, tau_hi: float) -> float:

@@ -62,30 +62,56 @@ def test_round_engine_holds_a_fixed_number_of_columns_per_round():
     assert transient <= 11 * COLUMN * n_rounds
 
 
-def test_tdev_holds_one_cumsum_buffer_and_one_block():
-    """Peak of tdev over a 2^20-sample series, above the series itself.
+def drifting_series(seed, n=1 << 20):
+    values = np.cumsum(np.random.default_rng(seed).standard_normal(n))
+    return TimeErrorSeries(tau0_s=1.0, values=values)
+
+
+def test_tdev_holds_one_cumsum_buffer_and_one_block(pin_workers):
+    """Peak of tdev on one worker over a 2^20-sample series, above the
+    series itself.
 
     One (N+1)-value buffer holds the running sum and then the window sums
     in place, and one _BLOCK-value buffer the second differences of a
     block; 64 KiB of slack covers the tau grid, the per-tau lists and the
     curve, which take under a kilobyte here.
     """
-    n = 1 << 20
-    values = np.cumsum(np.random.default_rng(1).standard_normal(n))
-    series = TimeErrorSeries(tau0_s=1.0, values=values)
+    pin_workers(1)
+    series = drifting_series(1)
+    n = series.values.size
     curve, peak, _ = traced(lambda: tdev(series))
     assert curve.taus.size > 10
     assert peak <= (n + 1) * COLUMN + _BLOCK * COLUMN + (64 << 10)
 
 
-def test_adev_holds_one_buffer():
-    """Peak of adev over a 2^20-sample series: one N-value buffer for the
-    second differences of every tau, plus the same 64 KiB of slack."""
-    n = 1 << 20
-    values = np.cumsum(np.random.default_rng(2).standard_normal(n))
-    series = TimeErrorSeries(tau0_s=1.0, values=values)
+def test_tdev_on_two_workers_holds_two_buffers_and_two_blocks(pin_workers):
+    """As above, on two workers: each has its own (N+1)-value buffer and
+    _BLOCK-value buffer, and the same 64 KiB of slack also covers the helper
+    thread's object and lock."""
+    pin_workers(2)
+    series = drifting_series(1)
+    n = series.values.size
+    curve, peak, _ = traced(lambda: tdev(series))
+    assert curve.taus.size > 10
+    assert peak <= 2 * ((n + 1) * COLUMN + _BLOCK * COLUMN) + (64 << 10)
+
+
+def test_adev_holds_one_buffer(pin_workers):
+    """Peak of adev on one worker over a 2^20-sample series: one N-value
+    buffer for the second differences of every tau, plus the same 64 KiB of
+    slack."""
+    pin_workers(1)
+    series = drifting_series(2)
     _, peak, _ = traced(lambda: adev(series))
-    assert peak <= n * COLUMN + (64 << 10)
+    assert peak <= series.values.size * COLUMN + (64 << 10)
+
+
+def test_adev_on_two_workers_holds_two_buffers(pin_workers):
+    """As above, on two workers: one N-value buffer each."""
+    pin_workers(2)
+    series = drifting_series(2)
+    _, peak, _ = traced(lambda: adev(series))
+    assert peak <= 2 * series.values.size * COLUMN + (64 << 10)
 
 
 ALL_KINDS = NoiseProfile(components=[(kind, 1e-12) for kind in NOISE_TYPES], rng_seed=3)

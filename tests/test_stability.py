@@ -1,6 +1,8 @@
 """Stability statistics: brute-force oracle agreement, known responses, properties."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -246,6 +248,13 @@ class TestBlockedWindowSums:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def drifting_clock(size):
+    # a clock's time error: offset, drift, random walk and white noise
+    rng = np.random.default_rng(size)
+    return (3e-7 + 2e-9 * np.arange(size) + 1e-10 * np.cumsum(rng.standard_normal(size))
+            + 1e-11 * rng.standard_normal(size))
+
+
 @pytest.mark.parametrize("size,taus", [
     (5, [1.0, 2.0]),               # two windows plus one sample at n = 2
     (1000, [1.0, 7.0, 250.0]),
@@ -254,9 +263,7 @@ class TestBlockedWindowSums:
 def test_adev_equals_the_second_difference_formula_bit_for_bit(size, taus):
     # a drifting clock: adev's values through its reused buffer are those of
     # one fresh array per tau, x[2n:] - 2.0*x[n:-n] + x[:-2n]
-    rng = np.random.default_rng(size)
-    x = (3e-7 + 2e-9 * np.arange(size) + 1e-10 * np.cumsum(rng.standard_normal(size))
-         + 1e-11 * rng.standard_normal(size))
+    x = drifting_clock(size)
     want = []
     for tau in taus:
         n = int(tau)
@@ -264,6 +271,151 @@ def test_adev_equals_the_second_difference_formula_bit_for_bit(size, taus):
         want.append(math.sqrt(float(np.dot(d, d)) / (2.0 * d.size)) / (n * 1.0))
     got = adev(series(x), taus=taus).values
     assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+
+
+def bits(curve):
+    return curve.taus.tobytes() + curve.values.tobytes() + curve.n_samples.tobytes()
+
+
+@pytest.fixture
+def helper_takes_a_tau(monkeypatch):
+    """With two workers and more than one tau, the calling thread waits to
+    start its first tau until the helper thread has started one, so both
+    compute some taus.  Yields the set of threads that computed a tau."""
+    curve = stability._curve
+    threads = set()
+
+    def gated_curve(s, taus, windows, stat, buffers):
+        caller, helper_started = threading.current_thread(), threading.Event()
+        n_taus = len(default_taus(s.tau0_s, s.values.size) if taus is None else taus)
+        split = stability._worker_count() > 1 and n_taus > 1
+
+        def gated(n, *bufs):
+            threads.add(threading.current_thread())
+            if threading.current_thread() is caller and split:
+                helper_started.wait(5.0)
+            else:
+                helper_started.set()
+            return stat(n, *bufs)
+
+        return curve(s, taus, windows, gated, buffers)
+
+    monkeypatch.setattr(stability, "_curve", gated_curve)
+    yield threads
+
+
+class TestWorkerSplit:
+    B = stability._BLOCK
+
+    @pytest.mark.parametrize("statistic", [tdev, adev])
+    @pytest.mark.parametrize("size,taus", [
+        (7, [2.0]),                         # a single tau: no helper thread
+        (1000, None),                       # the default grid
+        (1000, [1.0, 3.0, 7.0, 250.0, 333.0]),
+        (3 * B + 17, [1.0, 5.0, 2048.0, float(B)]),    # n >= _BLOCK
+        (6 * B + 5, [float(B), float(2 * B)]),         # taus at multiples of _BLOCK
+    ])
+    def test_one_and_two_workers_give_equal_bits(self, pin_workers, helper_takes_a_tau,
+                                                 statistic, size, taus):
+        s = series(drifting_clock(size))
+        pin_workers(1)
+        one = statistic(s, taus)
+        pin_workers(2)
+        two = statistic(s, taus)
+        assert bits(two) == bits(one)
+        assert len(helper_takes_a_tau) == min(2, one.taus.size)
+
+    def test_bad_tau_at_the_end_is_rejected_before_any_work(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(stability, "_window_sums", lambda *a: calls.append(a))
+        s = series(drifting_clock(64))
+        with pytest.raises(ValidationError, match=r"tau 3\.5 is not a positive multiple"):
+            tdev(s, [1.0, 2.0, 3.5])
+        with pytest.raises(ValidationError, match=r"too short for tau 30\.0"):
+            tdev(s, [1.0, 2.0, 30.0])
+        with pytest.raises(ValidationError, match="taus must be strictly increasing"):
+            tdev(s, [2.0, 1.0])
+        assert calls == []
+
+    def test_adev_rejects_a_bad_tau_list_before_any_work(self, monkeypatch):
+        calls = []
+        curve = stability._curve
+        monkeypatch.setattr(stability, "_curve", lambda s, taus, windows, stat, buffers: curve(
+            s, taus, windows, lambda *a: calls.append(a), lambda: calls.append("buffers")))
+        s = series(drifting_clock(64))
+        with pytest.raises(ValidationError, match="not a positive multiple"):
+            adev(s, [1.0, 2.0, 3.5])
+        with pytest.raises(ValidationError, match="taus must be strictly increasing"):
+            adev(s, [2.0, 1.0])
+        assert calls == []
+
+    def test_helper_exception_reaches_the_caller_and_stops_it(self, monkeypatch, pin_workers):
+        # a caller that starts a tau waits in it until the helper has failed
+        # on its own first tau and ended, then finishes that tau and takes
+        # no other (the helper may also take the first tau, and the caller
+        # none)
+        pin_workers(2)
+        window_sums = stability._window_sums
+        caller, helper = threading.current_thread(), []
+        helper_failed = threading.Event()
+        caller_taus = []
+
+        def failing(x, n, c, b):
+            if threading.current_thread() is not caller:
+                helper.append(threading.current_thread())
+                helper_failed.set()
+                raise RuntimeError("helper failed")
+            assert helper_failed.wait(5.0)
+            helper[0].join(5.0)
+            assert not helper[0].is_alive()
+            caller_taus.append(n)
+            return window_sums(x, n, c, b)
+
+        monkeypatch.setattr(stability, "_window_sums", failing)
+        with pytest.raises(RuntimeError, match="helper failed"):
+            tdev(series(drifting_clock(1000)), [1.0, 2.0, 5.0, 10.0, 20.0])
+        assert len(caller_taus) <= 1
+
+    @staticmethod
+    def curves_from_callers(s, taus, n_callers, calls_each):
+        """For each of n_callers threads started at once, the set of
+        bits(tdev(s, taus)) over its calls_each calls."""
+        got = [None] * n_callers
+        start = threading.Barrier(n_callers, timeout=60.0)
+
+        def call(i):
+            start.wait()
+            got[i] = {bits(tdev(s, taus)) for _ in range(calls_each)}
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(n_callers)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60.0)
+            assert not t.is_alive()
+        return got
+
+    def test_two_callers_at_once_get_equal_bytes(self, pin_workers):
+        pin_workers(2)
+        s = series(drifting_clock(3 * self.B + 17))
+        want = bits(tdev(s))
+        assert self.curves_from_callers(s, None, 2, 1) == [{want}, {want}]
+
+    def test_many_taus_on_more_threads_than_cores(self, pin_workers):
+        # 4 callers with 2 workers each share out 300 short taus, switching
+        # threads every microsecond: a tau lost or taken twice would leave a
+        # hole or a wrong value in some curve
+        pin_workers(2)
+        s = series(drifting_clock(1000))
+        taus = [float(n) for n in range(1, 301)]
+        want = bits(tdev(s, taus))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = self.curves_from_callers(s, taus, 4, 10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [{want}] * 4
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -296,3 +448,12 @@ class TestNonFiniteValues:
                          "1.0000000000000000e+00,1.0000000000000000e-11,inf\n")
         assert cli_main(["compare", str(curve), str(curve)]) == 1
         assert "n_samples must be whole numbers" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestNonFiniteValuesTwoWorkers(TestNonFiniteValues):
+    # np.errstate is per thread: the helper thread must silence its own
+    # overflow warnings, which would otherwise reach the warnings filter
+    @pytest.fixture(autouse=True)
+    def two_workers(self, pin_workers):
+        pin_workers(2)
