@@ -36,6 +36,7 @@ rounding the bound leaves open, to ``float()``, the reference.
 
 from __future__ import annotations
 
+import mmap
 import os
 from collections import Counter
 from collections.abc import Iterator
@@ -45,6 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
+from .workers import share
 
 # rows per chunk: bounds the memory a write holds whatever the run length.
 # A chunk's bytes of a seven-column table stay under 1 MB; at twice the rows
@@ -116,15 +118,24 @@ _ZERO_WORD = _words("\0\0\0" "0")[0]
 _COMMA, _NEWLINE = _words("\0,\0\0" "\0\n\0\0")
 
 
-def _mul64(a1, a0, b1, b0):
+def _mul64(a1, a0, b1, b0, t=None):
     """(hi, lo) words of (a1 * 2**32 + a0) * (b1 * 2**32 + b0); all four
-    inputs are below 2**32."""
-    p00 = a0 * b0
-    p01 = a0 * b1
-    p10 = a1 * b0
-    mid = (p00 >> _U32) + (p01 & _M32) + (p10 & _M32)
-    lo = (mid << _U32) | (p00 & _M32)
-    hi = a1 * b1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+    inputs are below 2**32.  The inputs are scratch: hi and lo are written
+    over a1 and b1, and t holds three more arrays of their shape (made when
+    None)."""
+    p00, mid, x = (np.empty_like(a0) for _ in range(3)) if t is None else t
+    np.multiply(a0, b0, out=p00)
+    p01 = np.multiply(a0, b1, out=a0)
+    p10 = np.multiply(a1, b0, out=b0)
+    hi = np.multiply(a1, b1, out=a1)
+    np.right_shift(p00, _U32, out=mid)
+    mid += np.bitwise_and(p01, _M32, out=x)
+    mid += np.bitwise_and(p10, _M32, out=x)
+    lo = np.left_shift(mid, _U32, out=b1)
+    lo |= np.bitwise_and(p00, _M32, out=p00)
+    hi += np.right_shift(p01, _U32, out=p01)
+    hi += np.right_shift(p10, _U32, out=p10)
+    hi += np.right_shift(mid, _U32, out=mid)
     return hi, lo
 
 
@@ -139,19 +150,27 @@ def _scaled(m, biased, j):
     return hi, lo, (_SHIFT[j] - biased).astype(np.uint64)
 
 
-def _round_up(m, j, hi, lo, half):
+def _round_up(m, j, hi, lo, half, t=None):
     """Whether each value rounds up, and the indices of those left open,
     from hi and lo, the words of m * (T >> 64) at table row j (clipped), and
-    one half in units of hi.
+    one half in units of hi.  t holds two uint64 and two bool arrays of hi's
+    shape for the work (made when None); the first bool array is returned.
 
     The table's low half adds a carry below 2**64 to lo, giving Z, which
     falls short of the exact value by less than 2 units of lo.  So only a
     fraction in hi at one half or one below needs the low half, and after
     it only a Z at one half with lo = 0, or one unit below, may be a tie.
     """
-    frac = hi & ((half << np.uint64(1)) - np.uint64(1))
-    up = frac > half
-    near = np.flatnonzero(frac - half + np.uint64(1) <= np.uint64(1))
+    if t is None:
+        t = np.empty_like(hi), np.empty_like(hi), np.empty(hi.shape, bool), np.empty(hi.shape, bool)
+    frac, x, up, open_ = t
+    np.left_shift(half, np.uint64(1), out=frac)
+    frac -= np.uint64(1)
+    frac &= hi
+    np.greater(frac, half, out=up)
+    np.subtract(frac, half, out=x)
+    x += np.uint64(1)
+    near = np.flatnonzero(np.less_equal(x, np.uint64(1), out=open_))
     if near.size:
         m, j, half = m[near], j[near], half[near]
         carry, _ = _mul64(m >> _U32, m & _M32, _POW5[2].take(j, mode="clip"),
@@ -318,9 +337,12 @@ def write_columns(path: Path, header: list[str], columns: list) -> None:
     write_tables([(path, header, columns)])
 
 
-# bytes per read of read_columns: bounds the text held at once whatever the
-# file length
-_BLOCK_BYTES = 1 << 18
+# bytes of text per block of read_columns: bounds the memory a read holds
+# whatever the file length.  Two workers hand the interpreter lock back and
+# forth between numpy's calls, which are short on short blocks: on a
+# two-core host, 2^18-byte blocks read no faster than one worker, and a
+# 2^22-row series took 0.46, 0.40 and 0.36 s at 2^19, 2^20 and 2^21 bytes
+_BLOCK_BYTES = 1 << 20
 # zeros after a block, so that the 24-byte window of any cell stays inside it
 _WINDOW = 24
 _PAD = bytes(_WINDOW + 8)
@@ -340,30 +362,101 @@ _FRACTION = np.uint64((1 << 52) - 1)
 # Z's top bit above 126 plus a carry of the rounding, minus the shift of D
 _ROW_OF_E0 = 32 - _E_MIN
 _BIASED_OF_ROW = 2171 - _SHIFT
+# the shortest row of fotsim's files: one '%.16e' cell and its separator
+_MIN_ROW = 23
+# a workspace's words per row of a block: a cell's 24-byte window (3), the
+# scratch of _parse_cells (10), its flag bytes (2) and the cells' start
+# offsets (1), then one float64 per wanted column
+_WORDS_PER_ROW = 16
 
 
-def _are_digits(*words):
+class _Workspace:
+    """One worker's memory for the blocks of read_columns.
+
+    ``text`` holds a block and the zeros of _PAD after it; one uint64
+    matrix holds, for each row of the block, the words that _block_columns
+    and _parse_cells fill.  Made for _BLOCK_BYTES of text and
+    _BLOCK_BYTES // _MIN_ROW rows, it takes _BLOCK_BYTES + 33 bytes plus
+    (_WORDS_PER_ROW + columns) words per row.  Before a block's cells are
+    read, the first 13 words of each row hold its two separator masks, one
+    byte per byte of text each.  Parsing a block makes two arrays besides:
+    the offsets of its separators (8 bytes each) with their kinds and the
+    kinds' check (1 byte each), and its cells' 24-byte windows.  For one
+    column of a file of canonical cells that is about 8 bytes per byte of
+    block.  A line longer than the text, or a block of more rows, grows the
+    workspace; neither occurs in the files fotsim writes.
+
+    The text and the matrix are anonymous memory maps, not heap memory, and
+    are unmapped when the read ends.  From the heap, a workspace freed at
+    the end of a read stayed resident as free heap (glibc trims only above
+    a threshold it raises to the size of large blocks freed before), and a
+    statistic run after the read carried it in its peak.
+    """
+
+    def __init__(self, columns: int):
+        self.columns = columns
+        self.text = mmap.mmap(-1, _BLOCK_BYTES + 1 + len(_PAD))
+        self.rows = 0
+        self.fit(_BLOCK_BYTES // _MIN_ROW)
+
+    def fit(self, rows: int) -> None:
+        """Room for `rows` rows, and for the masks of the whole text."""
+        rows = max(rows, -(-2 * len(self.text) // (13 * 8)))
+        if rows <= self.rows:
+            return
+        self.rows = rows
+        shape = (_WORDS_PER_ROW + self.columns, rows)
+        words = np.frombuffer(mmap.mmap(-1, 8 * shape[0] * rows), dtype=np.uint64).reshape(shape)
+        self.digits = words[:3]
+        self.scratch = words[3:13]
+        self.masks = words[:13].reshape(-1).view(np.bool_)
+        self.flags = words[13:15].reshape(-1).view(np.uint8).reshape(16, rows)
+        self.start = words[15].view(np.int64)
+        self.values = words[16:].view(np.float64)
+
+    def grow_text(self) -> None:
+        """Twice the room for text, keeping what it holds."""
+        text = mmap.mmap(-1, 2 * len(self.text))
+        text[:len(self.text)] = self.text[:]
+        self.text = text
+        self.fit(self.rows)
+
+
+def _are_digits(words, out, bad, t):
     """Whether all 8 bytes of each uint64 in every array of words are ASCII
-    digits: no byte lies below '0' or, raised by 0x46, reaches 0x80
-    (Lemire)."""
-    bad = (words[0] + _DIGIT_TOP) | (words[0] - _ZEROS8)
+    digits, into the bool array out: no byte lies below '0' or, raised by
+    0x46, reaches 0x80 (Lemire).  bad and t are uint64 scratch."""
+    np.add(words[0], _DIGIT_TOP, out=bad)
+    bad |= np.subtract(words[0], _ZEROS8, out=t)
     for v in words[1:]:
-        bad |= (v + _DIGIT_TOP) | (v - _ZEROS8)
-    return bad & _HIGH_BITS == 0
+        bad |= np.add(v, _DIGIT_TOP, out=t)
+        bad |= np.subtract(v, _ZEROS8, out=t)
+    bad &= _HIGH_BITS
+    return np.equal(bad, 0, out=out)
 
 
-def _eight_digits(v):
+def _eight_digits(v, t):
     """The number that the 8 ASCII digits in each uint64 of v spell, first
-    (lowest) byte most significant: pairs, then groups of four, then all."""
-    v = v - _ZEROS8
-    v = v * np.uint64(10) + (v >> np.uint64(8))
-    return ((v & _SWAR_MASK) * _SWAR_MUL1
-            + ((v >> np.uint64(16)) & _SWAR_MASK) * _SWAR_MUL2) >> _U32
+    (lowest) byte most significant, written over v: pairs, then groups of
+    four, then all.  t is uint64 scratch."""
+    v -= _ZEROS8
+    np.right_shift(v, np.uint64(8), out=t)
+    v *= np.uint64(10)
+    v += t
+    np.right_shift(v, np.uint64(16), out=t)
+    t &= _SWAR_MASK
+    t *= _SWAR_MUL2
+    v &= _SWAR_MASK
+    v *= _SWAR_MUL1
+    v += t
+    v >>= _U32
+    return v
 
 
-def _parse_cells(b, windows, start, end):
-    """The float64 values of the cells b[start:end] in the '%.16e' shape, and
-    the indices of the cells that float() has to read instead.
+def _parse_cells(b, windows, start, end, ws, out):
+    """The float64 values of the cells b[start:end] in the '%.16e' shape,
+    written into out, and the indices of the cells that float() has to read
+    instead.  Every temporary is a row of the workspace ws.
 
     A cell ``[-]d.dddddddddddddddde±dd[d]`` spells x = D * 10**q with the
     17-digit integer D and q = E - 16.  With 5**q ~= T_q * 2**b_q from
@@ -380,47 +473,82 @@ def _parse_cells(b, windows, start, end):
     subnormal or overflow, and every cell not in the shape, checked byte by
     byte.  As in _float_words, _round_up adds the low half of T_q only where
     the high half leaves the rounding open.
-    """
-    neg = b[start] == _MINUS
-    s = start + neg
-    width = end - s
-    three = width == 23
-    # the 24 bytes after the '.': 16 digits, 'e', the exponent's sign and
-    # its digits, and what follows
-    hi8, lo8, tail = windows[s + 2].view("<u8").reshape(-1, 3).T.copy()
-    marker = tail & np.uint64(0xFFFF)
-    # the exponent's digits moved to the top bytes, '0' below: 8 digits too
-    shift = three.astype(np.uint64) << np.uint64(3)
-    exp = (((tail >> np.uint64(16)) << (np.uint64(48) - shift))
-           | (_ZEROS8 >> (np.uint64(16) + shift)))
-    lead = b[s] - _ZERO_BYTE
-    valid = (((width == 22) | three) & (lead - np.uint8(1) < 9) & (b[s + 1] == _DOT)
-             & ((marker == _EXP_PLUS) | (marker == _EXP_MINUS)) & _are_digits(hi8, lo8, exp))
-    # D lies in [10**16, 10**17): 7 to 10 bits shift it up to bit 63
-    d = lead * np.uint64(10 ** 16) + _eight_digits(hi8) * np.uint64(10 ** 8) + _eight_digits(lo8)
-    lz = (np.uint64(10) - (d >= np.uint64(2 ** 54)) - (d >= np.uint64(2 ** 55))
-          - (d >= np.uint64(2 ** 56)))
-    w = d << lz
-    e = _eight_digits(exp).view(np.int64)
-    j = np.where(marker == _EXP_MINUS, _ROW_OF_E0 + e, _ROW_OF_E0 - e)
-    valid &= j.view(np.uint64) < np.uint64(_SHIFT.size)
 
-    hi, lo = _mul64(w >> _U32, w & _M32, _POW5[0].take(j, mode="clip"),
-                    _POW5[1].take(j, mode="clip"))
-    # Z's top bit is bit 126 + u; the significand is the 53 bits from there
-    u = hi >> np.uint64(63)
-    r = np.uint64(10) + u
-    mant = hi >> r
-    up, near = _round_up(w, j, hi, lo, np.uint64(512) << u)
+    Each array is named where it is made; the scratch row it takes is free
+    again once its last use is past.
+    """
+    n = start.size
+    u = ws.scratch[:, :n]
+    flags = ws.flags[:, :n]
+    neg, three, valid, ok, minus, up, open_ = flags[:7].view(np.bool_)
+    c8, d8 = flags[7:9]
+    # every index is in range; np.take writes straight into out only when
+    # it need not raise
+    np.equal(np.take(b, start, mode="clip", out=c8), _MINUS, out=neg)
+    s = np.add(start, neg, out=u[0].view(np.int64))
+    width = np.subtract(end, s, out=u[1].view(np.int64))
+    np.equal(width, 23, out=three)
+    np.equal(width, 22, out=valid)
+    valid |= three
+    # the 24 bytes after the '.' (16 digits, 'e', the exponent's sign and
+    # its digits, and what follows) as 3 words, one row each.  Indexing
+    # copies out only the n windows (np.take would first copy every
+    # overlapping window); that copy is the one array made here per block
+    hi8, lo8, tail = words = ws.digits[:, :n]
+    np.copyto(words, windows[np.add(s, 2, out=width)].view("<u8").reshape(-1, 3).T)
+    marker = np.bitwise_and(tail, np.uint64(0xFFFF), out=u[2])
+    # the exponent's digits moved to the top bytes, '0' below: 8 digits too
+    shift = u[3]
+    np.copyto(shift, three)
+    shift <<= np.uint64(3)
+    exp = np.right_shift(tail, np.uint64(16), out=tail)
+    exp <<= np.subtract(np.uint64(48), shift, out=u[4])
+    exp |= np.right_shift(_ZEROS8, np.add(np.uint64(16), shift, out=u[4]), out=u[4])
+    lead = np.take(b, s, mode="clip", out=c8)
+    lead -= _ZERO_BYTE
+    valid &= np.less(np.subtract(lead, np.uint8(1), out=d8), 9, out=ok)
+    valid &= np.equal(np.take(b, np.add(s, 1, out=width), mode="clip", out=d8), _DOT, out=ok)
+    np.equal(marker, _EXP_MINUS, out=minus)
+    valid &= np.logical_or(np.equal(marker, _EXP_PLUS, out=ok), minus, out=ok)
+    valid &= _are_digits((hi8, lo8, exp), ok, u[4], u[5])
+    # D lies in [10**16, 10**17): 7 to 10 bits shift it up to bit 63
+    d = np.multiply(lead, np.uint64(10 ** 16), out=u[3])
+    d += np.multiply(_eight_digits(hi8, u[4]), np.uint64(10 ** 8), out=hi8)
+    d += _eight_digits(lo8, u[4])
+    lz = np.subtract(np.uint64(10), np.greater_equal(d, np.uint64(2 ** 54), out=ok), out=u[4])
+    lz -= np.greater_equal(d, np.uint64(2 ** 55), out=ok)
+    lz -= np.greater_equal(d, np.uint64(2 ** 56), out=ok)
+    w = np.left_shift(d, lz, out=d)
+    e = _eight_digits(exp, u[5]).view(np.int64)
+    # row _ROW_OF_E0 + e where the exponent's sign is '-', else - e
+    j = np.subtract(_ROW_OF_E0, e, out=u[5].view(np.int64))
+    np.copyto(j, np.add(e, _ROW_OF_E0, out=e), where=minus)
+    valid &= np.less(j.view(np.uint64), np.uint64(_SHIFT.size), out=ok)
+
+    hi, lo = _mul64(np.right_shift(w, _U32, out=u[6]), np.bitwise_and(w, _M32, out=u[7]),
+                    np.take(_POW5[0], j, mode="clip", out=u[8]),
+                    np.take(_POW5[1], j, mode="clip", out=u[9]), (u[0], u[1], u[2]))
+    # Z's top bit is bit 126 + top; the significand is the 53 bits from there
+    top = np.right_shift(hi, np.uint64(63), out=u[0])
+    mant = np.right_shift(hi, np.add(np.uint64(10), top, out=u[1]), out=u[1])
+    half = np.left_shift(np.uint64(512), top, out=u[2])
+    up, near = _round_up(w, j, hi, lo, half, (u[7], u[9], up, open_))
     valid[near] = False
     mant += up
-    carry = mant >> np.uint64(53)
+    carry = np.right_shift(mant, np.uint64(53), out=u[7])
     mant >>= carry
-    biased = (u + carry - lz).view(np.int64) + _BIASED_OF_ROW.take(j, mode="clip")
-    valid &= (biased - 1).view(np.uint64) < np.uint64(2046)
-    bits = ((neg.astype(np.uint64) << np.uint64(63))
-            | (biased.view(np.uint64) << np.uint64(52)) | (mant & _FRACTION))
-    return bits.view(np.float64), np.flatnonzero(~valid)
+    biased = np.add(top, carry, out=top)
+    biased -= lz
+    biased = biased.view(np.int64)
+    biased += np.take(_BIASED_OF_ROW, j, mode="clip", out=u[9].view(np.int64))
+    valid &= np.less(np.subtract(biased, 1, out=u[9].view(np.int64)).view(np.uint64),
+                     np.uint64(2046), out=ok)
+    bits = out.view(np.uint64)
+    np.copyto(bits, neg)
+    bits <<= np.uint64(63)
+    bits |= np.left_shift(biased.view(np.uint64), np.uint64(52), out=top)
+    bits |= np.bitwise_and(mant, _FRACTION, out=mant)
+    return out, np.flatnonzero(np.logical_not(valid, out=ok))
 
 
 def _float_cell(cell: bytes):
@@ -439,28 +567,38 @@ def _row_separators(ncols: int) -> np.ndarray:
     return np.array([_COMMA_BYTE] * (ncols - 1) + [_NEWLINE_BYTE], dtype=np.uint8)
 
 
-def _block_columns(text: bytes, ncols: int, want: list, path, line: int) -> list:
-    """The wanted columns (index, name) of the complete rows in text, which
-    starts on file line `line`."""
-    b = np.frombuffer(text + _PAD, dtype=np.uint8)
+def _block_columns(ws: _Workspace, size: int, ncols: int, want: list, path, line: int) -> list:
+    """The wanted columns (index, name) of the complete rows in
+    ws.text[:size], which starts on file line `line`, as views of ws."""
+    b = np.frombuffer(ws.text, dtype=np.uint8, count=size + len(_PAD))
     # the 24 bytes from each offset, as one void item each: a gather of
     # these copies them out aligned
     windows = np.ndarray((b.size - _WINDOW + 1,), dtype=f"V{_WINDOW}", buffer=b, strides=(1,))
-    sep = np.flatnonzero((b == _COMMA_BYTE) | (b == _NEWLINE_BYTE))
+    is_sep, is_newline = ws.masks[:b.size], ws.masks[b.size:2 * b.size]
+    np.equal(b, _COMMA_BYTE, out=is_sep)
+    is_sep |= np.equal(b, _NEWLINE_BYTE, out=is_newline)
+    sep = np.flatnonzero(is_sep)
     kinds = b[sep]
     if kinds.size % ncols or (kinds.reshape(-1, ncols) != _row_separators(ncols)).any():
-        for k, row in enumerate(text.split(b"\n")[:-1]):
+        for k, row in enumerate(ws.text[:size].split(b"\n")[:-1]):
             if row.count(b",") != ncols - 1:
                 raise ConfigError(f"{path}: line {line + k}: expected {ncols} fields, "
                                   f"found {row.count(b',') + 1}")
     sep = sep.reshape(-1, ncols)
+    rows = sep.shape[0]
+    ws.fit(rows)
+    start = ws.start[:rows]
     out = []
-    for c, name in want:
+    for values, (c, name) in zip(ws.values, want):
         end = sep[:, c]
-        start = sep[:, c - 1] + 1 if c else np.concatenate(([0], sep[:-1, -1] + 1))
-        values, redo = _parse_cells(b, windows, start, end)
+        if c:
+            np.add(sep[:, c - 1], 1, out=start)
+        else:
+            start[0] = 0
+            np.add(sep[:-1, -1], 1, out=start[1:])
+        values, redo = _parse_cells(b, windows, start, end, ws, values[:rows])
         for i in redo.tolist():
-            cell = text[start[i]:end[i]]
+            cell = ws.text[start[i]:end[i]]
             value = _float_cell(cell)
             if value is None:
                 raise ConfigError(f"{path}: line {line + i}, column {name!r}: "
@@ -486,14 +624,23 @@ def read_header(path: Path) -> list[str]:
 def read_columns(path: Path, names: list[str]) -> list[np.ndarray]:
     """The named columns of a CSV file under a header line, as float64 arrays.
 
-    The mirror of write_columns: the file is read in blocks of
-    ``_BLOCK_BYTES``, each cut after its last newline, and _parse_cells reads
-    whole columns of a block.  A cell in the '%.16e' shape is read by the
+    The mirror of write_columns.  A cell in the '%.16e' shape is read by the
     kernel; any other number float() reads is read by float(), the
     reference.  A missing column, a row with another number of fields than
     the header and a cell that is not a number raise ConfigError naming the
-    file, line and column.  Each column is one array, grown at most rarely:
-    its length is estimated from the first block.
+    file, line and column.
+
+    The file is read in blocks of up to _BLOCK_BYTES, each cut after its
+    last newline, and _parse_cells reads whole columns of a block.
+    workers.share hands the blocks out to the calling thread and, where the
+    host allows and the file holds more than one block, one helper thread,
+    each with its own _Workspace.  A block is read, cut and its newlines
+    counted under share's lock, which fixes its first row and file line
+    before it is parsed; its columns are copied into the output under the
+    lock too.  So the values do not depend on the worker count, and the
+    error raised is that of the first failing block in the file, as one
+    worker would raise it.  Each column is one array, grown at most rarely:
+    its length is estimated from the first block to finish.
     """
     with open(path, "rb") as fh:
         header = _header(fh, path)
@@ -502,36 +649,67 @@ def read_columns(path: Path, names: list[str]) -> list[np.ndarray]:
                 raise ConfigError(f"column {name!r} not in {path} (columns: {header})")
         want = [(header.index(name), name) for name in names]
         size = os.fstat(fh.fileno()).st_size
+        blocks = -(-(size - fh.tell()) // _BLOCK_BYTES)
         columns = [np.empty(0) for _ in names]
-        n, carry = 0, b""
-        while True:
-            block = fh.read(_BLOCK_BYTES)
-            cut = block.rfind(b"\n") + 1
-            if not block:
-                if not carry:
+        capacity, taken, carry = 0, 0, b""
+
+        def take(ws):
+            # whole lines up to a full text buffer, the partial last line
+            # carried to the next block; at the end of the file, what is
+            # left, with a newline added
+            nonlocal taken, carry
+            n = len(carry)
+            while len(ws.text) - len(_PAD) - 1 <= n:
+                ws.grow_text()
+            text = ws.text
+            text[:n] = carry
+            while True:
+                room = len(text) - len(_PAD) - 1
+                if n == room:  # a line longer than the text buffer
+                    ws.grow_text()
+                    text = ws.text
+                    continue
+                got = fh.readinto(memoryview(text)[n:room])
+                if not got:
+                    if not n:
+                        return None
+                    text[n] = _NEWLINE_BYTE
+                    cut = n = n + 1
                     break
-                text, carry = carry + b"\n", b""
-            elif not cut:
-                carry += block
-                continue
-            else:
-                text, carry = carry + block[:cut], block[cut:]
-            parts = _block_columns(text, len(header), want, path, n + 2)
-            rows = parts[0].size
-            if n + rows > columns[0].size:
+                n += got
+                cut = text.rfind(b"\n", 0, n) + 1
+                if cut:
+                    break
+            carry = text[cut:n]
+            text[cut:cut + len(_PAD)] = _PAD
+            # the worker's masks are free until it parses this block
+            rows = int(np.count_nonzero(np.equal(np.frombuffer(text, np.uint8, cut), _NEWLINE_BYTE,
+                                                 out=ws.masks[:cut])))
+            taken += rows
+            return taken - rows, rows, cut, fh.tell()
+
+        def work(block, ws):
+            first, _, nbytes, _ = block
+            return _block_columns(ws, nbytes, len(header), want, path, first + 2)
+
+        def done(block, parts):
+            nonlocal capacity, columns
+            first, rows, nbytes, pos = block
+            if first + rows > capacity:
                 # room for the rest of the file at this block's row density
-                room = n + rows + int(rows * 1.125 * (size - fh.tell()) / len(text)) + 16
-                columns = [_grown(col, n, room) for col in columns]
+                capacity = first + rows + int(rows * 1.125 * (size - pos) / nbytes) + 16
+                columns = [_grown(col, capacity) for col in columns]
             for col, part in zip(columns, parts):
-                col[n:n + rows] = part
-            n += rows
+                col[first:first + rows] = part
+
+        share(take, work, done, lambda: _Workspace(len(want)), blocks)
     for col in columns:
-        col.resize(n, refcheck=False)
+        col.resize(taken, refcheck=False)
     return columns
 
 
-def _grown(col: np.ndarray, n: int, size: int) -> np.ndarray:
-    """An array of `size` floats starting with col[:n]."""
+def _grown(col: np.ndarray, size: int) -> np.ndarray:
+    """An array of `size` floats starting with col."""
     out = np.empty(size)
-    out[:n] = col[:n]
+    out[:col.size] = col
     return out

@@ -13,16 +13,14 @@ evaluator of the same defining sum is provided as an independent check.
 
 from __future__ import annotations
 
-import collections
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .timebase import MIN_SAMPLES, TimeErrorSeries  # noqa: F401 (MIN_SAMPLES re-exported)
+from .workers import share
 
 
 @dataclass
@@ -117,28 +115,16 @@ def _window_sums(x: np.ndarray, n: int, c: np.ndarray, b: np.ndarray) -> np.ndar
     return c[:m]
 
 
-def _worker_count() -> int:
-    # 2 where this process may run on more than one CPU, else 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return 2 if cpus > 1 else 1
-
-
 def _curve(series: TimeErrorSeries, taus, windows: int, stat, buffers) -> StabilityCurve:
     """The curve of stat(n, *buffers()) -> (value, m) over `taus` (the
     default grid when None), for a statistic over `windows` windows of n
     samples.
 
     Every tau is checked before any is computed.  The taus are independent
-    and carry equal work, so the calling thread and, where _worker_count()
-    allows, one helper thread take the next tau from one shared iterator.
-    Each worker has its own work buffers, all allocated here in the calling
-    thread (so they come from its heap arena).  A tau's value takes the same
-    operations whichever thread computes it, so the curve does not depend on
-    the worker count.  An exception in either worker stops both and is
-    raised here after the helper has ended.
+    and carry equal work, so workers.share hands them out to the calling
+    thread and, where the host allows, one helper thread.  Each worker has
+    its own work buffers.  A tau's value takes the same operations whichever
+    thread computes it, so the curve does not depend on the worker count.
     """
     x, tau0 = series.values, series.tau0_s
     if taus is None:
@@ -148,37 +134,15 @@ def _curve(series: TimeErrorSeries, taus, windows: int, stat, buffers) -> Stabil
         raise ValidationError("taus must be strictly increasing")
     results: list = [None] * len(ns)
     todo = iter(range(len(ns)))
-    lock = threading.Lock()
-    failed: list[BaseException] = []
 
-    def work(*bufs):
+    def one(i, bufs):
         # np.errstate is per thread.  A finite series whose sums overflow
         # gives inf or nan values, which StabilityCurve rejects; numpy's
         # warnings would only repeat that
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                while True:
-                    with lock:
-                        i = next(todo, None)
-                    if i is None:
-                        return
-                    results[i] = stat(ns[i], *bufs)
-        except BaseException as exc:
-            failed.append(exc)
-            with lock:
-                collections.deque(todo, maxlen=0)  # the other worker stops too
+        with np.errstate(over="ignore", invalid="ignore"):
+            return stat(ns[i], *bufs)
 
-    worker_bufs = [buffers() for _ in range(min(_worker_count(), len(ns)))]
-    helpers = [threading.Thread(target=work, args=bufs, daemon=True)
-               for bufs in worker_bufs[1:]]
-    for helper in helpers:
-        helper.start()
-    if worker_bufs:
-        work(*worker_bufs[0])
-    for helper in helpers:
-        helper.join()
-    if failed:
-        raise failed[0]
+    share(lambda bufs: next(todo, None), one, results.__setitem__, buffers, len(ns))
     return StabilityCurve(np.asarray(taus), np.asarray([v for v, _ in results]),
                           np.asarray([m for _, m in results]))
 

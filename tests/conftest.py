@@ -15,11 +15,12 @@ def cold_kernel_cache(monkeypatch):
 
 @pytest.fixture
 def pin_workers(monkeypatch):
-    """pin_workers(k) makes stability's statistics run on k workers (the
-    calling thread and k - 1 helpers), whatever CPUs this process may use."""
-    from fotsim import stability
+    """pin_workers(k) makes stability's statistics and the CSV reader run on
+    k workers (the calling thread and k - 1 helpers), whatever CPUs this
+    process may use."""
+    from fotsim import workers
 
     def pin(count):
-        monkeypatch.setattr(stability, "_worker_count", lambda: count)
+        monkeypatch.setattr(workers, "_worker_count", lambda: count)
 
     return pin

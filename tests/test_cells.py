@@ -1,10 +1,14 @@
 """The CSV cell kernels: the writer against Python's '%.16e' and '%d', byte
 for byte, and the reader against float() and np.loadtxt, bit for bit."""
 
+import sys
+import threading
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from fotsim import cells
+from fotsim import cells, workers
 from fotsim.errors import ConfigError
 
 
@@ -258,7 +262,13 @@ def test_non_canonical_cells_read_as_loadtxt(tmp_path, newline, final):
         assert np.array_equal(np.signbit(col), np.signbit(want[:, j]))
 
 
-def test_fallback_reads_only_what_the_kernel_leaves_open(tmp_path, monkeypatch):
+@pytest.mark.parametrize("count", [1, 2])
+def test_fallback_reads_only_what_the_kernel_leaves_open(tmp_path, monkeypatch, pin_workers,
+                                                         count):
+    # one worker reads the open cells in file order; on two, the calls of
+    # two blocks interleave, so only the cells read are compared
+    pin_workers(count)
+    same = (lambda a, b: a == b) if count == 1 else (lambda a, b: Counter(a) == Counter(b))
     seen = []
     reference = cells._float_cell
     monkeypatch.setattr(cells, "_float_cell", lambda cell: seen.append(cell) or reference(cell))
@@ -279,7 +289,7 @@ def test_fallback_reads_only_what_the_kernel_leaves_open(tmp_path, monkeypatch):
     for name in ("residuals", "round times", "intervals"):
         assert not open_cells(cases[name])
     for name, x in cases.items():
-        assert by_reference(x[:50_000]) == open_cells(x[:50_000]), name
+        assert same(by_reference(x[:50_000]), open_cells(x[:50_000])), name
     # so are 2**53 + 1, 2**54 + 2 and -(2**55 + 4), halfway between two floats
     texts = ["9.0071992547409930e+15", "1.8014398509481986e+16", "-3.6028797018963972e+16"]
     path = tmp_path / "ties.csv"
@@ -309,17 +319,183 @@ def test_malformed_files_raise_config_error(tmp_path, text, message):
 
 
 def test_error_line_numbers_count_across_blocks(tmp_path):
-    n = 40_000
+    n = 150_000
     path = tmp_path / "x.csv"
     cells.write_columns(path, ["i", "x"], [np.arange(n), np.linspace(-1.0, 1.0, n)])
     lines = path.read_text().split("\n")
-    lines[30_001] = lines[30_001].replace("e", "q")
+    lines[110_001] = lines[110_001].replace("e", "q")
     path.write_text("\n".join(lines))
     assert path.stat().st_size > 3 * cells._BLOCK_BYTES
-    with pytest.raises(ConfigError, match=r"line 30002, column 'x'"):
+    with pytest.raises(ConfigError, match=r"line 110002, column 'x'"):
         cells.read_columns(path, ["x"])
     # a column that is not read is not parsed, but every row is counted
-    lines[35_001] = "1,2,3"
+    lines[130_001] = "1,2,3"
     path.write_text("\n".join(lines))
-    with pytest.raises(ConfigError, match=r"line 35002: expected 2 fields, found 3"):
+    with pytest.raises(ConfigError, match=r"line 130002: expected 2 fields, found 3"):
         cells.read_columns(path, ["i"])
+
+
+# the blocks of one read on one worker and on two
+
+def mixed_file(path, rows, final=True):
+    """A three-column file of random float64 bit patterns, kernel and
+    fallback cells alike, ending in a newline or not."""
+    x = np.random.default_rng(rows).integers(0, 2 ** 64, rows, dtype=np.uint64).view(np.float64)
+    x[:5] = [0.0, -0.0, 5e-324, np.inf, 2.5]
+    cells.write_columns(path, ["i", "x", "y"], [np.arange(rows), x, -x])
+    if not final:
+        path.write_bytes(path.read_bytes()[:-1])
+
+
+@pytest.fixture
+def helper_takes_a_block(monkeypatch):
+    """With two workers, the calling thread waits in its first block until
+    the helper thread has started one, so both parse some.  Yields the set
+    of threads that parsed a block."""
+    block_columns = cells._block_columns
+    caller, helper_started = threading.current_thread(), threading.Event()
+    threads = set()
+
+    def gated(*args):
+        threads.add(threading.current_thread())
+        if threading.current_thread() is not caller:
+            helper_started.set()
+        elif workers._worker_count() > 1:
+            helper_started.wait(5.0)
+        return block_columns(*args)
+
+    monkeypatch.setattr(cells, "_block_columns", gated)
+    yield threads
+
+
+@pytest.mark.parametrize("final", [True, False])
+@pytest.mark.parametrize("block", [1, 7, 64, 4096])
+def test_one_and_two_workers_read_equal_bits(tmp_path, monkeypatch, pin_workers,
+                                             helper_takes_a_block, block, final):
+    # blocks of 1, 7 and 64 bytes are shorter than a row: each carries a
+    # partial line on to the next
+    path = tmp_path / "cells.csv"
+    mixed_file(path, 3000 if block == 4096 else 300, final)
+    monkeypatch.setattr(cells, "_BLOCK_BYTES", block)
+    pin_workers(1)
+    one = read_back(path, ["y", "i", "x"])
+    assert len(helper_takes_a_block) == 1
+    pin_workers(2)
+    two = read_back(path, ["y", "i", "x"])
+    assert len(helper_takes_a_block) == 2
+    for a, b in zip(one, two):
+        assert np.array_equal(a, b)
+
+
+def test_many_blocks_on_more_threads_than_cores(tmp_path, monkeypatch, pin_workers):
+    # 4 callers with 2 workers each read 64-byte blocks, switching threads
+    # every microsecond: a block lost, taken twice or stored at another row
+    # would change some column
+    path = tmp_path / "cells.csv"
+    mixed_file(path, 300)
+    monkeypatch.setattr(cells, "_BLOCK_BYTES", 64)
+    pin_workers(2)
+    want = read_back(path, ["x", "y"])
+    got = [None] * 4
+    start = threading.Barrier(len(got), timeout=60.0)
+
+    def call(i):
+        start.wait()
+        got[i] = [read_back(path, ["x", "y"]) for _ in range(2)]
+
+    callers = [threading.Thread(target=call, args=(i,)) for i in range(len(got))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60.0)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for reads in got:
+        for columns in reads:
+            assert all(np.array_equal(a, b) for a, b in zip(columns, want))
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_earliest_bad_block_is_the_error_raised(tmp_path, monkeypatch, pin_workers, count):
+    # two bad cells, in an early and a late block.  On two workers the
+    # early block waits to fail until the late one has failed, and the
+    # error raised is still the early one's, as on one worker
+    path = tmp_path / "cells.csv"
+    mixed_file(path, 3000)
+    lines = path.read_text().split("\n")
+    for k, junk in ((150, "junk"), (2000, "1_0")):
+        i, _, y = lines[k].split(",")
+        lines[k] = f"{i},{junk},{y}"
+    path.write_text("\n".join(lines))
+    monkeypatch.setattr(cells, "_BLOCK_BYTES", 4096)
+    pin_workers(count)
+    block_columns = cells._block_columns
+    late_failed = threading.Event()
+
+    def gated(*args):
+        try:
+            return block_columns(*args)
+        except ConfigError as exc:
+            if "line 2001," in str(exc):
+                late_failed.set()
+            elif count == 2:
+                assert late_failed.wait(5.0)
+            raise
+
+    monkeypatch.setattr(cells, "_block_columns", gated)
+    with pytest.raises(ConfigError) as info:
+        cells.read_columns(path, ["x"])
+    assert str(info.value) == f"{path}: line 151, column 'x': cannot read 'junk' as a number"
+    assert late_failed.is_set() == (count == 2)
+
+
+def test_helper_exception_reaches_the_caller(tmp_path, monkeypatch, pin_workers):
+    # the caller waits in its first block until the helper has failed in
+    # its own, then finishes that block and takes no other
+    path = tmp_path / "cells.csv"
+    mixed_file(path, 3000)
+    monkeypatch.setattr(cells, "_BLOCK_BYTES", 4096)
+    pin_workers(2)
+    block_columns = cells._block_columns
+    caller, helper, helper_failed = threading.current_thread(), [], threading.Event()
+    caller_blocks = []
+
+    def failing(*args):
+        if threading.current_thread() is not caller:
+            helper.append(threading.current_thread())
+            helper_failed.set()
+            raise RuntimeError("helper failed")
+        assert helper_failed.wait(5.0)
+        helper[0].join(5.0)
+        assert not helper[0].is_alive()
+        caller_blocks.append(args[-1])
+        return block_columns(*args)
+
+    monkeypatch.setattr(cells, "_block_columns", failing)
+    with pytest.raises(RuntimeError, match="helper failed"):
+        cells.read_columns(path, ["x"])
+    assert len(caller_blocks) <= 1
+
+
+def test_one_block_starts_no_thread(tmp_path, monkeypatch, pin_workers):
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    pin_workers(2)
+    path = tmp_path / "cells.csv"
+    mixed_file(path, 19)
+    assert path.stat().st_size < cells._BLOCK_BYTES
+    cells.read_columns(path, ["x"])
+    assert started == []
+    monkeypatch.setattr(cells, "_BLOCK_BYTES", 256)
+    cells.read_columns(path, ["x"])
+    assert len(started) == 1

@@ -12,8 +12,9 @@ buffer goes past it.
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from fotsim import timebase
+from fotsim import cells, timebase
 from fotsim.access import AccessNode
 from fotsim.channel import FluctuationSpec, HardwareDelays, LinkModel
 from fotsim.protocol import ProtocolConfig, TicModel, run_rounds
@@ -112,6 +113,37 @@ def test_adev_on_two_workers_holds_two_buffers(pin_workers):
     series = drifting_series(2)
     _, peak, _ = traced(lambda: adev(series))
     assert peak <= 2 * series.values.size * COLUMN + (64 << 10)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_read_columns_holds_its_output_and_one_workspace_per_worker(tmp_path, pin_workers,
+                                                                    workers):
+    """Peak of read_columns over a file of about four blocks, rows of even
+    width, two columns read.
+
+    Each output column is sized from the first block to finish: its rows,
+    plus 1.125 times the rows the rest of the file holds at its density,
+    plus 16, so (1.125 N + 16) values at most.  Each worker holds one
+    _Workspace and, while it parses a block, the two arrays a block makes;
+    _Workspace's docstring counts both from _BLOCK_BYTES.  64 KiB of slack
+    covers the rest: the carried line, the index lists, the helper thread.
+    """
+    pin_workers(workers)
+    rows_per_block = cells._BLOCK_BYTES // 46
+    n = 4 * rows_per_block
+    x = 1.0 + np.random.default_rng(5).random(n)
+    path = tmp_path / "even.csv"
+    cells.write_columns(path, ["x", "y"], [x, 2.0 * x])
+    assert path.stat().st_size == 4 + 46 * n
+    (got, _), peak, _ = traced(lambda: cells.read_columns(path, ["x", "y"]))
+    assert np.array_equal(got, x)
+    output = 2 * (1.125 * n + 16) * COLUMN
+    # the text and its zeros, then per row of a block at most: 16 words and
+    # one per column read, 24 bytes of windows, and for each of the two
+    # separators its offset (8 bytes), its kind and the kind's check
+    rows = cells._BLOCK_BYTES // cells._MIN_ROW
+    workspace = cells._BLOCK_BYTES + 33 + ((16 + 2) * 8 + 24 + 2 * 10) * rows
+    assert peak <= output + workers * workspace + (64 << 10)
 
 
 ALL_KINDS = NoiseProfile(components=[(kind, 1e-12) for kind in NOISE_TYPES], rng_seed=3)

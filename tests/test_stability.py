@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fotsim import stability
+from fotsim import stability, workers
 from fotsim.cli import main as cli_main
 from fotsim.errors import ValidationError
 from fotsim.scenario import write_series_csv
@@ -288,7 +288,7 @@ def helper_takes_a_tau(monkeypatch):
     def gated_curve(s, taus, windows, stat, buffers):
         caller, helper_started = threading.current_thread(), threading.Event()
         n_taus = len(default_taus(s.tau0_s, s.values.size) if taus is None else taus)
-        split = stability._worker_count() > 1 and n_taus > 1
+        split = workers._worker_count() > 1 and n_taus > 1
 
         def gated(n, *bufs):
             threads.add(threading.current_thread())
