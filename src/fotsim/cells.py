@@ -375,16 +375,17 @@ class _Workspace:
 
     ``text`` holds a block and the zeros of _PAD after it; one uint64
     matrix holds, for each row of the block, the words that _block_columns
-    and _parse_cells fill.  Made for _BLOCK_BYTES of text and
-    _BLOCK_BYTES // _MIN_ROW rows, it takes _BLOCK_BYTES + 33 bytes plus
-    (_WORDS_PER_ROW + columns) words per row.  Before a block's cells are
+    and _parse_cells fill.  Made for _BLOCK_BYTES of text plus a last line
+    of up to _BLOCK_BYTES more, and for _BLOCK_BYTES // _MIN_ROW rows, it
+    maps 2 * _BLOCK_BYTES + 33 bytes, resident only as far as a block fills
+    them, plus (_WORDS_PER_ROW + columns) words per row.  Before a block's cells are
     read, the first 13 words of each row hold its two separator masks, one
     byte per byte of text each.  Parsing a block makes two arrays besides:
     the offsets of its separators (8 bytes each) with their kinds and the
     kinds' check (1 byte each), and its cells' 24-byte windows.  For one
     column of a file of canonical cells that is about 8 bytes per byte of
-    block.  A line longer than the text, or a block of more rows, grows the
-    workspace; neither occurs in the files fotsim writes.
+    block.  A last line longer than _BLOCK_BYTES, or a block of more rows,
+    grows the workspace; neither occurs in the files fotsim writes.
 
     The text and the matrix are anonymous memory maps, not heap memory, and
     are unmapped when the read ends.  From the heap, a workspace freed at
@@ -395,7 +396,7 @@ class _Workspace:
 
     def __init__(self, columns: int):
         self.columns = columns
-        self.text = mmap.mmap(-1, _BLOCK_BYTES + 1 + len(_PAD))
+        self.text = mmap.mmap(-1, 2 * _BLOCK_BYTES + 1 + len(_PAD))
         self.rows = 0
         self.fit(_BLOCK_BYTES // _MIN_ROW)
 
@@ -630,11 +631,11 @@ def read_columns(path: Path, names: list[str]) -> list[np.ndarray]:
     the header and a cell that is not a number raise ConfigError naming the
     file, line and column.
 
-    The file is read in blocks of up to _BLOCK_BYTES, each cut after its
-    last newline, and _parse_cells reads whole columns of a block.
-    workers.share hands the blocks out to the calling thread and, where the
-    host allows and the file holds more than one block, one helper thread,
-    each with its own _Workspace.  A block is read, cut and its newlines
+    The file is read in blocks of _BLOCK_BYTES, each finished to the end of
+    its last line by readline, and _parse_cells reads whole columns of a
+    block.  workers.share hands the blocks out to the calling thread and,
+    where the host allows and the file holds more than one block, one helper
+    thread, each with its own _Workspace.  A block is read and its newlines
     counted under share's lock, which fixes its first row and file line
     before it is parsed; its columns are copied into the output under the
     lock too.  So the values do not depend on the worker count, and the
@@ -651,42 +652,30 @@ def read_columns(path: Path, names: list[str]) -> list[np.ndarray]:
         size = os.fstat(fh.fileno()).st_size
         blocks = -(-(size - fh.tell()) // _BLOCK_BYTES)
         columns = [np.empty(0) for _ in names]
-        capacity, taken, carry = 0, 0, b""
+        capacity, taken = 0, 0
 
         def take(ws):
-            # whole lines up to a full text buffer, the partial last line
-            # carried to the next block; at the end of the file, what is
-            # left, with a newline added
-            nonlocal taken, carry
-            n = len(carry)
-            while len(ws.text) - len(_PAD) - 1 <= n:
+            # a block of whole lines: up to _BLOCK_BYTES, then the rest of
+            # its last line; at the end of the file, a newline added
+            nonlocal taken
+            n = fh.readinto(memoryview(ws.text)[:_BLOCK_BYTES])
+            if not n:
+                return None
+            line = fh.readline()
+            while len(ws.text) - len(_PAD) - 1 < n + len(line):
                 ws.grow_text()
             text = ws.text
-            text[:n] = carry
-            while True:
-                room = len(text) - len(_PAD) - 1
-                if n == room:  # a line longer than the text buffer
-                    ws.grow_text()
-                    text = ws.text
-                    continue
-                got = fh.readinto(memoryview(text)[n:room])
-                if not got:
-                    if not n:
-                        return None
-                    text[n] = _NEWLINE_BYTE
-                    cut = n = n + 1
-                    break
-                n += got
-                cut = text.rfind(b"\n", 0, n) + 1
-                if cut:
-                    break
-            carry = text[cut:n]
-            text[cut:cut + len(_PAD)] = _PAD
+            text[n:n + len(line)] = line
+            n += len(line)
+            if text[n - 1] != _NEWLINE_BYTE:
+                text[n] = _NEWLINE_BYTE
+                n += 1
+            text[n:n + len(_PAD)] = _PAD
             # the worker's masks are free until it parses this block
-            rows = int(np.count_nonzero(np.equal(np.frombuffer(text, np.uint8, cut), _NEWLINE_BYTE,
-                                                 out=ws.masks[:cut])))
+            rows = int(np.count_nonzero(np.equal(np.frombuffer(text, np.uint8, n), _NEWLINE_BYTE,
+                                                 out=ws.masks[:n])))
             taken += rows
-            return taken - rows, rows, cut, fh.tell()
+            return taken - rows, rows, n, fh.tell()
 
         def work(block, ws):
             first, _, nbytes, _ = block

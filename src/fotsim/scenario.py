@@ -557,11 +557,14 @@ def write_curve_csv(path: Path, curve: StabilityCurve) -> None:
 
 def read_curve_csv(path: Path) -> StabilityCurve:
     taus, values, counts = read_columns(path, TDEV_HEADER)
-    # whole numbers that int64 holds exactly, so astype(int) keeps them
-    # (the range check first: inf % 1 is nan, with a RuntimeWarning)
-    if not (np.all((counts >= 1) & (counts < 2 ** 53)) and np.all(counts % 1 == 0)):
-        raise ValidationError(f"{path}: n_samples must be whole numbers >= 1")
-    return StabilityCurve(taus, values, counts.astype(int))
+    try:
+        # whole numbers that int64 holds exactly, so astype(int) keeps them
+        # (the range check first: inf % 1 is nan, with a RuntimeWarning)
+        if not (np.all((counts >= 1) & (counts < 2 ** 53)) and np.all(counts % 1 == 0)):
+            raise ValidationError("n_samples must be whole numbers >= 1")
+        return StabilityCurve(taus, values, counts.astype(int))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def write_rounds_csv(out_dir: Path, rounds: SyncRoundResult) -> list[str]:

@@ -37,8 +37,8 @@ class StabilityCurve:
         self.n_samples = np.asarray(self.n_samples, dtype=int)
         if not (self.taus.size == self.values.size == self.n_samples.size):
             raise ValidationError("curve arrays must have equal length")
-        if np.any(np.diff(self.taus) <= 0):
-            raise ValidationError("taus must be strictly increasing")
+        if not np.all(np.isfinite(self.taus) & (self.taus > 0)) or np.any(np.diff(self.taus) <= 0):
+            raise ValidationError("taus must be finite, > 0 and strictly increasing")
         if not np.all(np.isfinite(self.values) & (self.values >= 0)):
             raise ValidationError("stability values must be finite and >= 0")
         if np.any(self.n_samples < 1):
@@ -68,7 +68,8 @@ def default_taus(tau0_s: float, n: int) -> list[float]:
 
 def _tau_to_n(tau: float, tau0: float, n_points: int, windows: int = 3) -> int:
     # a statistic over `windows` windows of n samples (TDEV 3, ADEV 2)
-    n = int(round(tau / tau0))
+    ratio = tau / tau0
+    n = int(round(ratio)) if math.isfinite(ratio) else 0
     if n < 1 or not math.isclose(n * tau0, tau, rel_tol=1e-9, abs_tol=1e-12 * tau0):
         raise ValidationError(f"tau {tau} is not a positive multiple of tau0 {tau0}")
     if n_points < windows * n + 1:

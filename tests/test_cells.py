@@ -205,7 +205,8 @@ def test_read_returns_what_was_written_bit_for_bit(tmp_path):
 
 @pytest.mark.parametrize("block", [1, 7, 64, 1000])
 def test_rows_split_across_small_blocks(tmp_path, monkeypatch, block):
-    # blocks shorter than a row: the carried partial line grows over reads
+    # blocks shorter than a row: readline ends each block with the rest of
+    # its row, which grows the text on the first block
     rng = np.random.default_rng(block)
     x = rng.standard_normal(300) * 10.0 ** rng.integers(-300, 300, 300)
     x[:5] = [0.0, -0.0, 5e-324, np.inf, 2.5]
@@ -369,13 +370,19 @@ def helper_takes_a_block(monkeypatch):
 
 
 @pytest.mark.parametrize("final", [True, False])
-@pytest.mark.parametrize("block", [1, 7, 64, 4096])
+@pytest.mark.parametrize("block, long_row", [(1, False), (7, False), (64, False), (4096, False),
+                                             (4096, True)])
 def test_one_and_two_workers_read_equal_bits(tmp_path, monkeypatch, pin_workers,
-                                             helper_takes_a_block, block, final):
-    # blocks of 1, 7 and 64 bytes are shorter than a row: each carries a
-    # partial line on to the next
+                                             helper_takes_a_block, block, long_row, final):
+    # blocks of 1, 7 and 64 bytes are shorter than a row: readline ends each
+    # with the rest of its row.  A row longer than two blocks among short
+    # ones grows the text after a full block
     path = tmp_path / "cells.csv"
     mixed_file(path, 3000 if block == 4096 else 300, final)
+    if long_row:
+        rows = path.read_bytes().split(b"\n")
+        rows[1501] = b"1500." + b"0" * 2 * block + rows[1501][4:]
+        path.write_bytes(b"\n".join(rows))
     monkeypatch.setattr(cells, "_BLOCK_BYTES", block)
     pin_workers(1)
     one = read_back(path, ["y", "i", "x"])
@@ -385,6 +392,7 @@ def test_one_and_two_workers_read_equal_bits(tmp_path, monkeypatch, pin_workers,
     assert len(helper_takes_a_block) == 2
     for a, b in zip(one, two):
         assert np.array_equal(a, b)
+    assert np.array_equal(one[1].view(np.float64), np.arange(one[1].size))
 
 
 def test_many_blocks_on_more_threads_than_cores(tmp_path, monkeypatch, pin_workers):

@@ -126,7 +126,8 @@ def test_read_columns_holds_its_output_and_one_workspace_per_worker(tmp_path, pi
     plus 16, so (1.125 N + 16) values at most.  Each worker holds one
     _Workspace and, while it parses a block, the two arrays a block makes;
     _Workspace's docstring counts both from _BLOCK_BYTES.  64 KiB of slack
-    covers the rest: the carried line, the index lists, the helper thread.
+    covers the rest: the line readline ends a block with, the index lists,
+    the helper thread.
     """
     pin_workers(workers)
     rows_per_block = cells._BLOCK_BYTES // 46

@@ -111,6 +111,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="strictly increasing"):
             validate_scenario(minimal_doc(tdev_taus=[2.0, 1.0]))
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_non_finite_tdev_tau_rejected(self, tau):
+        # NaN passes the order check; neither may reach int()
+        with pytest.raises(ConfigError, match=f"tdev_taus: tau {tau} is not a positive multiple"):
+            validate_scenario(minimal_doc(tdev_taus=[1.0, tau]))
+
     def test_tau_too_long_for_the_series_rejected(self):
         # 32 samples hold tau = n * 1 s up to n = 10 (3n + 1 <= 32)
         validate_scenario(minimal_doc(tdev_taus=[1.0, 10.0]))
@@ -518,11 +524,13 @@ class TestCli:
         f.write_text(json.dumps(doc))
         assert cli_main(["run", "--scenario", str(f), "--out", str(tmp_path / "o")]) == 2
 
-    def test_bad_tdev_taus_exit_1_before_simulating(self, tmp_path, capsys):
+    @pytest.mark.parametrize("taus", [[], [1.0, np.nan], [1.0, np.inf], [np.nan]])
+    def test_bad_tdev_taus_exit_1_before_simulating(self, tmp_path, capsys, taus):
         f = tmp_path / "s.json"
-        f.write_text(json.dumps(sync_doc(tdev_taus=[])))
+        f.write_text(json.dumps(sync_doc(tdev_taus=taus)))
         assert cli_main(["run", "--scenario", str(f), "--out", str(tmp_path / "o")]) == 1
-        assert "tdev_taus" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "tdev_taus" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     def test_apply_calibration_without_a_set_exits_1(self, tmp_path, capsys):
@@ -565,6 +573,8 @@ class TestCli:
          "line 3, column 'tdev_s': cannot read 'zz'"),
         (["compare", "{good}"], "tau_s,tdev_s,n_samples\n1,2e-9,10\n2,1e-9,7.5\n",
          "n_samples must be whole numbers"),
+        (["compare", "{good}"], "tau_s,tdev_s,n_samples\n1,2e-9,10\nnan,1e-9,7\n",
+         "taus must be finite"),
     ])
     def test_malformed_csv_exits_1_naming_the_place(self, tmp_path, capsys, argv, text,
                                                      message):

@@ -333,6 +333,9 @@ class TestWorkerSplit:
             tdev(s, [1.0, 2.0, 3.5])
         with pytest.raises(ValidationError, match=r"too short for tau 30\.0"):
             tdev(s, [1.0, 2.0, 30.0])
+        for tau in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match=f"tau {tau} is not a positive multiple"):
+                tdev(s, [1.0, 2.0, tau])
         with pytest.raises(ValidationError, match="taus must be strictly increasing"):
             tdev(s, [2.0, 1.0])
         assert calls == []
@@ -432,6 +435,11 @@ class TestNonFiniteValues:
     def test_curve_rejects_nan(self):
         with pytest.raises(ValidationError, match="finite"):
             StabilityCurve([1.0], [np.nan], [1])
+        for tau in (np.nan, np.inf, 0.0, -1.0):
+            with pytest.raises(ValidationError, match="taus must be finite, > 0"):
+                StabilityCurve([tau], [1.0], [1])
+        with pytest.raises(ValidationError, match="taus must be finite, > 0"):
+            StabilityCurve([1.0, np.nan], [1.0, 1.0], [1, 1])
 
     def test_cli_fails_without_writing(self, tmp_path, capsys):
         write_series_csv(tmp_path / "series.csv", self.huge)
