@@ -19,9 +19,12 @@ available on the link model for sensitivity checks.
 sync_round states one round plainly and is the reference.  run_rounds is the
 engine that sessions, calibration and access nodes run on: it builds every
 steering-independent input of all rounds as arrays, runs only the steering
-recursion as a scalar scan, and derives the rest of the columns with array
-arithmetic.  Every floating-point operation keeps sync_round's order, so the
-engine's columns equal a sync_round replay bit for bit.
+recursion as a scalar scan that keeps nothing but the steer, and then takes
+the counter readings, the rest of the columns and sync_round's checks as
+arrays.  The first round that fails a check cuts the columns and raises the
+error sync_round raises for it.  Every floating-point operation keeps
+sync_round's order, so the engine's columns equal a sync_round replay bit
+for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 
 from .calibration import CalibrationSet, corrected_offset
 from .channel import Direction, HardwareDelays, LinkModel, path_delay
-from .errors import NonCausalError, ProtocolError, ReversalOverflowError, ValidationError
+from .errors import NonCausalError, ReversalOverflowError, ValidationError
 from .timebase import MIN_SAMPLES, ClockModel, TimeErrorSeries
 
 
@@ -240,14 +243,6 @@ def sync_round(
 _SCAN_ROWS = 4096
 
 
-def _scan_rows(*columns):
-    # the rows of equal-length columns as tuples of Python floats, converted
-    # _SCAN_ROWS rows at a time; a None column reads None in every row
-    for start in range(0, len(columns[0]), _SCAN_ROWS):
-        yield from zip(*(repeat(None) if col is None else col[start:start + _SCAN_ROWS].tolist()
-                         for col in columns))
-
-
 def run_rounds(
     server: ClockModel,
     user: ClockModel,
@@ -268,6 +263,18 @@ def run_rounds(
     round's tap interval (its own in round 0).  A failing round raises what
     that loop would raise first: a node's NegativeT3Error in an earlier
     round, else the round's own ProtocolError.
+
+    The scan carries only the steer: per round it computes the counter
+    readings and the estimate the next round's steer needs, and keeps the
+    steer (and in emit mode the two fiber delays).  The readings, the other
+    columns and sync_round's four checks are then taken as arrays over all
+    rounds, and the first round that fails a check cuts every column.  The
+    scan runs on past that round without harm.  Unsteered, the steer stays
+    0.  Steered, whatever the steer before round k, the steer after it is
+    round k's free-running clock offset plus half of its delay asymmetry,
+    jitter and quantization, less the calibration.  So later rounds hold
+    finite values of the size of any other round's, and query the link at
+    finite times.
     """
     c = cfg.reversal_constant_s
     du_server = hw.delay_unit_dev_server_s
@@ -279,7 +286,7 @@ def run_rounds(
     # the inputs of every round that do not depend on the steering
     epochs = np.arange(n_rounds) * cfg.compensation_period_s
     x_server = server.time_errors(epochs)
-    x_user_free = user.time_errors(epochs)
+    x_user = user.time_errors(epochs)  # free running until the steers are subtracted
     jitter_server = tic_server.jitter(n_rounds)
     jitter_user = tic_user.jitter(n_rounds)
     tau_us = tau_su = None
@@ -287,83 +294,90 @@ def run_rounds(
         fiber_us, fiber_su = link.fiber_delay_s(us, epochs), link.fiber_delay_s(su, epochs)
         tau_us, tau_su = path_delay(hw, us, fiber_us), path_delay(hw, su, fiber_su)
     res_server, res_user = tic_server.resolution_s, tic_user.resolution_s
-    server_pulses = -x_server
+    server_pulse = -x_server
 
-    # the scan: only what depends on the steering accumulator
-    steers, t1s, t2s, estimates, fibers_us, fibers_su = (array("d") for _ in range(6))
+    # the scan: the steering recurrence alone, in sync_round's operations
+    steers, fibers_us, fibers_su = array("d"), array("d"), array("d")
     steer = 0.0
-    failure = None
-    rows = _scan_rows(epochs, server_pulses, x_user_free, jitter_server, jitter_user,
-                      tau_us, tau_su)
-    try:
-        for t, server_pulse, xu_free, j1, j2, tu, ts in rows:
+    scanned = (epochs if emit else None, server_pulse, x_user, jitter_server, jitter_user,
+               tau_us, tau_su)
+    for start in range(0, n_rounds, _SCAN_ROWS):
+        block = (repeat(None) if col is None else col[start:start + _SCAN_ROWS].tolist()
+                 for col in scanned)
+        for t, pulse, xu_free, j1, j2, tu, ts in zip(*block):
+            steers.append(steer)
             user_emit = -(xu_free - steer)
             if emit:
                 f_us = link.fiber_delay_s(us, link.query_time(t, user_emit))
                 tu = path_delay(hw, us, f_us)
-            if tu < 0:
-                raise NonCausalError("user->server path delay is negative")
-            rxs = user_emit + tu
-            t1 = (rxs - server_pulse) + j1
+            t1 = ((user_emit + tu) - pulse) + j1
             if res_server > 0:
                 t1 = _quantize(t1, res_server)
-            reversal_emit = server_pulse + (compute_reversal_delay(c, t1) + du_server)
-            if reversal_emit < rxs:
-                raise NonCausalError(
-                    "reversal emission precedes the request measurement; C is too small"
-                )
+            reversal_emit = pulse + ((c - t1) + du_server)
             if emit:
                 f_su = link.fiber_delay_s(su, link.query_time(t, reversal_emit))
                 ts = path_delay(hw, su, f_su)
-            if ts < 0:
-                raise NonCausalError("server->user path delay is negative")
+                fibers_us.append(f_us)
+                fibers_su.append(f_su)
             t2 = ((reversal_emit + ts) - user_emit) + j2
             if res_user > 0:
                 t2 = _quantize(t2, res_user)
-            estimate = 0.5 * (t2 - c_cal - hd - fpda - oaa)
-            steers.append(steer)
-            t1s.append(t1)
-            t2s.append(t2)
-            estimates.append(estimate)
-            if emit:
-                fibers_us.append(f_us)
-                fibers_su.append(f_su)
             if steering_enabled:
-                steer += estimate
-    except ProtocolError as exc:
-        failure = exc
+                steer += 0.5 * (t2 - c_cal - hd - fpda - oaa)
+    del scanned
 
-    # the rest, as arrays over the rounds that completed
-    steers, t1, t2, estimate = (
-        np.frombuffer(a, dtype=float) for a in (steers, t1s, t2s, estimates))
-    m = estimate.size
+    # the rest as arrays, each built in place of an input used for the last
+    # time where it can be
     if emit:
         fiber_us, fiber_su = np.frombuffer(fibers_us), np.frombuffer(fibers_su)
         tau_us, tau_su = path_delay(hw, us, fiber_us), path_delay(hw, su, fiber_su)
-    else:
-        fiber_us, fiber_su, tau_us, tau_su = fiber_us[:m], fiber_su[:m], tau_us[:m], tau_su[:m]
-    x_user = x_user_free[:m] - steers
-    true_offset = x_user - x_server[:m]
-    user_emit = -x_user
-    server_pulse = server_pulses[:m]
-    applied = (c - t1) + du_server
+    x_user -= np.frombuffer(steers)
+    del steers
+    true_offset = x_user - x_server
+    del x_server
+    user_emit = np.negative(x_user, out=x_user)
+    negative_us = tau_us < 0
+    rxs = np.add(user_emit, tau_us, out=tau_us)
+    t1 = _measured(rxs - server_pulse, jitter_server, res_server)
+    del jitter_server
+    overflow = t1 >= c
+    applied = np.subtract(c, t1)
+    applied += du_server
     reversal_emit = server_pulse + applied
+    early = reversal_emit < rxs
+    negative_su = tau_su < 0
+    rxu = np.add(reversal_emit, tau_su, out=tau_su)
+    t2 = _measured(rxu - user_emit, jitter_user, res_user)
+    del jitter_user
+    estimate = t2 - c_cal
+    estimate -= hd
+    estimate -= fpda
+    estimate -= oaa
+    estimate *= 0.5
+    residual = estimate - true_offset
+    residual += steering_shift(cfg, hw)
+
+    # the first round that fails one of sync_round's checks ends the run
+    failed = negative_us | overflow | early | negative_su
+    m = int(failed.argmax()) if failed.any() else n_rounds
+    failing = (bool(negative_us[m]), bool(early[m])) if m < n_rounds else None
+    del failed, negative_us, overflow, early, negative_su
     events = RoundEvents(
         epoch_s=epochs[:m],
-        user_emit_rel_s=user_emit,
-        server_pulse_rel_s=server_pulse,
-        rxs_rel_s=user_emit + tau_us,
-        reversal_emit_rel_s=reversal_emit,
-        rxu_rel_s=reversal_emit + tau_su,
-        fiber_us_s=fiber_us,
-        fiber_su_s=fiber_su,
+        user_emit_rel_s=user_emit[:m],
+        server_pulse_rel_s=server_pulse[:m],
+        rxs_rel_s=rxs[:m],
+        reversal_emit_rel_s=reversal_emit[:m],
+        rxu_rel_s=rxu[:m],
+        fiber_us_s=fiber_us[:m],
+        fiber_su_s=fiber_su[:m],
         reversal_constant_s=c,
         link=link,
         hw=hw,
     )
     observations = {node.name: node.observe_rounds(events) for node in nodes} if m else {}
-    if failure is not None:
-        raise failure
+    if failing is not None:
+        _raise_round_failure(c, float(t1[m]), *failing)
     return SyncRoundResult(
         t_round_s=events.epoch_s,
         t1_s=t1,
@@ -371,10 +385,35 @@ def run_rounds(
         reversal_delay_applied_s=applied,
         offset_estimate_s=estimate,
         true_offset_s=true_offset,
-        residual_s=(estimate - true_offset) + steering_shift(cfg, hw),
+        residual_s=residual,
         events=events,
         nodes=observations,
     )
+
+
+def _measured(interval, jitter, resolution_s):
+    # a counter's readings of the intervals, computed in place of interval:
+    # jitter added, then quantized, as TicModel.measure_intervals does
+    interval += jitter
+    if resolution_s > 0:
+        interval /= resolution_s
+        np.rint(interval, out=interval)
+        interval *= resolution_s
+    return interval
+
+
+def _raise_round_failure(c, t1, negative_us, early):
+    # what sync_round raises for a round that fails one of its checks, in
+    # its order: the user->server delay, T1 against C, causality, and else
+    # the server->user delay
+    if negative_us:
+        raise NonCausalError("user->server path delay is negative")
+    compute_reversal_delay(c, t1)
+    if early:
+        raise NonCausalError(
+            "reversal emission precedes the request measurement; C is too small"
+        )
+    raise NonCausalError("server->user path delay is negative")
 
 
 def run_session(

@@ -22,6 +22,7 @@ import hashlib
 import inspect
 import json
 import math
+import re
 from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -158,6 +159,18 @@ def _text(value, path):
     return value
 
 
+def _node_name(value, path):
+    # a node's name names its tables, its curve and its seed path, so it is
+    # one plain file-name token, and not main, the run's own series
+    value = _text(value, path)
+    if value == "main" or not re.fullmatch(r"[A-Za-z0-9][A-Za-z0-9_.-]*", value):
+        raise ValidationError(
+            f"{path} {value!r} must be letters, digits, '_', '.' or '-', starting "
+            "with a letter or digit, and not 'main'"
+        )
+    return value
+
+
 def _choice(options: tuple):
     def check(value, path):
         if value not in options:
@@ -236,7 +249,7 @@ _NODE = _table(
     AccessNode,
     # a node built in code may go unnamed and needs a live counter; in a
     # document the name is required and the counter settings are optional
-    name=(_text, _REQUIRED), distance_from_server_km=_finite(0.0),
+    name=(_node_name, _REQUIRED), distance_from_server_km=_finite(0.0),
     coupler_delay_s=_finite(), tic=_TIC,
 )
 _SCENARIO = _table(
@@ -272,6 +285,12 @@ def validate_scenario(doc: dict) -> Scenario:
     scenario = Scenario(**_parse(doc, _SCENARIO, "scenario"), raw=doc)
     if scenario.protocol is not None and scenario.protocol.textbook_mode:
         scenario.hardware = HardwareDelays()
+    names = [node.name for node in scenario.access_nodes]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValidationError(
+                f"scenario.access_nodes[{i}].name {name!r} repeats an earlier node's name"
+            )
     if scenario.mode == "sync":
         if scenario.link is None:
             raise ValidationError("scenario.link is required in sync mode")

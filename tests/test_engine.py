@@ -278,6 +278,50 @@ def test_failure_in_a_later_scan_block_matches_replay(monkeypatch, nodes):
         replay(*models, 15, False)
 
 
+@pytest.mark.parametrize("steering_enabled,frac_frequency,drift_per_s,failing_round",
+                         [(False, -1e-4, 0.0, 14), (True, 0.0, -1e-4, 15)])
+def test_failure_under_emit_mode_and_quantization_matches_replay(
+        monkeypatch, steering_enabled, frac_frequency, drift_per_s, failing_round):
+    # the scan queries the link at each crossing's emission and quantizes
+    # both readings, and runs on past the failing round; unsteered, the
+    # user clock drifts away from the server, steered, the steer lags a
+    # drift that grows each round.  Either way the reversal emission first
+    # precedes the request in the fifth or sixth block of three rounds
+    monkeypatch.setattr(protocol, "_SCAN_ROWS", 3)
+    link = LinkModel(length_km=230.0, dispersion_coeff_ps_per_nm_km=17.0,
+                     fluctuation=FluctuationSpec(amplitude_s=1e-9, timescale_s=5.0,
+                                                 grid_s=0.5, rng_seed=3),
+                     evaluate_at_emit_time=True)
+    hw = HardwareDelays(tx_server_s=-2e-3, rx_user_s=2e-3)
+    parts = (ClockModel(), ClockModel(frac_frequency=frac_frequency, drift_per_s=drift_per_s),
+             link, hw, TicModel(jitter_rms_s=3e-11, resolution_s=1e-11, rng_seed=1),
+             TicModel(jitter_rms_s=3e-11, resolution_s=1e-11, rng_seed=2),
+             ProtocolConfig(reversal_constant_s=5e-3))
+    completed = []
+
+    def recording_events(**fields):
+        completed.append(RoundEvents(**fields))
+        return completed[-1]
+
+    monkeypatch.setattr(protocol, "RoundEvents", recording_events)
+    # pytest.raises lets any other exception through, which fails the test
+    with pytest.raises(ProtocolError) as engine_error:
+        run_rounds(*copy.deepcopy(parts), 100, steering_enabled=steering_enabled)
+    monkeypatch.undo()
+    with pytest.raises(ProtocolError) as replay_error:
+        replay(*copy.deepcopy(parts), 100, steering_enabled)
+    assert type(engine_error.value) is type(replay_error.value) is NonCausalError
+    assert str(engine_error.value) == str(replay_error.value)
+
+    (events,) = completed
+    assert events.epoch_s.size == failing_round
+    cols, _ = replay(*copy.deepcopy(parts), failing_round, steering_enabled)
+    for name in EVENT_FIELDS:
+        assert same_bits(getattr(events, name), cols[name]), name
+    with pytest.raises(NonCausalError):
+        replay(*copy.deepcopy(parts), failing_round + 1, steering_enabled)
+
+
 # --- the emit-time fluctuation mode on the canned sync scenarios ---------------
 
 @pytest.mark.parametrize("name", ["demo_short", "link_sync_230km", "midlink_access_230km"])

@@ -40,14 +40,19 @@ def traced(call):
 def test_round_engine_holds_a_fixed_number_of_columns_per_round():
     """Peak less the returned result, per round, stays within 11 columns.
 
-    Besides the columns it returns, run_rounds holds at its peak nine
-    float64 columns it built on the way: both clocks' time errors, both
-    counters' jitter, the fluctuation path, the two path delays, the
-    steering column and the steered user clock.  One more is the temporary
-    of the last array expression (numpy elides it only above 256 KiB, and
-    20k rounds are 160 KB a column): 10 columns.  The slack of one column
-    covers the scan accumulators' spare capacity and the fixed-size blocks
-    of converted inputs, which are freed before the peak.
+    run_rounds returns 14 float64 columns, and each of the two nodes' taps 5
+    more.  After the scan the engine builds three of its returned columns in
+    place of inputs it has used for the last time: the user clock's time
+    error becomes the user emissions, and the two path delays the two
+    arrivals.  Its other inputs (the server clock's time error and both
+    counters' jitter) and the steering column it frees before the nodes tap
+    the rounds.  So at its peak, while the last node derives its recovered
+    times, it holds the returned columns and one temporary (numpy elides
+    temporaries only above 256 KiB, and 20k rounds are 160 KB a column): 1
+    column.  Before that the scan holds ten input columns, the steering
+    column and one block of _SCAN_ROWS rounds' inputs as Python floats,
+    about 16 columns, under the 24 returned.  The bound leaves ten columns
+    of slack above the peak.
     """
     n_rounds = 20_000
     link = LinkModel(length_km=230.0, dispersion_coeff_ps_per_nm_km=17.0,

@@ -93,6 +93,22 @@ class TestValidation:
         with pytest.raises(ValidationError, match="far"):
             validate_scenario(doc)
 
+    @pytest.mark.parametrize("name", ["main", "a/b", "../x", "a\\b", ".x", "-x", "a b"])
+    def test_node_name_that_is_not_a_plain_file_name_rejected(self, name):
+        # the name makes the node's file names and seed path, and main is
+        # the run's own series
+        doc = sync_doc(access_nodes=[{"name": name, "distance_from_server_km": 25.0}])
+        with pytest.raises(ValidationError, match=re.escape(f"access_nodes[0].name {name!r}")):
+            validate_scenario(doc)
+
+    def test_duplicate_node_names_rejected(self):
+        doc = sync_doc(access_nodes=[
+            {"name": "mid", "distance_from_server_km": 25.0},
+            {"name": "up", "distance_from_server_km": 10.0},
+            {"name": "mid", "distance_from_server_km": 40.0}])
+        with pytest.raises(ValidationError, match=re.escape("access_nodes[2].name 'mid'")):
+            validate_scenario(doc)
+
     def test_missing_file_or_name_raises_parse_error(self):
         with pytest.raises(ScenarioParseError):
             load_scenario("no_such_scenario_anywhere")
@@ -531,6 +547,17 @@ class TestCli:
         assert cli_main(["run", "--scenario", str(f), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "tdev_taus" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("names", [["mid", "mid"], ["main"], ["a/b"]])
+    def test_bad_node_names_exit_1_before_simulating(self, tmp_path, capsys, names):
+        doc = sync_doc(access_nodes=[{"name": name, "distance_from_server_km": 25.0}
+                                     for name in names])
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(doc))
+        assert cli_main(["run", "--scenario", str(f), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "access_nodes" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     def test_apply_calibration_without_a_set_exits_1(self, tmp_path, capsys):
