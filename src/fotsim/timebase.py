@@ -19,23 +19,36 @@ I12 is the half-order fractional integration filter (1 - z**-1)**(-1/2),
 realized by convolution with its binomial impulse response.  The white_pm,
 white_fm and random_walk_fm scalings are invariant under resampling; the two
 flicker scalings are tied to the grid they are generated on.
+
+A clock's noise is realized lazily, by doublings of its buffer, and its
+flicker filters (two FFTs over the whole white prefix at each size) are most
+of the cost.  With two or more flicker classes, an extension filters them on
+two workers (``workers.share``); the samples equal one worker's bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import mmap
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
+from .workers import share
 
 NOISE_TYPES = ("white_pm", "flicker_pm", "white_fm", "flicker_fm", "random_walk_fm")
 _FLICKER_TYPES = ("flicker_pm", "flicker_fm")
 
 _MIN_CHUNK = 1024
+
+
+def _buffer_size(n: int) -> int:
+    """The samples a noise buffer holds to reach n: a power of two, at least
+    _MIN_CHUNK."""
+    return max(_MIN_CHUNK, 1 << (n - 1).bit_length())
 
 
 def _extend_half_integration_kernel(h: np.ndarray, n: int) -> np.ndarray:
@@ -54,6 +67,15 @@ def _extend_half_integration_kernel(h: np.ndarray, n: int) -> np.ndarray:
             yield v
 
     return np.concatenate([h, np.fromiter(tail(float(h[-1])), dtype=float, count=n - m)])
+
+
+def _mapped(n: int, dtype=float) -> np.ndarray:
+    """n zeros of dtype in an anonymous memory map, unmapped once no array
+    uses it.  glibc serves arrays below its mmap threshold, which it raises
+    up to 32 MB as large blocks are freed, from the heap, where a freed
+    buffer stays resident; the noise buffers grow by doublings and would
+    leave each last size there."""
+    return np.frombuffer(mmap.mmap(-1, n * np.dtype(dtype).itemsize), dtype)
 
 
 # The process-wide half-integration kernel, shared by every clock.  It only
@@ -79,21 +101,23 @@ def _half_integration_kernel(n: int) -> np.ndarray:
 def _kernel_spectrum(n: int) -> np.ndarray:
     """The real FFT of the n-tap kernel, as fftconvolve takes it for an
     n-sample series; taken once per size in the process, and read-only."""
-    spectrum = np.fft.rfft(_half_integration_kernel(n), 2 * n)
+    spectrum = np.fft.rfft(_half_integration_kernel(n), 2 * n, out=_mapped(n + 1, complex))
     spectrum.flags.writeable = False
     return spectrum
 
 
-def _half_integrate(w: np.ndarray) -> np.ndarray:
+def _half_integrate(w: np.ndarray, spectrum=None, out=None) -> np.ndarray:
     """fftconvolve(kernel, w)[:n] bit for bit, for the n-tap kernel: n is a
     power of two >= _MIN_CHUNK, which fftconvolve also pads to 2n, and
-    numpy's rfft/irfft are the same pocketfft transforms."""
+    numpy's rfft/irfft are the same pocketfft transforms.  spectrum (n + 1
+    complex values) and out (2n floats) take the two transforms when given;
+    the returned samples are then the first n of out."""
     n = w.size
-    white = np.fft.rfft(w, 2 * n)
+    spectrum = np.fft.rfft(w, 2 * n, out=spectrum)
     # kernel first, as fftconvolve multiplies: numpy's complex product
-    # rounds by operand order, and `a * <temporary>` may run as
-    # `<temporary> * a` in the temporary's buffer
-    return np.fft.irfft(np.multiply(_kernel_spectrum(n), white), 2 * n)[:n]
+    # rounds by operand order
+    np.multiply(_kernel_spectrum(n), spectrum, out=spectrum)
+    return np.fft.irfft(spectrum, 2 * n, out=out)[:n]
 
 
 def _cumsum_from(start: tuple, v: np.ndarray) -> np.ndarray:
@@ -105,39 +129,62 @@ def _cumsum_from(start: tuple, v: np.ndarray) -> np.ndarray:
     return np.cumsum(v, out=v)
 
 
-def _component_series(
-    kind: str, amplitude: float, dt: float, w: np.ndarray, carry,
-) -> tuple:
-    """The next samples of one noise class from its next whites w, and what
-    the class carries into its following extension.
-
-    white_pm, white_fm and random_walk_fm carry the last values of the
-    cumsums they take (() at the start) and keep no white prefix.  The
-    flicker classes carry their white prefix: the filter is applied anew to
-    the whole prefix at each buffer size, and only the samples past the old
-    end are returned.
-    """
-    if kind == "white_pm":
-        return amplitude * w, carry
+def _white_series(kind: str, amplitude: float, dt: float, w: np.ndarray, carry: tuple) -> tuple:
+    """The next samples of a class without flicker, in place of its next
+    whites w, and the last values of the cumsums it takes, which it carries
+    into its following extension (() at the start)."""
     if kind == "white_fm":
-        s = _cumsum_from(carry, w)
-        return amplitude * math.sqrt(dt) * s, (s[-1],)
-    if kind == "random_walk_fm":
-        s = _cumsum_from(carry[:1], w)
-        last = s[-1]
-        s = _cumsum_from(carry[1:], s)
-        return amplitude * dt ** 1.5 * s, (last, s[-1])
-    if kind in _FLICKER_TYPES:
-        realized = carry.size
-        prefix = np.concatenate([carry, w])
-        y = _half_integrate(prefix)
-        if kind == "flicker_pm":
-            return amplitude * y[realized:], prefix
+        carry = (_cumsum_from(carry, w)[-1],)
+        amplitude *= math.sqrt(dt)
+    elif kind == "random_walk_fm":
+        last = _cumsum_from(carry[:1], w)[-1]
+        carry = (last, _cumsum_from(carry[1:], w)[-1])
+        amplitude *= dt ** 1.5
+    w *= amplitude
+    return carry
+
+
+def _flicker_series(kind: str, amplitude: float, dt: float, prefix: np.ndarray,
+                    realized: int, ws: "_Workspace") -> np.ndarray:
+    """The samples of a flicker class past `realized`, from its whole white
+    prefix, as a view of ws.filtered.  The filter is applied anew to the
+    whole prefix at each buffer size."""
+    y = _half_integrate(prefix, ws.spectrum, ws.filtered)
+    if kind == "flicker_fm":
         # flicker_fm sums the whole filtered prefix: the filter at this size
         # rounds the early samples differently from the last size, so a
         # carried sum would not give the same bits
-        return amplitude * dt * np.cumsum(y)[realized:], prefix
-    raise ValidationError(f"unknown noise type {kind!r}; expected one of {NOISE_TYPES}")
+        np.cumsum(y, out=y)
+        amplitude *= dt
+    new = y[realized:]
+    new *= amplitude
+    return new
+
+
+class _Workspace:
+    """One worker's memory for an extension to `size` samples, `new` of them
+    past the realized end, made in the calling thread and freed when the
+    extension ends.
+
+    With flicker in the profile: the spectrum (size + 1 complex values) and
+    the inverse transform (2 * size floats) of a flicker filter, 4 * size + 2
+    floats in all.  The filtered samples are the first `size` of
+    ``filtered``; the rest, free once the transform is read, holds the
+    whites of a class without flicker (``whites``).  These are an anonymous
+    map: a helper thread that took them from the heap kept them resident in
+    its own malloc arena, out of the calling thread's reach.  Without
+    flicker no helper runs, and the workspace is only the `new` whites,
+    from the heap: a map would only add system calls and page faults.
+    """
+
+    def __init__(self, size: int, new: int, filters: bool):
+        words = _mapped(4 * size + 2) if filters else np.empty(new)
+        if filters:
+            self.spectrum = words[:2 * size + 2].view(complex)
+            self.filtered = words[2 * size + 2:]
+            words = self.filtered[size:]
+        self.whites = words[:new]
+        self.held = None  # the component whose samples filtered holds
 
 
 @dataclass(frozen=True)
@@ -197,6 +244,17 @@ class _NoiseState:
     value for the lifetime of the instance.  The flicker components keep
     their white prefix and filter it anew with the process-wide kernel at
     each size; the others keep only their running sums.
+
+    An extension hands its flicker classes out through ``workers.share``,
+    so two of them are filtered at once, on the calling thread and a helper
+    thread.  A worker draws a class's new whites into its prefix and
+    filters them in its own _Workspace.  The classes' new samples are added
+    into the tail in component order, the order that fixes their bits: a
+    flicker class's once filtered, and each other class's drawn and summed,
+    under share's lock, by the worker that finds the classes before it in.
+    So the bits do not depend on the worker count, and a profile with fewer
+    than two flicker classes never starts a thread.  The realized samples,
+    the white prefixes and the workspaces are anonymous maps (_mapped).
     """
 
     def __init__(self, profile: NoiseProfile, dt: float):
@@ -210,24 +268,93 @@ class _NoiseState:
         self._x = np.empty(0)
 
     def _extend(self, n: int) -> None:
-        size = max(_MIN_CHUNK, 1 << (n - 1).bit_length())
-        new = np.zeros(size - self._x.size)
-        for i, (kind, amp) in enumerate(self.profile.components):
-            w = self._rngs[i].standard_normal(new.size)
-            x, self._carries[i] = _component_series(kind, amp, self.dt, w, self._carries[i])
-            new += x
-        self._x = np.concatenate([self._x, new])
+        size = _buffer_size(n)
+        realized = self._x.size
+        components = self.profile.components
+        flicker = [i for i, (kind, _) in enumerate(components) if kind in _FLICKER_TYPES]
+        # the grown buffers, holding what is realized; until they are filled
+        # the state keeps views of the realized part only, so an extension
+        # that raises leaves a state of the old size.  The tail, which sums
+        # the new samples, starts as the map's zeros
+        x = _mapped(size)
+        x[:realized] = self._x
+        self._x = x[:realized]
+        tail = x[realized:]
+        prefixes = {}
+        for i in flicker:
+            prefixes[i] = _mapped(size)
+            prefixes[i][:realized] = self._carries[i]
+            self._carries[i] = prefixes[i][:realized]
+        if flicker:
+            _kernel_spectrum(size)  # here, so that no two workers take it at once
+        todo = iter(flicker)
+        parts = [None] * len(components)
+        added = 0
+        spaces = []
+
+        def space():
+            spaces.append(_Workspace(size, size - realized, bool(flicker)))
+            return spaces[-1]
+
+        def take(ws):
+            i = next(todo, None)
+            if i is not None and ws.held is not None and parts[ws.held] is not None:
+                # ws is about to filter again before its samples are added
+                parts[ws.held] = parts[ws.held].copy()
+            return i
+
+        def work(i, ws):
+            kind, amp = components[i]
+            self._rngs[i].standard_normal(out=prefixes[i][realized:])
+            return _flicker_series(kind, amp, self.dt, prefixes[i], realized, ws), ws
+
+        def add(ws):
+            # each component's samples into the tail in component order, the
+            # order that fixes the bits of the sum: a flicker class's once a
+            # worker has filtered them, any other's drawn here into ws
+            nonlocal added
+            for i in range(added, len(components)):
+                kind, amp = components[i]
+                if kind in _FLICKER_TYPES:
+                    if parts[i] is None:
+                        return
+                    part, parts[i] = parts[i], None
+                else:
+                    part = self._rngs[i].standard_normal(out=ws.whites)
+                    self._carries[i] = _white_series(kind, amp, self.dt, part, self._carries[i])
+                np.add(tail, part, out=tail)
+                added = i + 1
+
+        def done(i, result):
+            parts[i], ws = result
+            ws.held = i
+            add(ws)
+
+        share(take, work, done, space, max(1, len(flicker)))
+        add(spaces[0])
+        self._x = x
+        for i, prefix in prefixes.items():
+            self._carries[i] = prefix
+
+    def extensions(self, indices: np.ndarray) -> list:
+        """The lengths values_at(indices) extends the buffer to, in order:
+        at each, the first query past the realized part, which is also the
+        largest query up to it."""
+        lengths, size = [], self._x.size
+        while indices.size:
+            first = int(np.argmax(indices >= size))
+            if indices[first] < size:
+                break
+            lengths.append(int(indices[first]) + 1)
+            size = _buffer_size(lengths[-1])
+        return lengths
 
     def values_at(self, indices: np.ndarray) -> np.ndarray:
         """Samples at each index, bit for bit what one call per index returns
         in this order: the buffer grows through the same sequence of
         extensions, so the flicker filters see the same FFT sizes."""
-        if indices.size:
-            reach = np.maximum.accumulate(indices)
-            while reach[-1] >= self._x.size:
-                # the first query past the realized part triggers the next extension
-                first = int(np.searchsorted(reach, self._x.size))
-                self._extend(int(reach[first]) + 1)
+        for n in self.extensions(indices):
+            self._extend(n)
         return self._x[indices]
 
     def prefix(self, n: int) -> np.ndarray:
@@ -280,17 +407,34 @@ class ClockModel:
         if not np.all(np.isfinite(t) & (t >= 0)):
             raise ValidationError("query times must be finite and >= 0")
         if self._state is not None:
-            with np.errstate(over="ignore"):
-                k = np.rint(t / self.noise_grid_s)
-            if not np.all(k < 2.0 ** 63):
-                raise ValidationError("query times must index the noise grid within int64")
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = self.initial_offset_s + self.frac_frequency * t + 0.5 * self.drift_per_s * t * t
+            k = self._grid_index(t)
+            lengths = self._state.extensions(k)
+        x = self._deterministic(t)
         if not np.all(np.isfinite(x)):
             raise ValidationError("clock time error overflows at these query times")
-        if self._state is not None:
-            x = x + self._state.values_at(k.astype(np.int64))
+        if self._state is None:
+            return x
+        if lengths:
+            # the noise grows with neither x nor the grid index held, two
+            # columns less at the peak; both are taken again after it
+            del x, k
+            for n in lengths:
+                self._state._extend(n)
+            k, x = self._grid_index(t), self._deterministic(t)
+        x += self._state.values_at(k)
         return x
+
+    def _grid_index(self, t: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            k = t / self.noise_grid_s
+        np.rint(k, out=k)
+        if not np.all(k < 2.0 ** 63):
+            raise ValidationError("query times must index the noise grid within int64")
+        return k.astype(np.int64)
+
+    def _deterministic(self, t: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.initial_offset_s + self.frac_frequency * t + 0.5 * self.drift_per_s * t * t
 
 
 def synthesize_time_error_series(

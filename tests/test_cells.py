@@ -461,25 +461,23 @@ def test_earliest_bad_block_is_the_error_raised(tmp_path, monkeypatch, pin_worke
     assert late_failed.is_set() == (count == 2)
 
 
-def test_helper_exception_reaches_the_caller(tmp_path, monkeypatch, pin_workers):
+def test_helper_exception_reaches_the_caller(tmp_path, monkeypatch, pin_workers, idle_helpers):
     # the caller waits in its first block until the helper has failed in
-    # its own, then finishes that block and takes no other
+    # its own and ended its run, then finishes that block and takes no other
     path = tmp_path / "cells.csv"
     mixed_file(path, 3000)
     monkeypatch.setattr(cells, "_BLOCK_BYTES", 4096)
     pin_workers(2)
     block_columns = cells._block_columns
-    caller, helper, helper_failed = threading.current_thread(), [], threading.Event()
+    caller, helper_failed = threading.current_thread(), threading.Event()
     caller_blocks = []
 
     def failing(*args):
         if threading.current_thread() is not caller:
-            helper.append(threading.current_thread())
             helper_failed.set()
             raise RuntimeError("helper failed")
         assert helper_failed.wait(5.0)
-        helper[0].join(5.0)
-        assert not helper[0].is_alive()
+        idle_helpers.put(idle_helpers.get(timeout=5.0))
         caller_blocks.append(args[-1])
         return block_columns(*args)
 
@@ -489,7 +487,7 @@ def test_helper_exception_reaches_the_caller(tmp_path, monkeypatch, pin_workers)
     assert len(caller_blocks) <= 1
 
 
-def test_one_block_starts_no_thread(tmp_path, monkeypatch, pin_workers):
+def test_one_block_starts_no_thread(tmp_path, monkeypatch, pin_workers, idle_helpers):
     started = []
 
     class Recorded(threading.Thread):

@@ -1,6 +1,8 @@
 """Stability statistics: brute-force oracle agreement, known responses, properties."""
 
 import math
+import os
+import select
 import sys
 import threading
 
@@ -352,25 +354,24 @@ class TestWorkerSplit:
             adev(s, [2.0, 1.0])
         assert calls == []
 
-    def test_helper_exception_reaches_the_caller_and_stops_it(self, monkeypatch, pin_workers):
+    def test_helper_exception_reaches_the_caller_and_stops_it(self, monkeypatch, pin_workers,
+                                                              idle_helpers):
         # a caller that starts a tau waits in it until the helper has failed
-        # on its own first tau and ended, then finishes that tau and takes
-        # no other (the helper may also take the first tau, and the caller
-        # none)
+        # on its own first tau and ended its run, then finishes that tau and
+        # takes no other (the helper may also take the first tau, and the
+        # caller none)
         pin_workers(2)
         window_sums = stability._window_sums
-        caller, helper = threading.current_thread(), []
+        caller = threading.current_thread()
         helper_failed = threading.Event()
         caller_taus = []
 
         def failing(x, n, c, b):
             if threading.current_thread() is not caller:
-                helper.append(threading.current_thread())
                 helper_failed.set()
                 raise RuntimeError("helper failed")
             assert helper_failed.wait(5.0)
-            helper[0].join(5.0)
-            assert not helper[0].is_alive()
+            idle_helpers.put(idle_helpers.get(timeout=5.0))
             caller_taus.append(n)
             return window_sums(x, n, c, b)
 
@@ -378,6 +379,31 @@ class TestWorkerSplit:
         with pytest.raises(RuntimeError, match="helper failed"):
             tdev(series(drifting_clock(1000)), [1.0, 2.0, 5.0, 10.0, 20.0])
         assert len(caller_taus) <= 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork here")
+    def test_forked_child_gets_a_helper_of_its_own(self, pin_workers):
+        # helpers are kept between calls, but a forked child has none of its
+        # parent's threads: one it waited for would never run
+        pin_workers(2)
+        s = series(drifting_clock(1000))
+        want = bits(tdev(s))  # leaves a helper idle in this process
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.write(write, b"same" if bits(tdev(s)) == want else b"diff")
+            finally:
+                os._exit(0)
+        os.close(write)
+        try:
+            ready, _, _ = select.select([read], [], [], 60.0)
+            got = os.read(read, 4) if ready else b"hung"
+        finally:
+            os.close(read)
+            if not ready:
+                os.kill(pid, 9)
+            os.waitpid(pid, 0)
+        assert got == b"same"
 
     @staticmethod
     def curves_from_callers(s, taus, n_callers, calls_each):

@@ -1,5 +1,6 @@
 """Clock model: deterministic evolution, noise statistics, determinism."""
 
+import collections
 import functools
 import math
 import os
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
-from fotsim import timebase
+from fotsim import timebase, workers
 from fotsim.errors import ValidationError
 from fotsim.scenario import build_models, validate_scenario
 from fotsim.stability import tdev
@@ -376,6 +377,114 @@ class TestHalfIntegrationKernel:
             want = getattr(reference, method)(arg)
             assert got.tobytes() == want.tobytes()
         assert state._x.tobytes() == reference.x.tobytes()
+
+
+class FilterGate:
+    """timebase._flicker_series, gated: on two workers, the filter of the
+    class of amplitude `first` waits in each extension until the filters of
+    all `flicker` classes of that extension have started.  The others go to
+    the other worker, which so filters a later class, and with three
+    classes takes one more, before the first class's samples are added.
+    `threads` holds the threads that filtered."""
+
+    def __init__(self, monkeypatch, first, flicker):
+        self.first, self.flicker = first, flicker
+        self.threads, self.started = set(), collections.Counter()
+        self.cond = threading.Condition()
+        self.series = timebase._flicker_series
+        monkeypatch.setattr(timebase, "_flicker_series", self)
+
+    def __call__(self, kind, amplitude, dt, prefix, realized, ws):
+        with self.cond:
+            self.threads.add(threading.current_thread())
+            self.started[realized] += 1
+            self.cond.notify_all()
+            if amplitude == self.first and workers._worker_count() > 1:
+                assert self.cond.wait_for(
+                    lambda: self.started[realized] == self.flicker, timeout=5.0)
+        return self.series(kind, amplitude, dt, prefix, realized, ws)
+
+    def reset(self):
+        self.threads.clear()
+        self.started.clear()
+
+
+ALL_KINDS = [("white_pm", 1e-11), ("flicker_pm", 1e-12), ("white_fm", 1e-12),
+             ("flicker_fm", 1e-13), ("random_walk_fm", 1e-16)]
+QUERIES = [("values_at", np.array([5000, 3, 1500, 9000, 2])), ("prefix", 20_000),
+           ("values_at", np.array([40_000, 1, 39_999, 70_000])), ("prefix", 70_000)]
+
+
+class TestWorkerSplit:
+    @pytest.mark.parametrize("components, flicker", [
+        (ALL_KINDS, 2),
+        # three flicker classes: the other worker takes a third class while
+        # the samples of the second wait for the first's
+        (ALL_KINDS + [("flicker_pm", 3e-12)], 3),
+        ([("flicker_fm", 1e-13), ("flicker_pm", 1e-12), ("white_pm", 1e-11)], 2),
+    ])
+    def test_one_and_two_workers_give_equal_bits(self, monkeypatch, pin_workers, idle_helpers,
+                                                 components, flicker):
+        profile = NoiseProfile(components=components, rng_seed=17)
+        first = next(amp for kind, amp in components if kind in timebase._FLICKER_TYPES)
+        gate = FilterGate(monkeypatch, first, flicker)
+        runs = []
+        for count in (1, 2):
+            pin_workers(count)
+            gate.reset()
+            state = timebase._NoiseState(profile, 0.5)
+            runs.append([getattr(state, method)(arg).tobytes() for method, arg in QUERIES])
+            runs[-1].append(state._x.tobytes())
+            assert len(gate.threads) == count
+        reference = ReferenceState(profile, 0.5)
+        want = [getattr(reference, method)(arg).tobytes() for method, arg in QUERIES]
+        assert runs[0] == runs[1] == want + [reference.x.tobytes()]
+
+    def test_helper_exception_reaches_the_caller(self, monkeypatch, pin_workers):
+        # the caller waits in its class until the helper has failed in its
+        # own; the state keeps the samples it had before the extension
+        pin_workers(2)
+        series = timebase._flicker_series
+        caller, helper_failed = threading.current_thread(), threading.Event()
+
+        def failing(*args):
+            if threading.current_thread() is not caller:
+                helper_failed.set()
+                raise RuntimeError("helper failed")
+            assert helper_failed.wait(5.0)
+            return series(*args)
+
+        profile = NoiseProfile(components=ALL_KINDS, rng_seed=2)
+        state = timebase._NoiseState(profile, 1.0)
+        before = state.prefix(3000)
+        monkeypatch.setattr(timebase, "_flicker_series", failing)
+        with pytest.raises(RuntimeError, match="helper failed"):
+            state.prefix(5000)
+        assert state.prefix(3000).tobytes() == before.tobytes()
+        assert state._x.size == 4096
+
+    @pytest.mark.parametrize("components, threads", [
+        ([("white_pm", 1e-11), ("white_fm", 1e-12), ("random_walk_fm", 1e-16)], 0),
+        ([("white_pm", 1e-11), ("flicker_fm", 1e-13)], 0),
+        ([("flicker_pm", 1e-12)], 0),
+        # one helper, kept for every extension
+        ([("flicker_pm", 1e-12), ("flicker_fm", 1e-13)], 1),
+    ])
+    def test_at_most_one_flicker_class_starts_no_thread(self, monkeypatch, pin_workers,
+                                                        idle_helpers, components, threads):
+        started = []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Recorded)
+        pin_workers(2)
+        state = timebase._NoiseState(NoiseProfile(components=components), 1.0)
+        for n in (1, 3000, 5000, 20_000):
+            state.prefix(n)
+        assert len(started) == threads
 
 
 class TestSharedFrequencyReference:
