@@ -48,11 +48,14 @@ import numpy as np
 from .errors import ConfigError
 from .workers import share
 
-# rows per chunk: bounds the memory a write holds whatever the run length.
-# A chunk's bytes of a seven-column table stay under 1 MB; at twice the rows
-# glibc mapped them afresh for every chunk (page faults on each write, and
-# more peak memory over repeated runs)
-_CHUNK_ROWS = 4096
+# cells per chunk, over all the tables of a write: bounds the memory a
+# write holds whatever the run length, at most 175 bytes a cell (see
+# _table_texts).  That is 1228 rows of a run's round tables (20 cells a
+# row), or 12288 of a series.  The round tables wrote as fast at 1024 to
+# 4096 rows; at 2048 and over, their words and scratch raised the peak
+# memory of a run with two access nodes.  At 1024 rows a series (2 cells a
+# row) wrote twice as slowly, in four times the kernel calls
+_CHUNK_CELLS = 24576
 # the reference format of a float cell; it formats the cells the kernel leaves
 _FLOAT_CELL = "%.16e"
 
@@ -139,15 +142,24 @@ def _mul64(a1, a0, b1, b0, t=None):
     return hi, lo
 
 
-def _scaled(m, biased, j):
+def _scaled(m, biased, j, t=None):
     """x * 10**k in fixed point, for x with significand m (shifted up to bit
-    63) and biased binary exponent, and table row j (k = 16 - E): the two
-    words of m * (T_k >> 64), and the width r of the fraction in the high
-    word.  The table's low half would add less than 2**64 units to lo."""
-    hi, lo = _mul64(m >> _U32, m & _M32, _POW5[0][j], _POW5[1][j])
+    63) and biased binary exponent (int64), and table row j (k = 16 - E):
+    the two words of m * (T_k >> 64), and the width r of the fraction in
+    the high word.  The table's low half would add less than 2**64 units to
+    lo.  t holds seven uint64 arrays of m's shape for the work (made when
+    None); hi, r and lo are written over the first three."""
+    if t is None:
+        t = [np.empty_like(m) for _ in range(7)]
+    a1, a0, b1, b0, *rest = t
+    hi, lo = _mul64(np.right_shift(m, _U32, out=a1), np.bitwise_and(m, _M32, out=a0),
+                    _POW5[0].take(j, mode="clip", out=b1), _POW5[1].take(j, mode="clip", out=b0),
+                    rest)
     # x * 10**k = (hi * 2**64 + lo) * 2**(biased - 1075 - 11 + b_k + k - 64),
     # so the integer part is hi shifted right by r = 958 - b_k - k - biased
-    return hi, lo, (_SHIFT[j] - biased).astype(np.uint64)
+    r = _SHIFT.take(j, mode="clip", out=a0.view(np.int64))
+    r -= biased
+    return hi, lo, r.view(np.uint64)
 
 
 def _round_up(m, j, hi, lo, half, t=None):
@@ -183,59 +195,103 @@ def _round_up(m, j, hi, lo, half, t=None):
     return up, near
 
 
-def _float_words(x: np.ndarray, out: np.ndarray) -> None:
-    """Write the cell words of float64 array x into the (n, 7) array out,
-    separator not included."""
+class _Scratch:
+    """The memory of the cell kernels for calls of up to `n` values: the
+    values in row 0 and the kernel's scratch in the 10 others of ``rows``
+    (uint64, each viewed as the dtype a step takes), and three bool rows,
+    91 bytes per value.  Every array of a kernel call's size is a row of
+    it, so a write makes its kernel arrays once."""
+
+    def __init__(self, n: int):
+        self.rows = np.empty((11, n), dtype=np.uint64)
+        self.flags = np.empty((3, n), dtype=bool)
+
+    def take(self, columns: list, start: int, k: int, dtype) -> np.ndarray:
+        """Rows start:start + k of each column, one column after the other,
+        as an array of dtype in row 0."""
+        values = self.rows[0, :len(columns) * k].view(dtype)
+        for c, col in enumerate(columns):
+            values[c * k:(c + 1) * k] = col[start:start + k]
+        return values
+
+
+def _put(out, w, table, index, row):
+    """Word w of each cell in out: table at index, gathered into the uint64
+    row, half of which it takes."""
+    out[:, w] = table.take(index, mode="clip", out=row.view(np.uint32)[:index.size])
+
+
+def _float_words(x: np.ndarray, out: np.ndarray, ws: _Scratch) -> None:
+    """Write the cell words of float64 array x, row 0 of ws, into the (n, 7)
+    array out, separator not included.  x is written over while the call
+    runs and holds its values again when it returns."""
+    n = x.size
+    u, flags = ws.rows[1:, :n], ws.flags[:, :n]
     bits = x.view(np.uint64)
-    neg = bits >> np.uint64(63)
-    biased = ((bits >> np.uint64(52)) & np.uint64(0x7FF)).astype(np.int64)
+    neg = np.signbit(x, out=flags[2])
+    biased = np.right_shift(bits, np.uint64(52), out=u[0])
+    biased &= np.uint64(0x7FF)
+    biased = biased.view(np.int64)
     # zeros, subnormals, nan and inf stand in as 1.0: the zeros are written
     # below, the rest by the reference
-    special = zero = np.flatnonzero((biased == 0) | (biased == 0x7FF))
-    xs = x
-    if special.size:
-        xs = x.copy()
-        xs[special] = 1.0
-        biased[special] = 1023
-        zero = special[(bits[special] << np.uint64(1)) == 0]
-        special = np.setdiff1d(special, zero, assume_unique=True)
-        bits = xs.view(np.uint64)
-    m = (bits << np.uint64(11)) | np.uint64(1 << 63)
+    every = np.equal(biased, 0, out=flags[0])
+    every |= np.equal(biased, 0x7FF, out=flags[1])
+    special = zero = every = np.flatnonzero(every)
+    if every.size:
+        kept = x[every]
+        zero = every[(kept.view(np.uint64) << np.uint64(1)) == 0]
+        special = np.setdiff1d(every, zero, assume_unique=True)
+        x[every] = 1.0
+        biased[every] = 1023
+    m = np.left_shift(bits, np.uint64(11), out=u[1])
+    m |= np.uint64(1 << 63)
     # the table row of E = floor(log10|x|)
-    j = np.floor(np.log10(np.abs(xs))).astype(np.int64) - _E_MIN
+    e = np.abs(x, out=u[3].view(np.float64))
+    np.floor(np.log10(e, out=e), out=e)
+    j = np.subtract(e, _E_MIN, out=u[2].view(np.int64), casting="unsafe")
 
-    hi, lo, r = _scaled(m, biased, j)
-    d = hi >> r
+    hi, lo, r = _scaled(m, biased, j, u[3:10])
+    d = np.right_shift(hi, r, out=u[6])
     # np.log10 can be one off next to a power of ten: redo those cells one
     # decade over.  A cell still outside [10**16, 10**17) then lies within 2
     # units of a power of ten and is left open.
-    redo = np.flatnonzero((d < 10 ** 16) | (d >= 10 ** 17))
+    redo = np.less(d, np.uint64(10 ** 16), out=flags[0])
+    redo |= np.greater_equal(d, np.uint64(10 ** 17), out=flags[1])
+    redo = np.flatnonzero(redo)
     if redo.size:
         j[redo] += (d[redo] >= 10 ** 17).astype(np.int64) * 2 - 1
         hi[redo], lo[redo], r[redo] = _scaled(m[redo], biased[redo], j[redo])
         d[redo] = hi[redo] >> r[redo]
         redo = redo[(d[redo] < 10 ** 16) | (d[redo] >= 10 ** 17)]
 
-    up, near = _round_up(m, j, hi, lo, np.uint64(1) << (r - np.uint64(1)))
+    half = np.subtract(r, np.uint64(1), out=u[0])
+    np.left_shift(np.uint64(1), half, out=half)
+    up, near = _round_up(m, j, hi, lo, half, (u[7], u[8], flags[0], flags[1]))
     d += up
-    top = d == 10 ** 17
-    d[top] = 10 ** 16
+    top = np.equal(d, np.uint64(10 ** 17), out=flags[0])
+    np.copyto(d, np.uint64(10 ** 16), where=top)
     j += top
     d[zero] = 0
     j[zero] = -_E_MIN
 
-    lead = d // np.uint64(10 ** 16)
-    rest = d - lead * np.uint64(10 ** 16)
-    upper = (rest // np.uint64(10 ** 8)).astype(np.intp)
-    lower = rest.astype(np.intp) - upper * 10 ** 8
-    out[:, 0] = _LEAD.take((neg * np.uint64(10) + lead).astype(np.intp))
-    for w, part in ((1, upper), (3, lower)):
-        hi4 = part // 10_000
-        out[:, w] = _DIGITS4.take(hi4)
-        out[:, w + 1] = _DIGITS4.take(part - hi4 * 10_000)
-    out[:, 5] = _EXP_HI.take(j)
-    out[:, 6] = _EXP_LO.take(j)
+    # the leading word by 10 * sign + lead digit, then four words of four
+    # digits from the 16 digits after it
+    lead = np.floor_divide(d, np.uint64(10 ** 16), out=u[0])
+    d -= np.multiply(lead, np.uint64(10 ** 16), out=u[1])
+    np.add(lead, np.uint64(10), out=lead, where=neg)
+    _put(out, 0, _LEAD, lead.view(np.int64), u[7])
+    upper = np.floor_divide(d, np.uint64(10 ** 8), out=u[0])
+    d -= np.multiply(upper, np.uint64(10 ** 8), out=u[1])
+    for w, part in ((1, upper), (3, d)):
+        hi4 = np.floor_divide(part, np.uint64(10_000), out=u[1])
+        _put(out, w, _DIGITS4, hi4.view(np.int64), u[7])
+        part -= np.multiply(hi4, np.uint64(10_000), out=u[1])
+        _put(out, w + 1, _DIGITS4, part.view(np.int64), u[7])
+    _put(out, 5, _EXP_HI, j, u[7])
+    _put(out, 6, _EXP_LO, j, u[7])
 
+    if every.size:
+        x[every] = kept
     text = out.view(np.uint8)
     for i in np.concatenate([special, redo, near]):
         raw = (_FLOAT_CELL % x[i]).encode("ascii")
@@ -243,29 +299,32 @@ def _float_words(x: np.ndarray, out: np.ndarray) -> None:
         text[i, :len(raw)] = np.frombuffer(raw, dtype=np.uint8)
 
 
-def _int_words(v: np.ndarray, out: np.ndarray) -> None:
-    """Write the cell words of int64 array v, as '%d' writes them, into the
-    (n, 7) array out, separator not included."""
-    neg = v < 0
-    a = np.where(neg, -v, v).view(np.uint64)  # -(-2**63) wraps to 2**63 here
+def _int_words(v: np.ndarray, out: np.ndarray, ws: _Scratch) -> None:
+    """Write the cell words of int64 array v, row 0 of ws, as '%d' writes
+    them, into the (n, 7) array out, separator not included."""
+    n = v.size
+    u, flags = ws.rows[1:, :n], ws.flags[0, :n]
+    row, blank = (w.view(np.uint32)[:n] for w in u[3:5])
     out[:] = 0
-    out[:, 0] = _INT_SIGN.take(neg)
+    np.copyto(out[:, 0], _INT_SIGN[1], where=np.less(v, 0, out=flags))
+    a = np.abs(v, out=u[0].view(np.int64)).view(np.uint64)  # |-2**63| reads as 2**63 here
+    q = u[1]
     for j in range((len(str(int(a.max(initial=0)))) + 3) // 4):
-        q = a // np.uint64(10_000)
-        g = a - q * np.uint64(10_000)
+        np.floor_divide(a, np.uint64(10_000), out=q)
+        g = a.view(np.int64)
+        g -= np.multiply(q, np.uint64(10_000), out=u[2]).view(np.int64)
         # a group below the leading one keeps its zeros
-        out[:, _INT_GROUPS - j] = np.where(q > 0, _DIGITS4.take(g), _BLANK4.take(g))
-        a = q
-    out[v == 0, _INT_GROUPS] = _ZERO_WORD
+        _DIGITS4.take(g, mode="clip", out=row)
+        np.copyto(row, _BLANK4.take(g, mode="clip", out=blank), where=np.equal(q, 0, out=flags))
+        out[:, _INT_GROUPS - j] = row
+        a, q = q, a
+    np.copyto(out[:, _INT_GROUPS], _ZERO_WORD, where=np.equal(v, 0, out=flags))
 
 
-def _cell_words(col: np.ndarray, out: np.ndarray) -> None:
-    """Write the cell words of a column chunk into the (n, 7) array out,
-    separator not included."""
-    if np.issubdtype(col.dtype, np.integer):
-        _int_words(col.astype(np.int64, copy=False), out)
-    else:
-        _float_words(np.ascontiguousarray(col, dtype=np.float64), out)
+def _chunk_rows(tables: list) -> int:
+    """Rows per chunk of tables, lists of columns: _CHUNK_CELLS cells over
+    all of them, and at least one row."""
+    return max(1, _CHUNK_CELLS // sum(map(len, tables)))
 
 
 def _table_texts(tables: list) -> Iterator[tuple]:
@@ -273,45 +332,58 @@ def _table_texts(tables: list) -> Iterator[tuple]:
     order: the CSV rows of the chunk as bytes, each line ending in '\\n'.  A
     table is a list of columns, all of one length.
 
-    A column is formatted straight into its slot of one word matrix that the
-    tables take in turn.  A column array that several tables (or columns)
-    share is formatted once per chunk into a buffer of its own and copied
-    into each slot, and a constant column (stride 0, as np.broadcast_to
-    makes) once for the whole pass.  Every buffer is reused from chunk to
-    chunk, so the memory held is bounded by the chunk.
+    Each distinct column array is formatted once per chunk, whichever
+    tables (or columns) share it: the chunk's rows of every float column
+    are stacked into one _float_words call, and of every integer column
+    into one _int_words call, both on one _Scratch made for the pass.  A
+    constant column (stride 0, as np.broadcast_to makes) is formatted once
+    for the whole pass, in one call per kind.  Each table's slots are then
+    filled from those words, in a word matrix that a bytearray backs, one
+    per table width, and one ``translate`` drops the NUL bytes straight
+    from it; only a short last chunk copies its part out first.  Every
+    buffer is reused from chunk to chunk, so the memory held is bounded by
+    the chunk.
     """
     arrays: dict = {}
     tables = [[arrays.setdefault(id(col), np.asarray(col)) for col in columns]
               for columns in tables]
     n = len(tables[0][0])
-    rows = min(n, _CHUNK_ROWS)
-    matrix = np.empty(rows * max(map(len, tables)) * _WORDS, dtype=np.uint32)
-    uses = Counter(id(col) for columns in tables for col in columns)
-    constant, shared = {}, {}
+    step = _chunk_rows(tables)
+    rows = min(n, step)
+    # the distinct columns by kind: (kernel, dtype, constant, varying)
+    kinds = [(_float_words, np.float64, [], []), (_int_words, np.int64, [], [])]
     for col in arrays.values():
-        if col.size and col.strides == (0,):
-            constant[id(col)] = np.empty((1, _WORDS), dtype=np.uint32)
-            _cell_words(col[:1], constant[id(col)])
-        elif uses[id(col)] > 1:
-            shared[id(col)] = np.empty((rows, _WORDS), dtype=np.uint32)
-    for start in range(0, n, _CHUNK_ROWS):
-        k = min(n - start, _CHUNK_ROWS)
-        # the cell words of this chunk kept by column id
-        done = dict(constant)
+        kind = kinds[np.issubdtype(col.dtype, np.integer)]
+        kind[2 if col.size and col.strides == (0,) else 3].append(col)
+    ws = _Scratch(max(max(len(c), rows * len(v)) for _, _, c, v in kinds))
+    # the cell words of each column by id: a constant's for the whole pass,
+    # the others' for the chunk at hand
+    words = {}
+    for kernel, dtype, constant, varying in kinds:
+        if constant:
+            out = np.empty((len(constant), _WORDS), dtype=np.uint32)
+            kernel(ws.take(constant, 0, 1, dtype), out, ws)
+            words.update((id(col), out[c:c + 1]) for c, col in enumerate(constant))
+    batches = [(kernel, dtype, varying, np.empty((len(varying) * rows, _WORDS), dtype=np.uint32))
+               for kernel, dtype, _, varying in kinds if varying]
+    buffers = {w: bytearray(rows * w * _WORDS * 4) for w in set(map(len, tables))}
+    matrices = {w: np.frombuffer(b, dtype=np.uint32).reshape(rows, w, _WORDS)
+                for w, b in buffers.items()}
+    for start in range(0, n, step):
+        k = min(n - start, step)
+        for kernel, dtype, varying, out in batches:
+            kernel(ws.take(varying, start, k, dtype), out[:len(varying) * k], ws)
+            words.update((id(col), out[c * k:(c + 1) * k]) for c, col in enumerate(varying))
         for t, columns in enumerate(tables):
-            words = matrix[:k * len(columns) * _WORDS].reshape(k, len(columns), _WORDS)
+            matrix = matrices[len(columns)][:k]
             for j, col in enumerate(columns):
-                key = id(col)
-                if key in shared and key not in done:
-                    done[key] = shared[key][:k]
-                    _cell_words(col[start:start + k], done[key])
-                if key in done:
-                    words[:, j] = done[key]
-                else:
-                    _cell_words(col[start:start + k], words[:, j])
-            words[:, :-1, -1] |= _COMMA
-            words[:, -1, -1] |= _NEWLINE
-            yield t, words.tobytes().translate(None, b"\0")
+                matrix[:, j] = words[id(col)]
+            matrix[:, :-1, -1] |= _COMMA
+            matrix[:, -1, -1] |= _NEWLINE
+            buffer = buffers[len(columns)]
+            if k < rows:
+                buffer = buffer[:matrix.nbytes]
+            yield t, buffer.translate(None, b"\0")
 
 
 def write_tables(tables: list) -> None:
@@ -329,6 +401,7 @@ def write_tables(tables: list) -> None:
             fh.write((",".join(header) + "\n").encode("ascii"))
         for t, text in _table_texts([columns for _, _, columns in tables]):
             files[t].write(text)
+            del text  # before the next chunk's text is made
 
 
 def write_columns(path: Path, header: list[str], columns: list) -> None:

@@ -1,12 +1,13 @@
 """Command-line interface.
 
-Exit codes: 0 ok, 1 config/validation problem, 2 runtime protocol failure
-(non-causal event or reversal overflow), 3 I/O problem.
+Exit codes: 0 ok, 1 config/validation problem or out of memory, 2 runtime
+protocol failure (non-causal event or reversal overflow), 3 I/O problem.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import sys
 from dataclasses import asdict
@@ -146,9 +147,19 @@ def main(argv=None) -> int:
     except ProtocolError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        return _out_of_memory()
     except OSError as exc:
+        # a memory map that fails raises OSError with ENOMEM
+        if exc.errno == errno.ENOMEM:
+            return _out_of_memory()
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+
+
+def _out_of_memory() -> int:
+    print("error: out of memory; try a shorter duration or fewer samples", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

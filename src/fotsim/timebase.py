@@ -330,8 +330,20 @@ class _NoiseState:
             ws.held = i
             add(ws)
 
-        share(take, work, done, space, max(1, len(flicker)))
-        add(spaces[0])
+        # up to here no generator has moved.  An extension that raises from
+        # here on (a filter out of memory, say) puts back the generators and
+        # carries, so that a retried query realizes the samples of an
+        # uninterrupted run; the state's views hold what was realized
+        states = [rng.bit_generator.state for rng in self._rngs]
+        carries = list(self._carries)
+        try:
+            share(take, work, done, space, max(1, len(flicker)))
+            add(spaces[0])
+        except BaseException:
+            for rng, state in zip(self._rngs, states):
+                rng.bit_generator.state = state
+            self._carries = carries
+            raise
         self._x = x
         for i, prefix in prefixes.items():
             self._carries[i] = prefix

@@ -2,11 +2,14 @@
 for byte, and the reader against float() and np.loadtxt, bit for bit."""
 
 import sys
+import tempfile
 import threading
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fotsim import cells, workers
 from fotsim.errors import ConfigError
@@ -80,8 +83,8 @@ def test_kernel_matches_percent_format_on_a_million_values():
     rng = np.random.default_rng(20260418)
     total = 0
     for name, x in kernel_cases(rng).items():
-        for start in range(0, x.size, cells._CHUNK_ROWS):
-            part = x[start:start + cells._CHUNK_ROWS].tolist()
+        for start in range(0, x.size, cells._CHUNK_CELLS):
+            part = x[start:start + cells._CHUNK_CELLS].tolist()
             got = chunk_lines([np.array(part)])
             want = ["%.16e" % v for v in part] + [""]
             if got != want:
@@ -98,10 +101,10 @@ def test_million_values_reach_both_edges_of_the_rounding_window(monkeypatch):
     offsets = []
     round_up = cells._round_up
 
-    def spy(m, j, hi, lo, half):
+    def spy(m, j, hi, lo, half, t=None):
         frac = hi & ((half << np.uint64(1)) - np.uint64(1))
         offsets.append(frac.astype(np.int64) - half.astype(np.int64))
-        return round_up(m, j, hi, lo, half)
+        return round_up(m, j, hi, lo, half, t)
 
     monkeypatch.setattr(cells, "_round_up", spy)
     for x in kernel_cases(np.random.default_rng(20260418)).values():
@@ -121,9 +124,9 @@ def test_fallback_formats_only_what_the_kernel_leaves_open(monkeypatch):
 
     cases = kernel_cases(np.random.default_rng(7))
     for name in ("residuals", "round times", "intervals", "integers"):
-        assert not any(by_reference(cases[name][:cells._CHUNK_ROWS])), name
+        assert not any(by_reference(cases[name][:4096])), name
     # every exact tie lies in the window the kernel leaves open
-    assert all(by_reference(cases["ties"][:cells._CHUNK_ROWS]))
+    assert all(by_reference(cases["ties"][:4096]))
     # so do nan, inf and subnormals; zeros and normals are the kernel's
     x = cases["specials"]
     fallback = ~np.isfinite(x) | ((x != 0) & (np.abs(x) < np.finfo(float).tiny))
@@ -132,7 +135,8 @@ def test_fallback_formats_only_what_the_kernel_leaves_open(monkeypatch):
 
 def test_mixed_columns_with_fallback_cells_inside_chunks(tmp_path):
     rng = np.random.default_rng(3)
-    n = 2 * cells._CHUNK_ROWS + 77
+    rows = cells._chunk_rows([[None] * 5])
+    n = 2 * rows + 77
     index = np.arange(n)
     signed = rng.integers(-10 ** 6, 10 ** 6, n)
     signed[:4] = [0, -1, np.iinfo(np.int64).max, np.iinfo(np.int64).min]
@@ -140,7 +144,7 @@ def test_mixed_columns_with_fallback_cells_inside_chunks(tmp_path):
     y = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 308, n)
     special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -4.9e-310, 2.5, 0.125,
                1e-300, -1e300, 17.5]
-    for start in (5, cells._CHUNK_ROWS - 3, n - len(special)):
+    for start in (5, rows - 3, n - len(special)):
         y[start:start + len(special)] = special
     columns = [index, x, signed, y, np.full(n, 50.0)]
     got = written(tmp_path, ["index", "x", "signed", "y", "km"], columns)
@@ -151,7 +155,11 @@ def test_empty_columns_write_only_the_header(tmp_path):
     assert written(tmp_path, ["a", "b"], [np.arange(0), np.zeros(0)]) == "a,b\n"
 
 
-@pytest.mark.parametrize("n", [0, 1, cells._CHUNK_ROWS, 2 * cells._CHUNK_ROWS + 1])
+# rows per chunk of the three tables below, ten columns in all
+ONE_PASS_ROWS = cells._chunk_rows([[None] * 10])
+
+
+@pytest.mark.parametrize("n", [0, 1, ONE_PASS_ROWS, 2 * ONE_PASS_ROWS + 1])
 def test_tables_written_in_one_pass_match_the_reference(tmp_path, monkeypatch, n):
     # three tables over one length: a float column shared by all three, an
     # integer column shared by two, constant float and integer columns
@@ -167,18 +175,84 @@ def test_tables_written_in_one_pass_match_the_reference(tmp_path, monkeypatch, n
         "c.csv": (["k", "x", "km"], [np.broadcast_to(np.int64(-7), n), shared, position]),
     }
     calls = []
-    cell_words = cells._cell_words
-    monkeypatch.setattr(cells, "_cell_words", lambda col, out: calls.append(col.size)
-                        or cell_words(col, out))
+
+    def spy(kernel):
+        def call(values, out, ws):
+            calls.append((kernel.__name__, values.tolist()))
+            return kernel(values, out, ws)
+        return call
+
+    for name in ("_float_words", "_int_words"):
+        monkeypatch.setattr(cells, name, spy(getattr(cells, name)))
     cells.write_tables([(tmp_path / name, *table) for name, table in tables.items()])
     for name, (header, columns) in tables.items():
         data = (tmp_path / name).read_bytes()
         assert b"\r" not in data
         check_text(data.decode("ascii"), ",".join(header) + "\n" + reference_rows(columns), name)
-    # the two constant columns formatted once, the four other distinct
-    # columns once a chunk
-    sizes = [min(n - start, cells._CHUNK_ROWS) for start in range(0, n, cells._CHUNK_ROWS)]
-    assert calls == [1, 1] * (n > 0) + [k for k in sizes for _ in range(4)]
+    # the two constant columns formatted once, in one call per kind, and
+    # each chunk's cells of the four other distinct columns once, in one
+    # call per kind: x and y stacked, then i and signed
+    _, x, y = tables["a.csv"][1]
+    signed = tables["b.csv"][1][2]
+    want = [("_float_words", [25.0]), ("_int_words", [-7])] * (n > 0)
+    for start in range(0, n, ONE_PASS_ROWS):
+        part = slice(start, start + ONE_PASS_ROWS)
+        want += [("_float_words", x[part].tolist() + y[part].tolist()),
+                 ("_int_words", index[part].tolist() + signed[part].tolist())]
+    assert str(calls) == str(want)
+
+
+SPECIALS = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -4.9e-310, 2.2250738585072014e-308,
+            1.7976931348623157e308, 1e-300, -1e300, 0.125, 2.5, 17.5]
+INT_EDGES = [0, -1, 7, np.iinfo(np.int64).min, np.iinfo(np.int64).max]
+COLUMN_KINDS = ["float", "int", "special", "constant float", "constant int"]
+
+
+def pool_column(kind, n, rng):
+    """A column of n rows: random floats over the whole exponent range,
+    int64s, a mix of the special values, or a constant (stride 0) one."""
+    if kind == "float":
+        return rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    if kind == "int":
+        v = rng.integers(-10 ** 18, 10 ** 18, n)
+        v[:len(INT_EDGES)] = INT_EDGES[:n]
+        return v
+    if kind == "special":
+        return rng.choice(np.array(SPECIALS + [1e-9, -3.75]), n)
+    if kind == "constant float":
+        return np.broadcast_to(np.float64(rng.choice(SPECIALS)), n)
+    return np.broadcast_to(np.int64(rng.choice(INT_EDGES)), n)
+
+
+@st.composite
+def table_sets(draw):
+    """1-4 tables over one pool of columns, which the tables (and the
+    columns of one table) may share, and a length of 0 or 1 rows or about
+    one to three chunks of the tables."""
+    kinds = draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=6))
+    tables = draw(st.lists(st.lists(st.integers(0, len(kinds) - 1), min_size=1, max_size=5),
+                           min_size=1, max_size=4))
+    rows = cells._chunk_rows(tables)
+    n = draw(st.sampled_from([0, 1, rows - 1, rows, rows + 1, 2 * rows + 1, 3 * rows - 1]))
+    return kinds, tables, n, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(table_sets())
+def test_batched_tables_match_the_reference(case):
+    kinds, picks, n, seed = case
+    rng = np.random.default_rng(seed)
+    pool = [pool_column(kind, n, rng) for kind in kinds]
+    tables = [[pool[i] for i in table] for table in picks]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / f"t{t}.csv" for t in range(len(tables))]
+        cells.write_tables([(path, [f"c{i}" for i in table], columns)
+                            for path, table, columns in zip(paths, picks, tables)])
+        for path, table, columns in zip(paths, picks, tables):
+            data = path.read_bytes()
+            assert b"\r" not in data
+            header = ",".join(f"c{i}" for i in table) + "\n"
+            check_text(data.decode("ascii"), header + reference_rows(columns), path.name)
 
 
 # the read side: read_columns against float(), the reference, bit for bit

@@ -155,6 +155,43 @@ def test_read_columns_holds_its_output_and_one_workspace_per_worker(tmp_path, pi
     assert peak <= output + workers * workspace + (64 << 10)
 
 
+def test_write_tables_holds_a_workspace_and_one_chunk_of_text(tmp_path):
+    """Peak of write_tables over a run's three round tables with two access
+    nodes, five whole chunks of rows.
+
+    rounds.csv has 6 float columns and each node table 7: the 3 columns of
+    rounds.csv that the node tables share, 3 of its own and a constant.  So
+    a chunk of R rows formats 12 distinct columns, 12R cells, in one
+    _float_words call on one _Scratch, 91 bytes a cell (11 uint64 rows and
+    3 bool rows), into a word matrix of 28 bytes a cell.  The tables' word
+    matrices, one per width (6 and 7), hold 28 bytes for each of their
+    cells, and the text of one table's chunk takes 28 bytes a cell of the
+    widest table while translate makes it (a bytearray keeps the size it
+    was made at); the last chunk's text is released before the next is
+    made.  The constant's words and the arrays of the few cells the kernel
+    leaves open are bytes.  64 KiB of slack covers the three files' write
+    buffers (8 KiB each) and the Python objects of the pass.
+    """
+    rng = np.random.default_rng(6)
+    n = 5 * cells._chunk_rows([[None] * 20])
+    rows = n // 5
+
+    def floats(count):
+        return [1e-9 * rng.standard_normal(n) for _ in range(count)]
+
+    t, t1, true_offset = np.arange(n) + 0.01 * rng.random(n), *floats(2)
+    tables = [[t, t1, *floats(2), true_offset, *floats(1)]]
+    for position in (60.0, 170.0):
+        tables.append([t, t1, *floats(2), true_offset, *floats(1),
+                       np.broadcast_to(np.float64(position), n)])
+    spec = [(tmp_path / f"{i}.csv", [f"c{j}" for j in range(len(columns))], columns)
+            for i, columns in enumerate(tables)]
+    _, peak, _ = traced(lambda: cells.write_tables(spec))
+    assert (tmp_path / "2.csv").stat().st_size > 23 * 7 * n
+    words = 28
+    assert peak <= rows * (91 * 12 + words * 12 + words * (6 + 7) + words * 7) + (64 << 10)
+
+
 ALL_KINDS = NoiseProfile(components=[(kind, 1e-12) for kind in NOISE_TYPES], rng_seed=3)
 NO_FLICKER = NoiseProfile(
     components=[("white_pm", 1e-11), ("white_fm", 1e-12), ("random_walk_fm", 1e-16)], rng_seed=3)

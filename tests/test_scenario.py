@@ -1,5 +1,6 @@
 """Scenario layer: config validation, seeding, runs, persistence, comparison, CLI."""
 
+import errno
 import filecmp
 import json
 import re
@@ -9,7 +10,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from fotsim import channel
+from fotsim import cells, channel, timebase
 from fotsim import scenario as scenario_module
 from fotsim.cli import main as cli_main
 from fotsim.errors import ConfigError, NonCausalError, ScenarioParseError, ValidationError
@@ -581,6 +582,21 @@ class TestCli:
         f.write_text(json.dumps(doc))
         assert cli_main(["run", "--scenario", str(f), "--out", str(tmp_path / "o")]) == 1
         assert "clock time error overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("module, name, error", [
+        (timebase, "_mapped", OSError(errno.ENOMEM, "Cannot allocate memory")),
+        (cells, "_float_words", MemoryError()),
+    ])
+    def test_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch, module, name, error):
+        # a noise buffer's memory map, or the CSV writer, fails to allocate:
+        # an error line and exit 1, not an i/o error or a traceback
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(module, name, fail)
+        assert cli_main(["run", "--scenario", "demo_short", "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and "Traceback" not in err
 
     def test_missing_input_exits_1(self, tmp_path, capsys):
         assert cli_main(["run", "--scenario", str(tmp_path / "none.json"),

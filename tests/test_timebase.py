@@ -463,6 +463,34 @@ class TestWorkerSplit:
         assert state.prefix(3000).tobytes() == before.tobytes()
         assert state._x.size == 4096
 
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("failing", [1e-12, 1e-13])
+    def test_retry_after_a_failed_extension_realizes_the_same_samples(
+            self, monkeypatch, pin_workers, count, failing):
+        # one flicker filter of the five-class doubling from 4096 to 8192
+        # samples, the first class's or the second's, runs out of memory
+        # once; the retried query and the later ones match a run without
+        # the failure
+        pin_workers(count)
+        series, armed = timebase._flicker_series, [True]
+
+        def flaky(kind, amplitude, dt, prefix, realized, ws):
+            if realized == 4096 and amplitude == failing and armed:
+                armed.clear()
+                raise MemoryError
+            return series(kind, amplitude, dt, prefix, realized, ws)
+
+        profile = NoiseProfile(components=ALL_KINDS, rng_seed=5)
+        state, reference = timebase._NoiseState(profile, 1.0), ReferenceState(profile, 1.0)
+        assert state.prefix(3000).tobytes() == reference.prefix(3000).tobytes()
+        monkeypatch.setattr(timebase, "_flicker_series", flaky)
+        with pytest.raises(MemoryError):
+            state.prefix(8000)
+        assert not armed and state._x.size == 4096
+        for n in (8000, 20_000):
+            assert state.prefix(n).tobytes() == reference.prefix(n).tobytes()
+        assert state._x.tobytes() == reference.x.tobytes()
+
     @pytest.mark.parametrize("components, threads", [
         ([("white_pm", 1e-11), ("white_fm", 1e-12), ("random_walk_fm", 1e-16)], 0),
         ([("white_pm", 1e-11), ("flicker_fm", 1e-13)], 0),
