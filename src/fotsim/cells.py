@@ -3,7 +3,7 @@
 Every float cell is ``'%.16e' % value``: 17 significant digits, enough to
 round-trip a float64.  Every integer cell is ``'%d' % value``.  Python's
 ``%.16e`` is correctly rounded and pays for it with a bignum path per value,
-so ``write_tables`` formats whole chunks of a column with numpy instead and
+so ``write_tables`` formats whole chunks of columns with numpy instead and
 writes the same bytes, for several tables in one pass.
 
 For a finite normal ``x = m * 2**e`` with ``E = floor(log10|x|)`` and
@@ -24,10 +24,15 @@ matches, not a second path: it formats only what the kernel leaves open.
 The kernel multiplies by the high half of T_k first, and _round_up adds the
 low half only where the fraction comes near one half.
 
-A chunk of a table is laid out as a matrix of 4-byte words, seven per cell,
-in the order the text is read.  Slots a cell does not use (a ``-`` of a
-positive value, a third exponent digit, the leading zeros of an integer)
-hold NUL bytes, and one ``bytes.translate`` drops them all.
+Each chunk of rows is formatted in one kernel call per kind of column:
+``_float_words`` takes the chunk's rows of every distinct float column of
+every table, stacked, and ``_int_words`` those of every integer column.
+Every temporary of a call is a row of one ``_Scratch``, made once for the
+write.  A chunk of a table is laid out as a matrix of 4-byte words, seven
+per cell, in the order the text is read, in a bytearray.  Slots a cell does
+not use (a ``-`` of a positive value, a third exponent digit, the leading
+zeros of an integer) hold NUL bytes, and one ``translate`` of the bytearray
+drops them all.
 
 ``read_columns`` is the mirror: it reads cells in that shape with the same
 table (row k = E - 16) and leaves every other cell, and the few whose
@@ -48,13 +53,17 @@ import numpy as np
 from .errors import ConfigError
 from .workers import share
 
-# cells per chunk, over all the tables of a write: bounds the memory a
-# write holds whatever the run length, at most 175 bytes a cell (see
-# _table_texts).  That is 1228 rows of a run's round tables (20 cells a
-# row), or 12288 of a series.  The round tables wrote as fast at 1024 to
-# 4096 rows; at 2048 and over, their words and scratch raised the peak
-# memory of a run with two access nodes.  At 1024 rows a series (2 cells a
-# row) wrote twice as slowly, in four times the kernel calls
+# rows and cells (over all the tables of a write) per chunk: bound the
+# memory a write holds whatever the run length, to at most 175 bytes a cell
+# (see _table_texts).  A run's round tables with two access nodes (20 cells
+# a row) go out 1228 rows a chunk, a series (2 cells a row) 4096.  On a
+# two-core host those round tables wrote equally fast at 1024 to 4096 rows a
+# chunk, but from 2048 rows on their words and scratch raised the run's peak
+# memory above that of a writer of one column per kernel call.  A series
+# wrote twice as slowly at 1024 rows as at 4096, in four times the kernel
+# calls, and at 6144 rows and more it raised the peak memory of the
+# process's later runs
+_CHUNK_ROWS = 4096
 _CHUNK_CELLS = 24576
 # the reference format of a float cell; it formats the cells the kernel leaves
 _FLOAT_CELL = "%.16e"
@@ -65,6 +74,8 @@ _FLOAT_CELL = "%.16e"
 # [NUL, separator, NUL, NUL].  The reference's longest text, '-' + 17
 # digits + '.' + 'e-308', is 24 bytes and fits the 28.
 _WORDS = 7
+# a cell's words as one item, which the tables' slots copy whole
+_CELL = np.dtype((np.void, 4 * _WORDS))
 _INT_GROUPS = 5   # 20 digits hold any int64
 
 # decimal exponents E with a table entry: k = 16 - E covers -330..340
@@ -116,8 +127,7 @@ _EXP_HI = _words("".join(
     f"e{'-' if i < 0 else '+'}{abs(i) // 100 if abs(i) >= 100 else chr(0)}{abs(i) // 10 % 10}"
     for i in range(_E_MIN, _E_MAX + 1)))
 _EXP_LO = _words("".join(f"{abs(i) % 10}\0\0\0" for i in range(_E_MIN, _E_MAX + 1)))
-_INT_SIGN = _words("\0\0\0\0" "\0\0\0-")
-_ZERO_WORD = _words("\0\0\0" "0")[0]
+_INT_MINUS, _ZERO_WORD = _words("\0\0\0-" "\0\0\0" "0")
 _COMMA, _NEWLINE = _words("\0,\0\0" "\0\n\0\0")
 
 
@@ -162,19 +172,17 @@ def _scaled(m, biased, j, t=None):
     return hi, lo, r.view(np.uint64)
 
 
-def _round_up(m, j, hi, lo, half, t=None):
+def _round_up(m, j, hi, lo, half, t):
     """Whether each value rounds up, and the indices of those left open,
     from hi and lo, the words of m * (T >> 64) at table row j (clipped), and
     one half in units of hi.  t holds two uint64 and two bool arrays of hi's
-    shape for the work (made when None); the first bool array is returned.
+    shape for the work; the first bool array is returned.
 
     The table's low half adds a carry below 2**64 to lo, giving Z, which
     falls short of the exact value by less than 2 units of lo.  So only a
     fraction in hi at one half or one below needs the low half, and after
     it only a Z at one half with lo = 0, or one unit below, may be a tie.
     """
-    if t is None:
-        t = np.empty_like(hi), np.empty_like(hi), np.empty(hi.shape, bool), np.empty(hi.shape, bool)
     frac, x, up, open_ = t
     np.left_shift(half, np.uint64(1), out=frac)
     frac -= np.uint64(1)
@@ -206,7 +214,7 @@ class _Scratch:
         self.rows = np.empty((11, n), dtype=np.uint64)
         self.flags = np.empty((3, n), dtype=bool)
 
-    def take(self, columns: list, start: int, k: int, dtype) -> np.ndarray:
+    def stack(self, columns: list, start: int, k: int, dtype) -> np.ndarray:
         """Rows start:start + k of each column, one column after the other,
         as an array of dtype in row 0."""
         values = self.rows[0, :len(columns) * k].view(dtype)
@@ -216,8 +224,8 @@ class _Scratch:
 
 
 def _put(out, w, table, index, row):
-    """Word w of each cell in out: table at index, gathered into the uint64
-    row, half of which it takes."""
+    """Word w of each cell in out: table at index, gathered first into the
+    leading half of the bytes of the uint64 array row."""
     out[:, w] = table.take(index, mode="clip", out=row.view(np.uint32)[:index.size])
 
 
@@ -278,7 +286,7 @@ def _float_words(x: np.ndarray, out: np.ndarray, ws: _Scratch) -> None:
     # digits from the 16 digits after it
     lead = np.floor_divide(d, np.uint64(10 ** 16), out=u[0])
     d -= np.multiply(lead, np.uint64(10 ** 16), out=u[1])
-    np.add(lead, np.uint64(10), out=lead, where=neg)
+    lead += np.multiply(neg, np.uint64(10), out=u[1])
     _put(out, 0, _LEAD, lead.view(np.int64), u[7])
     upper = np.floor_divide(d, np.uint64(10 ** 8), out=u[0])
     d -= np.multiply(upper, np.uint64(10 ** 8), out=u[1])
@@ -306,13 +314,13 @@ def _int_words(v: np.ndarray, out: np.ndarray, ws: _Scratch) -> None:
     u, flags = ws.rows[1:, :n], ws.flags[0, :n]
     row, blank = (w.view(np.uint32)[:n] for w in u[3:5])
     out[:] = 0
-    np.copyto(out[:, 0], _INT_SIGN[1], where=np.less(v, 0, out=flags))
+    np.copyto(out[:, 0], _INT_MINUS, where=np.less(v, 0, out=flags))
     a = np.abs(v, out=u[0].view(np.int64)).view(np.uint64)  # |-2**63| reads as 2**63 here
     q = u[1]
     for j in range((len(str(int(a.max(initial=0)))) + 3) // 4):
         np.floor_divide(a, np.uint64(10_000), out=q)
+        a -= np.multiply(q, np.uint64(10_000), out=u[2])
         g = a.view(np.int64)
-        g -= np.multiply(q, np.uint64(10_000), out=u[2]).view(np.int64)
         # a group below the leading one keeps its zeros
         _DIGITS4.take(g, mode="clip", out=row)
         np.copyto(row, _BLANK4.take(g, mode="clip", out=blank), where=np.equal(q, 0, out=flags))
@@ -322,15 +330,16 @@ def _int_words(v: np.ndarray, out: np.ndarray, ws: _Scratch) -> None:
 
 
 def _chunk_rows(tables: list) -> int:
-    """Rows per chunk of tables, lists of columns: _CHUNK_CELLS cells over
-    all of them, and at least one row."""
-    return max(1, _CHUNK_CELLS // sum(map(len, tables)))
+    """Rows per chunk of tables, lists of columns: _CHUNK_ROWS, or fewer
+    where that would pass _CHUNK_CELLS cells over all the tables, and at
+    least one row."""
+    return max(1, min(_CHUNK_ROWS, _CHUNK_CELLS // sum(map(len, tables))))
 
 
 def _table_texts(tables: list) -> Iterator[tuple]:
-    """For each chunk of _CHUNK_ROWS rows, (t, text) for every table t in
-    order: the CSV rows of the chunk as bytes, each line ending in '\\n'.  A
-    table is a list of columns, all of one length.
+    """For each chunk of _chunk_rows(tables) rows, (t, text) for every
+    table t in order: the CSV rows of the chunk as a bytearray, each line
+    ending in '\\n'.  A table is a list of columns, all of one length.
 
     Each distinct column array is formatted once per chunk, whichever
     tables (or columns) share it: the chunk's rows of every float column
@@ -342,7 +351,10 @@ def _table_texts(tables: list) -> Iterator[tuple]:
     per table width, and one ``translate`` drops the NUL bytes straight
     from it; only a short last chunk copies its part out first.  Every
     buffer is reused from chunk to chunk, so the memory held is bounded by
-    the chunk.
+    the chunk: for each cell of a distinct column, 91 bytes of _Scratch and
+    28 of words; for each cell of a table, 28 in its word matrix and 28 in
+    its text, which translate makes at the size of its input.  That is at
+    most 175 bytes a cell, where no column is shared or constant.
     """
     arrays: dict = {}
     tables = [[arrays.setdefault(id(col), np.asarray(col)) for col in columns]
@@ -362,24 +374,26 @@ def _table_texts(tables: list) -> Iterator[tuple]:
     for kernel, dtype, constant, varying in kinds:
         if constant:
             out = np.empty((len(constant), _WORDS), dtype=np.uint32)
-            kernel(ws.take(constant, 0, 1, dtype), out, ws)
-            words.update((id(col), out[c:c + 1]) for c, col in enumerate(constant))
+            kernel(ws.stack(constant, 0, 1, dtype), out, ws)
+            words.update((id(col), out.view(_CELL)[c]) for c, col in enumerate(constant))
     batches = [(kernel, dtype, varying, np.empty((len(varying) * rows, _WORDS), dtype=np.uint32))
                for kernel, dtype, _, varying in kinds if varying]
-    buffers = {w: bytearray(rows * w * _WORDS * 4) for w in set(map(len, tables))}
-    matrices = {w: np.frombuffer(b, dtype=np.uint32).reshape(rows, w, _WORDS)
-                for w, b in buffers.items()}
+    buffers = {w: bytearray(rows * w * _CELL.itemsize) for w in set(map(len, tables))}
+    matrices = {w: np.frombuffer(b, dtype=_CELL).reshape(rows, w) for w, b in buffers.items()}
     for start in range(0, n, step):
         k = min(n - start, step)
         for kernel, dtype, varying, out in batches:
-            kernel(ws.take(varying, start, k, dtype), out[:len(varying) * k], ws)
-            words.update((id(col), out[c * k:(c + 1) * k]) for c, col in enumerate(varying))
+            kernel(ws.stack(varying, start, k, dtype), out[:len(varying) * k], ws)
+            cells = out.view(_CELL)[:, 0]
+            words.update((id(col), cells[c * k:(c + 1) * k]) for c, col in enumerate(varying))
         for t, columns in enumerate(tables):
             matrix = matrices[len(columns)][:k]
             for j, col in enumerate(columns):
                 matrix[:, j] = words[id(col)]
-            matrix[:, :-1, -1] |= _COMMA
-            matrix[:, -1, -1] |= _NEWLINE
+            # the separator in the second byte of each cell's last word
+            last = matrix.view(np.uint32)[:, _WORDS - 1::_WORDS]
+            last[:, :-1] |= _COMMA
+            last[:, -1] |= _NEWLINE
             buffer = buffers[len(columns)]
             if k < rows:
                 buffer = buffer[:matrix.nbytes]

@@ -83,8 +83,8 @@ def test_kernel_matches_percent_format_on_a_million_values():
     rng = np.random.default_rng(20260418)
     total = 0
     for name, x in kernel_cases(rng).items():
-        for start in range(0, x.size, cells._CHUNK_CELLS):
-            part = x[start:start + cells._CHUNK_CELLS].tolist()
+        for start in range(0, x.size, cells._CHUNK_ROWS):
+            part = x[start:start + cells._CHUNK_ROWS].tolist()
             got = chunk_lines([np.array(part)])
             want = ["%.16e" % v for v in part] + [""]
             if got != want:
@@ -101,7 +101,7 @@ def test_million_values_reach_both_edges_of_the_rounding_window(monkeypatch):
     offsets = []
     round_up = cells._round_up
 
-    def spy(m, j, hi, lo, half, t=None):
+    def spy(m, j, hi, lo, half, t):
         frac = hi & ((half << np.uint64(1)) - np.uint64(1))
         offsets.append(frac.astype(np.int64) - half.astype(np.int64))
         return round_up(m, j, hi, lo, half, t)
@@ -124,9 +124,9 @@ def test_fallback_formats_only_what_the_kernel_leaves_open(monkeypatch):
 
     cases = kernel_cases(np.random.default_rng(7))
     for name in ("residuals", "round times", "intervals", "integers"):
-        assert not any(by_reference(cases[name][:4096])), name
+        assert not any(by_reference(cases[name][:cells._CHUNK_ROWS])), name
     # every exact tie lies in the window the kernel leaves open
-    assert all(by_reference(cases["ties"][:4096]))
+    assert all(by_reference(cases["ties"][:cells._CHUNK_ROWS]))
     # so do nan, inf and subnormals; zeros and normals are the kernel's
     x = cases["specials"]
     fallback = ~np.isfinite(x) | ((x != 0) & (np.abs(x) < np.finfo(float).tiny))
