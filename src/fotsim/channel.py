@@ -69,6 +69,12 @@ class FluctuationSpec:
             raise ValidationError("fluctuation grid_s must be > 0")
 
 
+# The most grid cells a fluctuation path may hold: at about 40 bytes (a float
+# and its list slot) and 1 us (one normal drawn in Python) a cell, 400 MB and
+# 10 s.  No canned scenario or benchmark input's path has more than 278 cells.
+_MAX_PATH_CELLS = 10_000_000
+
+
 class _OuProcess:
     """Ornstein-Uhlenbeck path on a lazy grid, one realization per link.
 
@@ -87,7 +93,11 @@ class _OuProcess:
     def value(self, t: float) -> float:
         if not 0.0 <= t < math.inf:
             raise ValidationError(f"fluctuation query time {t!r} must be finite and >= 0")
-        idx = int(t / self.grid)
+        cells = t / self.grid
+        if not cells < _MAX_PATH_CELLS:
+            raise ValidationError(f"link.fluctuation: t = {t:.6g} s needs {cells:.3g} grid "
+                                  f"cells of {self.grid:g} s, over the cap of {_MAX_PATH_CELLS}")
+        idx = int(cells)
         while len(self._path) <= idx:
             prev = self._path[-1]
             self._path.append(self._rho * prev + self._sigma_step * float(self._rng.standard_normal()))

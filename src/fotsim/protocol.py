@@ -39,7 +39,7 @@ import numpy as np
 from .calibration import CalibrationSet, corrected_offset
 from .channel import Direction, HardwareDelays, LinkModel, path_delay
 from .errors import NonCausalError, ReversalOverflowError, ValidationError
-from .timebase import MIN_SAMPLES, ClockModel, TimeErrorSeries
+from .timebase import MIN_SAMPLES, ClockModel, TimeErrorSeries, clock_time_errors
 
 
 class TicModel:
@@ -285,8 +285,8 @@ def run_rounds(
 
     # the inputs of every round that do not depend on the steering
     epochs = np.arange(n_rounds) * cfg.compensation_period_s
-    x_server = server.time_errors(epochs)
-    x_user = user.time_errors(epochs)  # free running until the steers are subtracted
+    # the user's free running until the steers are subtracted
+    x_server, x_user = clock_time_errors([server, user], epochs)
     jitter_server = tic_server.jitter(n_rounds)
     jitter_user = tic_user.jitter(n_rounds)
     tau_us = tau_su = None

@@ -45,7 +45,7 @@ from .protocol import (
     tracking_error_series,
 )
 from .stability import MIN_SAMPLES, StabilityCurve, _tau_to_n, tdev
-from .timebase import NOISE_TYPES, ClockModel, NoiseProfile, TimeErrorSeries
+from .timebase import NOISE_TYPES, ClockModel, NoiseProfile, TimeErrorSeries, clock_time_errors
 
 ROUNDS_HEADER = ["t_s", "T1_s", "T2_s", "offset_est_s", "true_offset_s", "residual_s"]
 NODE_HEADER = ROUNDS_HEADER + ["position_km"]
@@ -626,10 +626,10 @@ def run(scenario: Scenario, out_dir: str | Path | None = None,
     if scenario.mode == "clocks_only":
         period = scenario.sample_period_s
         epochs = np.arange(_sample_count(scenario)) * period
-        series["main"] = TimeErrorSeries(
-            tau0_s=period,
-            values=models.user.time_errors(epochs) - models.server.time_errors(epochs),
-        )
+        x_user, x_server = clock_time_errors([models.user, models.server], epochs)
+        x_user -= x_server  # the difference in place: no third column held
+        del x_server
+        series["main"] = TimeErrorSeries(tau0_s=period, values=x_user)
     else:
         cfg = models.protocol
         rounds = run_session(

@@ -22,8 +22,10 @@ flicker scalings are tied to the grid they are generated on.
 
 A clock's noise is realized lazily, by doublings of its buffer, and its
 flicker filters (two FFTs over the whole white prefix at each size) are most
-of the cost.  With two or more flicker classes, an extension filters them on
-two workers (``workers.share``); the samples equal one worker's bit for bit.
+of the cost.  clock_time_errors puts a run's clocks with flicker on two
+workers (``workers.share``), one clock per worker, each filtering inline.
+Otherwise an extension with two or more flicker classes filters them on two
+workers.  Either way the samples equal one worker's bit for bit.
 """
 
 from __future__ import annotations
@@ -85,6 +87,7 @@ def _mapped(n: int, dtype=float) -> np.ndarray:
 _kernel = np.ones(1)
 _kernel.flags.writeable = False
 _kernel_lock = threading.Lock()
+_spectrum_lock = threading.Lock()  # so that each size is transformed once
 
 
 def _half_integration_kernel(n: int) -> np.ndarray:
@@ -247,7 +250,7 @@ class _NoiseState:
 
     An extension hands its flicker classes out through ``workers.share``,
     so two of them are filtered at once, on the calling thread and a helper
-    thread.  A worker draws a class's new whites into its prefix and
+    thread (on one worker where the clocks themselves are on two).  A worker draws a class's new whites into its prefix and
     filters them in its own _Workspace.  The classes' new samples are added
     into the tail in component order, the order that fixes their bits: a
     flicker class's once filtered, and each other class's drawn and summed,
@@ -286,7 +289,8 @@ class _NoiseState:
             prefixes[i][:realized] = self._carries[i]
             self._carries[i] = prefixes[i][:realized]
         if flicker:
-            _kernel_spectrum(size)  # here, so that no two workers take it at once
+            with _spectrum_lock:  # no two clocks or workers take it at once
+                _kernel_spectrum(size)
         todo = iter(flicker)
         parts = [None] * len(components)
         added = 0
@@ -447,6 +451,22 @@ class ClockModel:
     def _deterministic(self, t: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             return self.initial_offset_s + self.frac_frequency * t + 0.5 * self.drift_per_s * t * t
+
+
+def clock_time_errors(clocks, t: np.ndarray) -> list:
+    """[c.time_errors(t) for c in clocks] on up to one worker per clock with a
+    flicker class (``workers.share``), so a clock without one never goes to
+    a helper.  A failing clock raises what the loop would raise first."""
+    todo, out = iter(enumerate(clocks)), [None] * len(clocks)
+
+    def done(item, x):
+        out[item[0]] = x
+
+    most = sum(c.noise is not None and any(kind in _FLICKER_TYPES for kind, _ in
+                                           c.noise.components) for c in clocks)
+    share(lambda ws: next(todo, None), lambda item, ws: item[1].time_errors(t), done,
+          lambda: None, max(1, most))
+    return out
 
 
 def synthesize_time_error_series(

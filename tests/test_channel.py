@@ -1,11 +1,18 @@
 """Fiber link model: delays, dispersion, asymmetry, reciprocity."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fotsim
 from fotsim.channel import (
+    _MAX_PATH_CELLS,
     Direction,
     FluctuationSpec,
     HardwareDelays,
@@ -263,3 +270,43 @@ class TestValidationErrors:
     def test_nonfinite_hardware_rejected(self):
         with pytest.raises(ValidationError):
             HardwareDelays(tx_server_s=float("nan"))
+
+
+class TestPathCap:
+    @pytest.mark.parametrize("t", [_MAX_PATH_CELLS * 1.0, 1e300])
+    def test_a_query_past_the_cap_raises_before_the_path_grows(self, t):
+        link = reciprocal_link(fluctuation=FluctuationSpec(amplitude_s=1e-11, grid_s=1.0))
+        with pytest.raises(ValidationError, match=r"^link\.fluctuation: .* cells"):
+            link.fluctuation_values(np.array([0.0, t]))
+        with pytest.raises(ValidationError, match=r"^link\.fluctuation: "):
+            link.fluctuation_value(t)
+        assert len(link._fluct._path) == 1
+        link.fluctuation_value(_MAX_PATH_CELLS * 1e-3)  # what stays under the cap grows
+
+    @pytest.mark.parametrize("name, change", [
+        ("link_sync_230km", lambda d: d["link"]["fluctuation"].update(grid_s=1e-9)),
+        # the user clock's error makes the server re-emit at about 1e300 s
+        ("midlink_access_230km", lambda d: (
+            d["link"].update(evaluate_at_emit_time=True),
+            d["clocks"]["user"].update(initial_offset_s=1e300),
+            d["protocol"].update(apply_calibration=False, auto_calibrate=False))),
+    ])
+    def test_a_run_past_the_cap_ends_at_once(self, tmp_path, name, change):
+        # through the CLI in a child process with 3 GB of address space: an
+        # uncapped path would grow there until the timeout
+        doc = load_scenario(name).raw
+        change(doc)
+        (tmp_path / "s.json").write_text(json.dumps(doc))
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+                "from fotsim.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        src = Path(fotsim.__file__).resolve().parent.parent
+        out = subprocess.run(
+            [sys.executable, "-c", code, "run", "--scenario", str(tmp_path / "s.json"),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=5.0,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert out.returncode in (1, 2)
+        assert out.stderr.startswith("error: link.fluctuation: ")
+        assert "Traceback" not in out.stderr

@@ -20,6 +20,7 @@ from fotsim import cells, timebase
 from fotsim.access import AccessNode
 from fotsim.channel import FluctuationSpec, HardwareDelays, LinkModel
 from fotsim.protocol import ProtocolConfig, TicModel, run_rounds
+from fotsim.scenario import load_scenario, run, validate_scenario
 from fotsim.stability import _BLOCK, adev, tdev
 from fotsim.timebase import NOISE_TYPES, ClockModel, NoiseProfile, TimeErrorSeries, _NoiseState
 
@@ -309,6 +310,58 @@ def test_noise_doubling_on_two_workers_holds_a_workspace_each(pin_workers, maps)
     x, peak, _ = noise_peak(state, lambda: state.prefix(n), maps)
     assert x.size == n
     assert peak <= 10.5 * COLUMN * n + (64 << 10)
+
+
+def test_two_clocks_on_two_workers_hold_at_most_two_one_worker_peaks(pin_workers, maps):
+    """The last doubling of two five-class clocks, from n/2 to n samples,
+    through clock_time_errors on two workers: one clock per worker, each
+    filtering its flicker classes on its own worker.
+
+    Each clock holds what one clock holds on one worker.  Its maps peak as
+    in the 6.5 columns derived above, less the copy prefix() returns: the
+    grown buffers (1.5) and one workspace (4), while time_errors holds
+    neither the grid index nor the deterministic part.  Its heap peaks
+    after the workspace is gone, where the copy was counted: the grid index,
+    the deterministic part and one temporary of it, then the returned
+    column and the gathered noise (3).  noise_peak adds the two peaks, 8.5
+    columns a clock (measured: 8.51).  Two clocks at once hold at most both
+    clocks' peaks, 17 columns, and never a second workspace per clock.  The
+    64 KiB of slack covers the helper thread's queue and event.
+    """
+    n = 1 << 16
+    t = np.arange(n, dtype=float)
+    grow(_NoiseState(ALL_KINDS, 1.0), n)
+
+    def clocks():
+        pair = [ClockModel(noise=NoiseProfile(ALL_KINDS.components, rng_seed=seed),
+                           noise_grid_s=1.0) for seed in (3, 4)]
+        for clock in pair:
+            clock.time_errors(t[:n // 2])
+        return pair
+
+    pin_workers(1)
+    alone = [noise_peak(None, lambda: clock.time_errors(t), maps) for clock in clocks()]
+    pin_workers(2)
+    pair = clocks()
+    both, peak, _ = noise_peak(None, lambda: timebase.clock_time_errors(pair, t), maps)
+    assert [x.tobytes() for x in both] == [x.tobytes() for x, _, _ in alone]
+    assert peak <= sum(one for _, one, _ in alone) + (64 << 10)
+    assert peak <= 2 * 8.5 * COLUMN * n + (64 << 10)
+
+
+@pytest.mark.parametrize("mode", ["clocks_only", "sync"])
+def test_runs_with_flicker_in_both_clocks_give_equal_bytes_on_one_and_two_workers(
+        tmp_path, pin_workers, mode):
+    doc = load_scenario("link_sync_230km").raw | {"mode": mode, "duration_s": 3000.0}
+    for name in ("server", "user"):
+        doc["clocks"][name]["noise"] += [{"type": "flicker_pm", "amplitude": 1e-11},
+                                         {"type": "flicker_fm", "amplitude": 1e-13}]
+    trees = []
+    for count in (1, 2):
+        pin_workers(count)
+        run(validate_scenario(doc), tmp_path / str(count))
+        trees.append({p.name: p.read_bytes() for p in sorted((tmp_path / str(count)).iterdir())})
+    assert "series.csv" in trees[0] and trees[0] == trees[1]
 
 
 def test_process_wide_kernel_and_spectra_hold_about_40_bytes_per_sample(cold_kernel_cache,

@@ -515,6 +515,90 @@ class TestWorkerSplit:
         assert len(started) == threads
 
 
+FLICKER_A = [("flicker_pm", 1e-12), ("white_pm", 1e-11), ("flicker_fm", 1e-13)]
+FLICKER_B = [("flicker_pm", 2e-12), ("flicker_fm", 2e-13)]
+WHITE = [("white_pm", 1e-11), ("white_fm", 1e-12)]
+
+
+class TestClocksOnWorkers:
+    @pytest.mark.parametrize("mixes, threads, inline", [
+        ([WHITE, WHITE], 0, False),
+        # the flicker clock keeps its own two-worker filters
+        ([FLICKER_A, WHITE], 1, False),
+        ([WHITE, FLICKER_B], 1, False),
+        # one clock per worker, and each clock's filters on its own worker
+        ([FLICKER_A, FLICKER_B], 1, True),
+    ])
+    def test_a_helper_only_for_clocks_with_flicker(self, monkeypatch, pin_workers, idle_helpers,
+                                                   mixes, threads, inline):
+        started, filtered = [], collections.defaultdict(set)
+        series = timebase._flicker_series
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        def recorded(kind, amplitude, *args):
+            filtered[amplitude in dict(FLICKER_B).values()].add(threading.current_thread())
+            return series(kind, amplitude, *args)
+
+        def clocks():
+            return [ClockModel(frac_frequency=1e-10 * k, noise_grid_s=0.5,
+                               noise=NoiseProfile(components=mix, rng_seed=k))
+                    for k, mix in enumerate(mixes)]
+
+        t = np.arange(0.0, 12_000.0, 0.7)
+        pin_workers(1)
+        want = [c.time_errors(t).tobytes() for c in clocks()]
+        monkeypatch.setattr(threading, "Thread", Recorded)
+        monkeypatch.setattr(timebase, "_flicker_series", recorded)
+        pin_workers(2)
+        got = timebase.clock_time_errors(clocks(), t)
+        assert [x.tobytes() for x in got] == want
+        assert len(started) == threads
+        if inline:
+            assert [len(filtered[b]) for b in (False, True)] == [1, 1]
+
+    def test_two_clocks_take_each_spectrum_once(self, cold_kernel_cache, monkeypatch,
+                                                pin_workers, idle_helpers):
+        # the first clock to take a spectrum waits a little for the other
+        # to take it too, which only a lock around the spectrum prevents
+        arrived, cond = collections.Counter(), threading.Condition()
+        kernel = timebase._half_integration_kernel
+
+        def gated(n):
+            with cond:
+                arrived[n] += 1
+                cond.notify_all()
+                cond.wait_for(lambda: arrived[n] > 1, timeout=0.05)
+            return kernel(n)
+
+        monkeypatch.setattr(timebase, "_half_integration_kernel", gated)
+        t = np.arange(8192.0)
+        runs = []
+        for count in (1, 2):
+            pin_workers(count)
+            arrived.clear()
+            timebase._kernel_spectrum.cache_clear()
+            clocks = [ClockModel(noise=NoiseProfile(components=ALL_KINDS, rng_seed=seed))
+                      for seed in (1, 2)]
+            runs.append([x.tobytes() for x in timebase.clock_time_errors(clocks, t / 100)])
+            info = timebase._kernel_spectrum.cache_info()
+            assert (info.misses, info.currsize) == (4, 4)  # 1024 to 8192 samples
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_a_failing_clock_raises_what_the_loop_raises(self, pin_workers, order):
+        pin_workers(2)
+        noise = NoiseProfile(components=FLICKER_B)
+        clocks = [ClockModel(drift_per_s=1e308, noise=noise),
+                  ClockModel(noise=noise, noise_grid_s=1e-300)]
+        errors = ["overflows", "within int64"]
+        with pytest.raises(ValidationError, match=errors[order[0]]):
+            timebase.clock_time_errors([clocks[i] for i in order], np.arange(2000.0))
+
+
 class TestSharedFrequencyReference:
     def test_shared_clocks_lose_their_own_frequency_terms(self):
         doc = {
