@@ -274,7 +274,9 @@ def run_rounds(
     round k's free-running clock offset plus half of its delay asymmetry,
     jitter and quantization, less the calibration.  So later rounds hold
     finite values of the size of any other round's, and query the link at
-    finite times.
+    finite times.  In emit mode such a time can still lie past the OU
+    path's cap: the cap's ValidationError then ends the scan, before the
+    checks find the earlier round's ProtocolError that the loop raises.
     """
     c = cfg.reversal_constant_s
     du_server = hw.delay_unit_dev_server_s

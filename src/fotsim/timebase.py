@@ -22,10 +22,11 @@ flicker scalings are tied to the grid they are generated on.
 
 A clock's noise is realized lazily, by doublings of its buffer, and its
 flicker filters (two FFTs over the whole white prefix at each size) are most
-of the cost.  clock_time_errors puts a run's clocks with flicker on two
-workers (``workers.share``), one clock per worker, each filtering inline.
-Otherwise an extension with two or more flicker classes filters them on two
-workers.  Either way the samples equal one worker's bit for bit.
+of the cost.  clock_time_errors puts a run's clocks on two workers
+(``workers.share``), one clock per worker, each filtering inline, where
+both clocks grow their flicker noise to the same buffer size.  Otherwise an
+extension with two or more flicker classes filters them on two workers.
+Either way the samples equal one worker's bit for bit.
 """
 
 from __future__ import annotations
@@ -250,11 +251,12 @@ class _NoiseState:
 
     An extension hands its flicker classes out through ``workers.share``,
     so two of them are filtered at once, on the calling thread and a helper
-    thread (on one worker where the clocks themselves are on two).  A worker draws a class's new whites into its prefix and
-    filters them in its own _Workspace.  The classes' new samples are added
-    into the tail in component order, the order that fixes their bits: a
-    flicker class's once filtered, and each other class's drawn and summed,
-    under share's lock, by the worker that finds the classes before it in.
+    thread (on one worker where the clocks themselves are on two).  A
+    worker draws a class's new whites into its prefix and filters them in
+    its own _Workspace.  The classes' new samples are added into the tail
+    in component order, the order that fixes their bits: a flicker class's
+    once filtered, and each other class's drawn and summed, under share's
+    lock, by the worker that finds the classes before it in.
     So the bits do not depend on the worker count, and a profile with fewer
     than two flicker classes never starts a thread.  The realized samples,
     the white prefixes and the workspaces are anonymous maps (_mapped).
@@ -454,18 +456,28 @@ class ClockModel:
 
 
 def clock_time_errors(clocks, t: np.ndarray) -> list:
-    """[c.time_errors(t) for c in clocks] on up to one worker per clock with a
-    flicker class (``workers.share``), so a clock without one never goes to
-    a helper.  A failing clock raises what the loop would raise first."""
+    """[c.time_errors(t) for c in clocks]: one clock per worker
+    (``workers.share``) where t grows every clock's flicker noise to the
+    same buffer size, else one after the other, each with its own two-worker
+    filters, as the worker of a clock without flicker or with a smaller
+    buffer would go idle.  A failing clock raises what the loop would raise
+    first."""
     todo, out = iter(enumerate(clocks)), [None] * len(clocks)
 
     def done(item, x):
         out[item[0]] = x
 
-    most = sum(c.noise is not None and any(kind in _FLICKER_TYPES for kind, _ in
-                                           c.noise.components) for c in clocks)
+    def grows_to(c):  # the buffer size t grows c's flicker noise to, else 0
+        last = float(np.max(t, initial=0.0)) / c.noise_grid_s
+        if c._state is None or not last < 2.0 ** 62 or not any(
+                kind in _FLICKER_TYPES for kind, _ in c.noise.components):
+            return 0
+        n = int(round(last)) + 1
+        return _buffer_size(n) if n > c._state._x.size else 0
+
+    sizes = {grows_to(c) for c in clocks}
     share(lambda ws: next(todo, None), lambda item, ws: item[1].time_errors(t), done,
-          lambda: None, max(1, most))
+          lambda: None, len(clocks) if 0 not in sizes and len(sizes) == 1 else 1)
     return out
 
 

@@ -521,18 +521,24 @@ WHITE = [("white_pm", 1e-11), ("white_fm", 1e-12)]
 
 
 class TestClocksOnWorkers:
-    @pytest.mark.parametrize("mixes, threads, inline", [
-        ([WHITE, WHITE], 0, False),
+    @pytest.mark.parametrize("mixes, grids, threads, inline", [
+        ([WHITE, WHITE], (0.5, 0.5), 0, False),
         # the flicker clock keeps its own two-worker filters
-        ([FLICKER_A, WHITE], 1, False),
-        ([WHITE, FLICKER_B], 1, False),
-        # one clock per worker, and each clock's filters on its own worker
-        ([FLICKER_A, FLICKER_B], 1, True),
+        ([FLICKER_A, WHITE], (0.5, 0.5), 1, False),
+        ([WHITE, FLICKER_B], (0.5, 0.5), 1, False),
+        # one clock per worker, and each clock's filters on its own worker,
+        # where both clocks' noise grows to 32768 samples
+        ([FLICKER_A, FLICKER_B], (0.5, 0.5), 1, True),
+        ([FLICKER_A, FLICKER_B], (0.5, 0.6), 1, True),
+        # 32768 and 16384 samples: one clock after the other, each with its
+        # own two-worker filters
+        ([FLICKER_A, FLICKER_B], (0.5, 1.0), 1, False),
+        ([FLICKER_A, FLICKER_B], (2.0, 0.5), 1, False),
     ])
-    def test_a_helper_only_for_clocks_with_flicker(self, monkeypatch, pin_workers, idle_helpers,
-                                                   mixes, threads, inline):
-        started, filtered = [], collections.defaultdict(set)
-        series = timebase._flicker_series
+    def test_one_clock_per_worker_only_for_flicker_of_one_buffer_size(
+            self, monkeypatch, pin_workers, idle_helpers, mixes, grids, threads, inline):
+        started, filtered, shares = [], collections.defaultdict(set), []
+        series, shared = timebase._flicker_series, timebase.share
 
         class Recorded(threading.Thread):
             def start(self):
@@ -543,22 +549,46 @@ class TestClocksOnWorkers:
             filtered[amplitude in dict(FLICKER_B).values()].add(threading.current_thread())
             return series(kind, amplitude, *args)
 
+        def recorded_share(take, work, done, space, most):
+            shares.append(most)
+            return shared(take, work, done, space, most)
+
         def clocks():
-            return [ClockModel(frac_frequency=1e-10 * k, noise_grid_s=0.5,
+            return [ClockModel(frac_frequency=1e-10 * k, noise_grid_s=grid,
                                noise=NoiseProfile(components=mix, rng_seed=k))
-                    for k, mix in enumerate(mixes)]
+                    for k, (mix, grid) in enumerate(zip(mixes, grids))]
 
         t = np.arange(0.0, 12_000.0, 0.7)
         pin_workers(1)
         want = [c.time_errors(t).tobytes() for c in clocks()]
         monkeypatch.setattr(threading, "Thread", Recorded)
         monkeypatch.setattr(timebase, "_flicker_series", recorded)
+        monkeypatch.setattr(timebase, "share", recorded_share)
         pin_workers(2)
         got = timebase.clock_time_errors(clocks(), t)
         assert [x.tobytes() for x in got] == want
         assert len(started) == threads
+        assert shares[0] == (2 if inline else 1)
         if inline:
             assert [len(filtered[b]) for b in (False, True)] == [1, 1]
+
+    def test_a_clock_realized_already_goes_to_no_helper(self, monkeypatch, pin_workers,
+                                                        idle_helpers):
+        shares, shared = [], timebase.share
+        monkeypatch.setattr(timebase, "share",
+                            lambda *args: shares.append(args[-1]) or shared(*args))
+        pin_workers(2)
+        clocks = [ClockModel(noise=NoiseProfile(components=FLICKER_B, rng_seed=k))
+                  for k in (1, 2)]
+        t = np.arange(0.0, 50.0, 0.1)
+        clocks[0].time_errors(t)
+        shares.clear()
+        timebase.clock_time_errors(clocks, t)
+        assert shares[0] == 1
+        shares.clear()
+        with pytest.raises(ValidationError, match="finite"):
+            timebase.clock_time_errors(clocks, np.array([1.0, np.nan]))
+        assert shares[0] == 1
 
     def test_two_clocks_take_each_spectrum_once(self, cold_kernel_cache, monkeypatch,
                                                 pin_workers, idle_helpers):
