@@ -268,15 +268,15 @@ def run_rounds(
     readings and the estimate the next round's steer needs, and keeps the
     steer (and in emit mode the two fiber delays).  The readings, the other
     columns and sync_round's four checks are then taken as arrays over all
-    rounds, and the first round that fails a check cuts every column.  The
-    scan runs on past that round without harm.  Unsteered, the steer stays
-    0.  Steered, whatever the steer before round k, the steer after it is
-    round k's free-running clock offset plus half of its delay asymmetry,
-    jitter and quantization, less the calibration.  So later rounds hold
-    finite values of the size of any other round's, and query the link at
-    finite times.  In emit mode such a time can still lie past the OU
-    path's cap: the cap's ValidationError then ends the scan, before the
-    checks find the earlier round's ProtocolError that the loop raises.
+    rounds, and the first round that fails a check cuts every column.  In
+    emit mode the scan ends at that round, before any crossing sync_round
+    would not query the link for: a later round could query it past the
+    OU path's cap.  In quasi-static mode the scan runs on past that round
+    without harm.  Unsteered, the steer stays 0.  Steered, whatever the
+    steer before round k, the steer after it is round k's free-running
+    clock offset plus half of its delay asymmetry, jitter and quantization,
+    less the calibration.  So later rounds hold finite values of the size
+    of any other round's.
     """
     c = cfg.reversal_constant_s
     du_server = hw.delay_unit_dev_server_s
@@ -312,20 +312,36 @@ def run_rounds(
             if emit:
                 f_us = link.fiber_delay_s(us, link.query_time(t, user_emit))
                 tu = path_delay(hw, us, f_us)
+                fibers_us.append(f_us)
             t1 = ((user_emit + tu) - pulse) + j1
             if res_server > 0:
                 t1 = _quantize(t1, res_server)
             reversal_emit = pulse + ((c - t1) + du_server)
             if emit:
+                # a round failing one of sync_round's checks ends the scan:
+                # its server->user crossing, where sync_round has raised,
+                # is not queried (NaN)
+                if tu < 0 or t1 >= c or reversal_emit < user_emit + tu:
+                    fibers_su.append(math.nan)
+                    break
                 f_su = link.fiber_delay_s(su, link.query_time(t, reversal_emit))
                 ts = path_delay(hw, su, f_su)
-                fibers_us.append(f_us)
                 fibers_su.append(f_su)
+                if ts < 0:
+                    break
             t2 = ((reversal_emit + ts) - user_emit) + j2
             if res_user > 0:
                 t2 = _quantize(t2, res_user)
             if steering_enabled:
                 steer += 0.5 * (t2 - c_cal - hd - fpda - oaa)
+        else:
+            continue
+        # the rounds up to the failing one, which the checks below find
+        n_rounds = len(steers)
+        epochs, x_server, x_user, server_pulse, jitter_server, jitter_user = (
+            col[:n_rounds] for col in (epochs, x_server, x_user, server_pulse,
+                                       jitter_server, jitter_user))
+        break
     del scanned
 
     # the rest as arrays, each built in place of an input used for the last

@@ -22,11 +22,10 @@ flicker scalings are tied to the grid they are generated on.
 
 A clock's noise is realized lazily, by doublings of its buffer, and its
 flicker filters (two FFTs over the whole white prefix at each size) are most
-of the cost.  clock_time_errors puts a run's clocks on two workers
-(``workers.share``), one clock per worker, each filtering inline, where
-both clocks grow their flicker noise to the same buffer size.  Otherwise an
-extension with two or more flicker classes filters them on two workers.
-Either way the samples equal one worker's bit for bit.
+of the cost.  An extension filters its flicker classes one after the other.
+clock_time_errors puts a run's clocks on workers (``workers.share``), one
+clock per worker, where two or more have a flicker class.  The samples do
+not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -149,11 +148,12 @@ def _white_series(kind: str, amplitude: float, dt: float, w: np.ndarray, carry: 
 
 
 def _flicker_series(kind: str, amplitude: float, dt: float, prefix: np.ndarray,
-                    realized: int, ws: "_Workspace") -> np.ndarray:
+                    realized: int, spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The samples of a flicker class past `realized`, from its whole white
-    prefix, as a view of ws.filtered.  The filter is applied anew to the
-    whole prefix at each buffer size."""
-    y = _half_integrate(prefix, ws.spectrum, ws.filtered)
+    prefix, as a view of out; spectrum and out take the filter's transforms
+    (see _half_integrate).  The filter is applied anew to the whole prefix
+    at each buffer size."""
+    y = _half_integrate(prefix, spectrum, out)
     if kind == "flicker_fm":
         # flicker_fm sums the whole filtered prefix: the filter at this size
         # rounds the early samples differently from the last size, so a
@@ -163,32 +163,6 @@ def _flicker_series(kind: str, amplitude: float, dt: float, prefix: np.ndarray,
     new = y[realized:]
     new *= amplitude
     return new
-
-
-class _Workspace:
-    """One worker's memory for an extension to `size` samples, `new` of them
-    past the realized end, made in the calling thread and freed when the
-    extension ends.
-
-    With flicker in the profile: the spectrum (size + 1 complex values) and
-    the inverse transform (2 * size floats) of a flicker filter, 4 * size + 2
-    floats in all.  The filtered samples are the first `size` of
-    ``filtered``; the rest, free once the transform is read, holds the
-    whites of a class without flicker (``whites``).  These are an anonymous
-    map: a helper thread that took them from the heap kept them resident in
-    its own malloc arena, out of the calling thread's reach.  Without
-    flicker no helper runs, and the workspace is only the `new` whites,
-    from the heap: a map would only add system calls and page faults.
-    """
-
-    def __init__(self, size: int, new: int, filters: bool):
-        words = _mapped(4 * size + 2) if filters else np.empty(new)
-        if filters:
-            self.spectrum = words[:2 * size + 2].view(complex)
-            self.filtered = words[2 * size + 2:]
-            words = self.filtered[size:]
-        self.whites = words[:new]
-        self.held = None  # the component whose samples filtered holds
 
 
 @dataclass(frozen=True)
@@ -249,17 +223,12 @@ class _NoiseState:
     their white prefix and filter it anew with the process-wide kernel at
     each size; the others keep only their running sums.
 
-    An extension hands its flicker classes out through ``workers.share``,
-    so two of them are filtered at once, on the calling thread and a helper
-    thread (on one worker where the clocks themselves are on two).  A
-    worker draws a class's new whites into its prefix and filters them in
-    its own _Workspace.  The classes' new samples are added into the tail
-    in component order, the order that fixes their bits: a flicker class's
-    once filtered, and each other class's drawn and summed, under share's
-    lock, by the worker that finds the classes before it in.
-    So the bits do not depend on the worker count, and a profile with fewer
-    than two flicker classes never starts a thread.  The realized samples,
-    the white prefixes and the workspaces are anonymous maps (_mapped).
+    An extension draws each class's new whites and adds its new samples
+    into the tail in component order, the order that fixes their bits: a
+    flicker class's filtered in one workspace, reused by the next flicker
+    class, and each other class's summed from its whites.  The realized
+    samples, the white prefixes and the filters' workspace are anonymous
+    maps (_mapped).
     """
 
     def __init__(self, profile: NoiseProfile, dt: float):
@@ -290,51 +259,22 @@ class _NoiseState:
             prefixes[i] = _mapped(size)
             prefixes[i][:realized] = self._carries[i]
             self._carries[i] = prefixes[i][:realized]
+        # the workspace.  With flicker, the spectrum (size + 1 complex values)
+        # and inverse transform (2 * size floats) of a filter, an anonymous
+        # map: on a helper thread the heap would keep them resident in that
+        # thread's malloc arena.  The whites of a class without flicker go
+        # into the transform's second half, free once it is read.  Without
+        # flicker, only the new whites, from the heap: a map would only add
+        # system calls and page faults
         if flicker:
-            with _spectrum_lock:  # no two clocks or workers take it at once
+            with _spectrum_lock:  # no two clocks take it at once
                 _kernel_spectrum(size)
-        todo = iter(flicker)
-        parts = [None] * len(components)
-        added = 0
-        spaces = []
-
-        def space():
-            spaces.append(_Workspace(size, size - realized, bool(flicker)))
-            return spaces[-1]
-
-        def take(ws):
-            i = next(todo, None)
-            if i is not None and ws.held is not None and parts[ws.held] is not None:
-                # ws is about to filter again before its samples are added
-                parts[ws.held] = parts[ws.held].copy()
-            return i
-
-        def work(i, ws):
-            kind, amp = components[i]
-            self._rngs[i].standard_normal(out=prefixes[i][realized:])
-            return _flicker_series(kind, amp, self.dt, prefixes[i], realized, ws), ws
-
-        def add(ws):
-            # each component's samples into the tail in component order, the
-            # order that fixes the bits of the sum: a flicker class's once a
-            # worker has filtered them, any other's drawn here into ws
-            nonlocal added
-            for i in range(added, len(components)):
-                kind, amp = components[i]
-                if kind in _FLICKER_TYPES:
-                    if parts[i] is None:
-                        return
-                    part, parts[i] = parts[i], None
-                else:
-                    part = self._rngs[i].standard_normal(out=ws.whites)
-                    self._carries[i] = _white_series(kind, amp, self.dt, part, self._carries[i])
-                np.add(tail, part, out=tail)
-                added = i + 1
-
-        def done(i, result):
-            parts[i], ws = result
-            ws.held = i
-            add(ws)
+            words = _mapped(4 * size + 2)
+            spectrum, filtered = words[:2 * size + 2].view(complex), words[2 * size + 2:]
+            whites = filtered[size:2 * size - realized]
+        else:
+            spectrum = filtered = None
+            whites = np.empty(size - realized)
 
         # up to here no generator has moved.  An extension that raises from
         # here on (a filter out of memory, say) puts back the generators and
@@ -343,8 +283,17 @@ class _NoiseState:
         states = [rng.bit_generator.state for rng in self._rngs]
         carries = list(self._carries)
         try:
-            share(take, work, done, space, max(1, len(flicker)))
-            add(spaces[0])
+            # each component's new samples into the tail in component order,
+            # the order that fixes the bits of the sum
+            for i, (kind, amp) in enumerate(components):
+                if kind in _FLICKER_TYPES:
+                    self._rngs[i].standard_normal(out=prefixes[i][realized:])
+                    part = _flicker_series(kind, amp, self.dt, prefixes[i], realized,
+                                           spectrum, filtered)
+                else:
+                    part = self._rngs[i].standard_normal(out=whites)
+                    self._carries[i] = _white_series(kind, amp, self.dt, part, self._carries[i])
+                np.add(tail, part, out=tail)
         except BaseException:
             for rng, state in zip(self._rngs, states):
                 rng.bit_generator.state = state
@@ -456,28 +405,20 @@ class ClockModel:
 
 
 def clock_time_errors(clocks, t: np.ndarray) -> list:
-    """[c.time_errors(t) for c in clocks]: one clock per worker
-    (``workers.share``) where t grows every clock's flicker noise to the
-    same buffer size, else one after the other, each with its own two-worker
-    filters, as the worker of a clock without flicker or with a smaller
-    buffer would go idle.  A failing clock raises what the loop would raise
-    first."""
+    """[c.time_errors(t) for c in clocks], one clock per worker
+    (``workers.share``) on at most as many workers as clocks with a flicker
+    class: white classes alone are cheap to synthesize, so a run without
+    flicker starts no thread.  A failing clock raises what the loop would
+    raise first."""
     todo, out = iter(enumerate(clocks)), [None] * len(clocks)
 
     def done(item, x):
         out[item[0]] = x
 
-    def grows_to(c):  # the buffer size t grows c's flicker noise to, else 0
-        last = float(np.max(t, initial=0.0)) / c.noise_grid_s
-        if c._state is None or not last < 2.0 ** 62 or not any(
-                kind in _FLICKER_TYPES for kind, _ in c.noise.components):
-            return 0
-        n = int(round(last)) + 1
-        return _buffer_size(n) if n > c._state._x.size else 0
-
-    sizes = {grows_to(c) for c in clocks}
+    flicker = sum(any(kind in _FLICKER_TYPES for kind, _ in c.noise.components)
+                  for c in clocks if c.noise)
     share(lambda ws: next(todo, None), lambda item, ws: item[1].time_errors(t), done,
-          lambda: None, len(clocks) if 0 not in sizes and len(sizes) == 1 else 1)
+          lambda: None, max(1, flicker))
     return out
 
 

@@ -1,15 +1,10 @@
 """Work shared out between the calling thread and at most one helper thread.
 
 The statistics of ``stability`` (one item per tau), the block parser of
-``cells.read_columns`` (one item per block of the file), a run's clocks
-(one item per clock, ``timebase.clock_time_errors``) and the flicker
-filters of ``timebase`` (one item per flicker class of an extension) run
-their items through ``share``.  numpy releases the interpreter lock inside
-its array loops, so two threads keep two cores busy.
-
-A share called from inside an item of a share on two or more workers (a
-clock's flicker filters, with the clocks on two workers) runs on that
-item's worker alone, so threads and workspaces stay at one per worker.
+``cells.read_columns`` (one item per block of the file) and a run's clocks
+(one item per clock, ``timebase.clock_time_errors``) run their items
+through ``share``.  numpy releases the interpreter lock inside its array
+loops, so two threads keep two cores busy.
 
 Helper threads outlive the call that started them and wait for the next.
 What a thread allocates on the heap comes from its malloc arena, and glibc
@@ -35,9 +30,6 @@ def _worker_count() -> int:
         cpus = os.cpu_count() or 1
     return 2 if cpus > 1 else 1
 
-
-# whether this thread runs an item of a share on two or more workers
-_nested = threading.local()
 
 # the idle helper threads, each as the queue it takes its next run from;
 # last in, first out, so that one caller keeps reusing one helper
@@ -68,12 +60,11 @@ def _helper(inbox) -> None:
 def share(take, work, done, space, most: int) -> None:
     """Run every item that take() hands out through work and then done.
 
-    Up to ``min(_worker_count(), most)`` workers, or one inside an item of a
-    share on two or more workers: the calling thread and one helper thread
-    per further worker, an idle one where there is one, else a new one.
-    Each worker has its own workspace, ``space()``, all made here in the
-    calling thread before any helper runs (so heap memory comes from its
-    arena).  Under one lock a worker calls ``take(ws)`` for its
+    Up to ``min(_worker_count(), most)`` workers: the calling thread and one
+    helper thread per further worker, an idle one where there is one, else
+    a new one.  Each worker has its own workspace, ``space()``, all made
+    here in the calling thread before any helper runs (so heap memory comes
+    from its arena).  Under one lock a worker calls ``take(ws)`` for its
     next item (None when there is none).  It calls ``work(item, ws)``
     outside the lock, and then ``done(item, result)`` under it.
 
@@ -89,8 +80,6 @@ def share(take, work, done, space, most: int) -> None:
     def run(ws):
         nonlocal taken
         k = 0
-        inline = getattr(_nested, "inline", False)
-        _nested.inline = inline or len(spaces) > 1
         try:
             while True:
                 with lock:
@@ -107,11 +96,8 @@ def share(take, work, done, space, most: int) -> None:
         except BaseException as exc:  # raised in the calling thread below
             with lock:
                 failed.append((k, exc))
-        finally:
-            _nested.inline = inline
 
-    workers = 1 if getattr(_nested, "inline", False) else _worker_count()
-    spaces = [space() for _ in range(min(workers, most))]
+    spaces = [space() for _ in range(min(_worker_count(), most))]
     finished = []
     for ws in spaces[1:]:
         try:

@@ -8,11 +8,17 @@ raise the same ProtocolError subclass the replay raises first.
 """
 
 import copy
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import fotsim
 from fotsim.access import AccessNode, observe_round
 from fotsim.calibration import CalibrationSet
 from fotsim.channel import FluctuationSpec, HardwareDelays, LinkModel
@@ -283,7 +289,7 @@ def test_failure_in_a_later_scan_block_matches_replay(monkeypatch, nodes):
 def test_failure_under_emit_mode_and_quantization_matches_replay(
         monkeypatch, steering_enabled, frac_frequency, drift_per_s, failing_round):
     # the scan queries the link at each crossing's emission and quantizes
-    # both readings, and runs on past the failing round; unsteered, the
+    # both readings, and ends at the failing round; unsteered, the
     # user clock drifts away from the server, steered, the steer lags a
     # drift that grows each round.  Either way the reversal emission first
     # precedes the request in the fifth or sixth block of three rounds
@@ -320,6 +326,37 @@ def test_failure_under_emit_mode_and_quantization_matches_replay(
         assert same_bits(getattr(events, name), cols[name]), name
     with pytest.raises(NonCausalError):
         replay(*copy.deepcopy(parts), failing_round + 1, steering_enabled)
+
+
+def test_emit_mode_failure_is_not_hidden_by_a_later_round_past_the_path_cap(tmp_path):
+    """A user clock 4 ms behind the server makes round 0's T1 exceed C.  In
+    emit mode on a 0.1 ms path grid, a later round of a scan that ran on
+    would query the link past the OU path's cap of 1e7 cells, a
+    ValidationError (exit 1).  The scan ends at round 0 instead, so the
+    CLI, in a child process, reports what the replay raises: exit 2 with
+    round 0's ReversalOverflowError."""
+    doc = copy.deepcopy(load_scenario("link_sync_230km").raw)
+    doc["link"]["evaluate_at_emit_time"] = True
+    doc["link"]["fluctuation"]["grid_s"] = 1e-4
+    doc["clocks"]["user"]["initial_offset_s"] = -0.004
+    doc["duration_s"] = 2000.0
+    doc["protocol"].update(apply_calibration=False, auto_calibrate=False)
+    models = build_models(validate_scenario(doc))
+    with pytest.raises(ReversalOverflowError) as replay_error:
+        sync_round(models.server, models.user, models.link, models.hw,
+                   models.tic_server, models.tic_user, models.protocol, 0.0)
+
+    (tmp_path / "s.json").write_text(json.dumps(doc))
+    code = "import sys\nfrom fotsim.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    src = Path(fotsim.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-c", code, "run", "--scenario", str(tmp_path / "s.json"),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, timeout=60.0,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == 2
+    assert out.stderr == f"runtime error: {replay_error.value}\n"
+    assert not (tmp_path / "o").exists()
 
 
 # --- the emit-time fluctuation mode on the canned sync scenarios ---------------

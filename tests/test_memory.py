@@ -254,7 +254,7 @@ def maps(monkeypatch):
     return Maps(monkeypatch)
 
 
-def test_noise_state_keeps_white_prefixes_of_flicker_classes_only(pin_workers, maps):
+def test_noise_state_keeps_white_prefixes_of_flicker_classes_only(maps):
     """After prefix(n), a noise state holds its realized samples and one
     white prefix per flicker class, and nothing per other class.
 
@@ -266,18 +266,16 @@ def test_noise_state_keeps_white_prefixes_of_flicker_classes_only(pin_workers, m
     five-class mix holds 1 + 2 columns, and a mix without flicker 1 column;
     64 KiB of slack covers the generators and the lists.
 
-    The last doubling of the five-class mix on one worker, from n/2 to n
-    samples, holds at its peak, above the realized half and the old white
-    prefixes it held before: the grown buffer and the two grown white
-    prefixes, less the halves they replace (3 - 1.5), and the worker's
-    workspace, the spectrum and the inverse transform of one filter (4).
-    The other classes' whites go into the transform's unused half, and with
-    one worker each flicker class's samples are added before the next class
-    is filtered, so nothing else is held.  The copy prefix() returns comes
-    after the workspace is gone (1).  That is 6.5 columns, and the bound of
-    9.5 leaves three of slack.
+    The last doubling of the five-class mix, from n/2 to n samples, holds
+    at its peak, above the realized half and the old white prefixes it held
+    before: the grown buffer and the two grown white prefixes, less the
+    halves they replace (3 - 1.5), and the workspace, the spectrum and the
+    inverse transform of one filter (4).  The other classes' whites go into
+    the transform's unused half, and each flicker class's samples are added
+    before the next class is filtered, so nothing else is held.  The copy
+    prefix() returns comes after the workspace is gone (1).  That is 6.5
+    columns, and the bound of 9.5 leaves three of slack.
     """
-    pin_workers(1)
     n = 1 << 16
     grow(_NoiseState(ALL_KINDS, 1.0), n)  # the kernel, the spectra and the FFT plans
     for profile, columns in ((ALL_KINDS, 3), (NO_FLICKER, 1)):
@@ -289,27 +287,6 @@ def test_noise_state_keeps_white_prefixes_of_flicker_classes_only(pin_workers, m
     state.prefix(n // 2)
     _, peak, _ = noise_peak(state, lambda: state.prefix(n), maps)
     assert peak <= 9.5 * COLUMN * n + (64 << 10)
-
-
-def test_noise_doubling_on_two_workers_holds_a_workspace_each(pin_workers, maps):
-    """The last doubling of the five-class mix, as above, on two workers.
-
-    Each worker has a workspace (2 x 4), made before either filters.  Each
-    flicker class's samples stay in its worker's workspace until the
-    classes before it are added, and a worker copies them out (0.5) only
-    if it takes another flicker class first, which two flicker classes on
-    two workers never do.  With the grown buffers (1.5) and the copy
-    prefix() returns (1), the peak is 10.5 columns; the 64 KiB of slack
-    also covers the helper thread's queue and event.
-    """
-    pin_workers(2)
-    n = 1 << 16
-    grow(_NoiseState(ALL_KINDS, 1.0), n)
-    state = _NoiseState(ALL_KINDS, 1.0)
-    state.prefix(n // 2)
-    x, peak, _ = noise_peak(state, lambda: state.prefix(n), maps)
-    assert x.size == n
-    assert peak <= 10.5 * COLUMN * n + (64 << 10)
 
 
 def test_two_clocks_on_two_workers_hold_at_most_two_one_worker_peaks(pin_workers, maps):
@@ -350,10 +327,19 @@ def test_two_clocks_on_two_workers_hold_at_most_two_one_worker_peaks(pin_workers
 
 
 @pytest.mark.parametrize("mode", ["clocks_only", "sync"])
-def test_runs_with_flicker_in_both_clocks_give_equal_bytes_on_one_and_two_workers(
-        tmp_path, pin_workers, mode):
+@pytest.mark.parametrize("flicker, server_grid", [
+    (("server", "user"), 1.0),
+    # one clock per worker, though one of them is cheap: its noise grows to
+    # an eighth of the other's buffer
+    (("server", "user"), 8.0),
+    # one flicker clock: both clocks on the calling thread
+    (("user",), 1.0),
+], ids=["both", "both_coarse_server", "user_only"])
+def test_runs_with_flicker_give_equal_bytes_on_one_and_two_workers(
+        tmp_path, pin_workers, mode, flicker, server_grid):
     doc = load_scenario("link_sync_230km").raw | {"mode": mode, "duration_s": 3000.0}
-    for name in ("server", "user"):
+    doc["clocks"]["server"]["noise_grid_s"] = server_grid
+    for name in flicker:
         doc["clocks"][name]["noise"] += [{"type": "flicker_pm", "amplitude": 1e-11},
                                          {"type": "flicker_fm", "amplitude": 1e-13}]
     trees = []

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
-from fotsim import timebase, workers
+from fotsim import timebase
 from fotsim.errors import ValidationError
 from fotsim.scenario import build_models, validate_scenario
 from fotsim.stability import tdev
@@ -379,106 +379,27 @@ class TestHalfIntegrationKernel:
         assert state._x.tobytes() == reference.x.tobytes()
 
 
-class FilterGate:
-    """timebase._flicker_series, gated: on two workers, the filter of the
-    class of amplitude `first` waits in each extension until the filters of
-    all `flicker` classes of that extension have started.  The others go to
-    the other worker, which so filters a later class, and with three
-    classes takes one more, before the first class's samples are added.
-    `threads` holds the threads that filtered."""
-
-    def __init__(self, monkeypatch, first, flicker):
-        self.first, self.flicker = first, flicker
-        self.threads, self.started = set(), collections.Counter()
-        self.cond = threading.Condition()
-        self.series = timebase._flicker_series
-        monkeypatch.setattr(timebase, "_flicker_series", self)
-
-    def __call__(self, kind, amplitude, dt, prefix, realized, ws):
-        with self.cond:
-            self.threads.add(threading.current_thread())
-            self.started[realized] += 1
-            self.cond.notify_all()
-            if amplitude == self.first and workers._worker_count() > 1:
-                assert self.cond.wait_for(
-                    lambda: self.started[realized] == self.flicker, timeout=5.0)
-        return self.series(kind, amplitude, dt, prefix, realized, ws)
-
-    def reset(self):
-        self.threads.clear()
-        self.started.clear()
-
-
 ALL_KINDS = [("white_pm", 1e-11), ("flicker_pm", 1e-12), ("white_fm", 1e-12),
              ("flicker_fm", 1e-13), ("random_walk_fm", 1e-16)]
 QUERIES = [("values_at", np.array([5000, 3, 1500, 9000, 2])), ("prefix", 20_000),
            ("values_at", np.array([40_000, 1, 39_999, 70_000])), ("prefix", 70_000)]
 
 
-class TestWorkerSplit:
-    @pytest.mark.parametrize("components, flicker", [
-        (ALL_KINDS, 2),
-        # three flicker classes: the other worker takes a third class while
-        # the samples of the second wait for the first's
-        (ALL_KINDS + [("flicker_pm", 3e-12)], 3),
-        ([("flicker_fm", 1e-13), ("flicker_pm", 1e-12), ("white_pm", 1e-11)], 2),
-    ])
-    def test_one_and_two_workers_give_equal_bits(self, monkeypatch, pin_workers, idle_helpers,
-                                                 components, flicker):
-        profile = NoiseProfile(components=components, rng_seed=17)
-        first = next(amp for kind, amp in components if kind in timebase._FLICKER_TYPES)
-        gate = FilterGate(monkeypatch, first, flicker)
-        runs = []
-        for count in (1, 2):
-            pin_workers(count)
-            gate.reset()
-            state = timebase._NoiseState(profile, 0.5)
-            runs.append([getattr(state, method)(arg).tobytes() for method, arg in QUERIES])
-            runs[-1].append(state._x.tobytes())
-            assert len(gate.threads) == count
-        reference = ReferenceState(profile, 0.5)
-        want = [getattr(reference, method)(arg).tobytes() for method, arg in QUERIES]
-        assert runs[0] == runs[1] == want + [reference.x.tobytes()]
-
-    def test_helper_exception_reaches_the_caller(self, monkeypatch, pin_workers):
-        # the caller waits in its class until the helper has failed in its
-        # own; the state keeps the samples it had before the extension
-        pin_workers(2)
-        series = timebase._flicker_series
-        caller, helper_failed = threading.current_thread(), threading.Event()
-
-        def failing(*args):
-            if threading.current_thread() is not caller:
-                helper_failed.set()
-                raise RuntimeError("helper failed")
-            assert helper_failed.wait(5.0)
-            return series(*args)
-
-        profile = NoiseProfile(components=ALL_KINDS, rng_seed=2)
-        state = timebase._NoiseState(profile, 1.0)
-        before = state.prefix(3000)
-        monkeypatch.setattr(timebase, "_flicker_series", failing)
-        with pytest.raises(RuntimeError, match="helper failed"):
-            state.prefix(5000)
-        assert state.prefix(3000).tobytes() == before.tobytes()
-        assert state._x.size == 4096
-
-    @pytest.mark.parametrize("count", [1, 2])
+class TestExtension:
     @pytest.mark.parametrize("failing", [1e-12, 1e-13])
     def test_retry_after_a_failed_extension_realizes_the_same_samples(
-            self, monkeypatch, pin_workers, count, failing):
+            self, monkeypatch, failing):
         # one flicker filter of the five-class doubling from 4096 to 8192
         # samples, the first class's or the second's, runs out of memory
         # once; the retried query and the later ones match a run without
         # the failure
-        pin_workers(count)
         series, armed = timebase._flicker_series, [True]
 
-        def flaky(kind, amplitude, dt, prefix, realized, ws):
+        def flaky(kind, amplitude, dt, prefix, realized, *out):
             if realized == 4096 and amplitude == failing and armed:
                 armed.clear()
                 raise MemoryError
-            return series(kind, amplitude, dt, prefix, realized, ws)
+            return series(kind, amplitude, dt, prefix, realized, *out)
 
         profile = NoiseProfile(components=ALL_KINDS, rng_seed=5)
         state, reference = timebase._NoiseState(profile, 1.0), ReferenceState(profile, 1.0)
@@ -491,15 +412,13 @@ class TestWorkerSplit:
             assert state.prefix(n).tobytes() == reference.prefix(n).tobytes()
         assert state._x.tobytes() == reference.x.tobytes()
 
-    @pytest.mark.parametrize("components, threads", [
-        ([("white_pm", 1e-11), ("white_fm", 1e-12), ("random_walk_fm", 1e-16)], 0),
-        ([("white_pm", 1e-11), ("flicker_fm", 1e-13)], 0),
-        ([("flicker_pm", 1e-12)], 0),
-        # one helper, kept for every extension
-        ([("flicker_pm", 1e-12), ("flicker_fm", 1e-13)], 1),
+    @pytest.mark.parametrize("components", [
+        [("white_pm", 1e-11), ("white_fm", 1e-12), ("random_walk_fm", 1e-16)],
+        [("white_pm", 1e-11), ("flicker_fm", 1e-13)],
+        ALL_KINDS,
     ])
-    def test_at_most_one_flicker_class_starts_no_thread(self, monkeypatch, pin_workers,
-                                                        idle_helpers, components, threads):
+    def test_no_extension_starts_a_thread(self, monkeypatch, pin_workers, idle_helpers,
+                                          components):
         started = []
 
         class Recorded(threading.Thread):
@@ -512,7 +431,7 @@ class TestWorkerSplit:
         state = timebase._NoiseState(NoiseProfile(components=components), 1.0)
         for n in (1, 3000, 5000, 20_000):
             state.prefix(n)
-        assert len(started) == threads
+        assert not started
 
 
 FLICKER_A = [("flicker_pm", 1e-12), ("white_pm", 1e-11), ("flicker_fm", 1e-13)]
@@ -521,24 +440,20 @@ WHITE = [("white_pm", 1e-11), ("white_fm", 1e-12)]
 
 
 class TestClocksOnWorkers:
-    @pytest.mark.parametrize("mixes, grids, threads, inline", [
-        ([WHITE, WHITE], (0.5, 0.5), 0, False),
-        # the flicker clock keeps its own two-worker filters
-        ([FLICKER_A, WHITE], (0.5, 0.5), 1, False),
-        ([WHITE, FLICKER_B], (0.5, 0.5), 1, False),
-        # one clock per worker, and each clock's filters on its own worker,
-        # where both clocks' noise grows to 32768 samples
-        ([FLICKER_A, FLICKER_B], (0.5, 0.5), 1, True),
-        ([FLICKER_A, FLICKER_B], (0.5, 0.6), 1, True),
-        # 32768 and 16384 samples: one clock after the other, each with its
-        # own two-worker filters
-        ([FLICKER_A, FLICKER_B], (0.5, 1.0), 1, False),
-        ([FLICKER_A, FLICKER_B], (2.0, 0.5), 1, False),
+    @pytest.mark.parametrize("mixes, grids, threads", [
+        ([WHITE, WHITE], (0.5, 0.5), 0),
+        # one flicker clock: both clocks on the calling thread
+        ([FLICKER_A, WHITE], (0.5, 0.5), 0),
+        ([WHITE, FLICKER_B], (0.5, 0.5), 0),
+        # one clock per worker where both have flicker, whatever size
+        # their noise grows to: 32768 samples each, or 32768 and 16384
+        ([FLICKER_A, FLICKER_B], (0.5, 0.5), 1),
+        ([FLICKER_A, FLICKER_B], (0.5, 1.0), 1),
     ])
-    def test_one_clock_per_worker_only_for_flicker_of_one_buffer_size(
-            self, monkeypatch, pin_workers, idle_helpers, mixes, grids, threads, inline):
-        started, filtered, shares = [], collections.defaultdict(set), []
-        series, shared = timebase._flicker_series, timebase.share
+    def test_one_clock_per_worker_where_both_have_flicker(
+            self, monkeypatch, pin_workers, idle_helpers, mixes, grids, threads):
+        started, filtered = [], collections.defaultdict(set)
+        series = timebase._flicker_series
 
         class Recorded(threading.Thread):
             def start(self):
@@ -548,10 +463,6 @@ class TestClocksOnWorkers:
         def recorded(kind, amplitude, *args):
             filtered[amplitude in dict(FLICKER_B).values()].add(threading.current_thread())
             return series(kind, amplitude, *args)
-
-        def recorded_share(take, work, done, space, most):
-            shares.append(most)
-            return shared(take, work, done, space, most)
 
         def clocks():
             return [ClockModel(frac_frequency=1e-10 * k, noise_grid_s=grid,
@@ -563,32 +474,13 @@ class TestClocksOnWorkers:
         want = [c.time_errors(t).tobytes() for c in clocks()]
         monkeypatch.setattr(threading, "Thread", Recorded)
         monkeypatch.setattr(timebase, "_flicker_series", recorded)
-        monkeypatch.setattr(timebase, "share", recorded_share)
         pin_workers(2)
         got = timebase.clock_time_errors(clocks(), t)
         assert [x.tobytes() for x in got] == want
         assert len(started) == threads
-        assert shares[0] == (2 if inline else 1)
-        if inline:
-            assert [len(filtered[b]) for b in (False, True)] == [1, 1]
-
-    def test_a_clock_realized_already_goes_to_no_helper(self, monkeypatch, pin_workers,
-                                                        idle_helpers):
-        shares, shared = [], timebase.share
-        monkeypatch.setattr(timebase, "share",
-                            lambda *args: shares.append(args[-1]) or shared(*args))
-        pin_workers(2)
-        clocks = [ClockModel(noise=NoiseProfile(components=FLICKER_B, rng_seed=k))
-                  for k in (1, 2)]
-        t = np.arange(0.0, 50.0, 0.1)
-        clocks[0].time_errors(t)
-        shares.clear()
-        timebase.clock_time_errors(clocks, t)
-        assert shares[0] == 1
-        shares.clear()
-        with pytest.raises(ValidationError, match="finite"):
-            timebase.clock_time_errors(clocks, np.array([1.0, np.nan]))
-        assert shares[0] == 1
+        # each clock filters on one thread, and two flicker clocks on two
+        assert [len(ran) for ran in filtered.values()] == [1] * len(filtered)
+        assert len(set().union(*filtered.values())) == min(len(filtered), 1 + threads)
 
     def test_two_clocks_take_each_spectrum_once(self, cold_kernel_cache, monkeypatch,
                                                 pin_workers, idle_helpers):
