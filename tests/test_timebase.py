@@ -449,6 +449,10 @@ class TestClocksOnWorkers:
         # their noise grows to: 32768 samples each, or 32768 and 16384
         ([FLICKER_A, FLICKER_B], (0.5, 0.5), 1),
         ([FLICKER_A, FLICKER_B], (0.5, 1.0), 1),
+        # three flicker classes in one clock
+        ([ALL_KINDS + [("flicker_pm", 3e-12)], FLICKER_B], (0.5, 0.5), 1),
+        # three clocks, two of them with flicker: two workers
+        ([FLICKER_A, FLICKER_B, WHITE], (0.5, 0.5, 0.5), 1),
     ])
     def test_one_clock_per_worker_where_both_have_flicker(
             self, monkeypatch, pin_workers, idle_helpers, mixes, grids, threads):
@@ -481,6 +485,38 @@ class TestClocksOnWorkers:
         # each clock filters on one thread, and two flicker clocks on two
         assert [len(ran) for ran in filtered.values()] == [1] * len(filtered)
         assert len(set().union(*filtered.values())) == min(len(filtered), 1 + threads)
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_retry_after_a_clock_failed_on_two_workers(self, monkeypatch, pin_workers,
+                                                       idle_helpers, failing):
+        # a flicker filter of the first clock or the second, in its doubling
+        # from 8192 to 16384 samples, runs out of memory once; the failure
+        # reaches the caller, and the retried run gives the bits of a run
+        # on one worker without it
+        series, armed = timebase._flicker_series, [True]
+        mixes = (FLICKER_A, FLICKER_B)
+
+        def flaky(kind, amplitude, dt, prefix, realized, *out):
+            if realized == 8192 and amplitude == mixes[failing][0][1] and armed:
+                armed.clear()
+                raise MemoryError
+            return series(kind, amplitude, dt, prefix, realized, *out)
+
+        def clocks():
+            return [ClockModel(frac_frequency=1e-10 * k, noise_grid_s=0.5,
+                               noise=NoiseProfile(components=mix, rng_seed=k))
+                    for k, mix in enumerate(mixes)]
+
+        t = np.arange(0.0, 12_000.0, 0.7)
+        pin_workers(1)
+        want = [c.time_errors(t).tobytes() for c in clocks()]
+        pin_workers(2)
+        run = clocks()
+        monkeypatch.setattr(timebase, "_flicker_series", flaky)
+        with pytest.raises(MemoryError):
+            timebase.clock_time_errors(run, t)
+        assert not armed
+        assert [x.tobytes() for x in timebase.clock_time_errors(run, t)] == want
 
     def test_two_clocks_take_each_spectrum_once(self, cold_kernel_cache, monkeypatch,
                                                 pin_workers, idle_helpers):
