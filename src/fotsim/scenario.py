@@ -45,7 +45,14 @@ from .protocol import (
     tracking_error_series,
 )
 from .stability import MIN_SAMPLES, StabilityCurve, _tau_to_n, tdev
-from .timebase import NOISE_TYPES, ClockModel, NoiseProfile, TimeErrorSeries, clock_time_errors
+from .timebase import (
+    NOISE_TYPES,
+    ClockModel,
+    NoiseProfile,
+    TimeErrorSeries,
+    _buffer_size,
+    clock_time_errors,
+)
 
 ROUNDS_HEADER = ["t_s", "T1_s", "T2_s", "offset_est_s", "true_offset_s", "residual_s"]
 NODE_HEADER = ROUNDS_HEADER + ["position_km"]
@@ -301,6 +308,7 @@ def validate_scenario(doc: dict) -> Scenario:
                 raise ValidationError(
                     f"scenario.access_nodes: node {node.name!r} lies beyond the link"
                 )
+    _check_sizes(scenario)
     _check_series(scenario)
     return scenario
 
@@ -320,6 +328,44 @@ def _node_warmup(scenario: Scenario) -> int:
     # node recovery applies the previous round's tap interval, so its
     # acquisition transient lasts one round longer than the user's
     return scenario.warmup_rounds + 1
+
+
+# The most samples or rounds, calibration rounds and samples of a clock's
+# noise buffer a scenario may ask for, each.  The largest size of any canned
+# scenario or benchmark input is 2^18 (a clock's noise on clocks_flicker).
+# At the cap a flicker clock takes a 128 MB noise buffer and a 512 MB filter
+# workspace, and a sync run's round engine about 3 GB (some 200 bytes a
+# round).
+_MAX_SIZE = 1 << 24
+
+
+def _check_sizes(scenario: Scenario) -> None:
+    """Refuse, before any model is built, a run that would ask for more than
+    _MAX_SIZE of its samples or rounds, its calibration rounds or the noise
+    buffer of either clock."""
+
+    def check(key, size, what):
+        if size > _MAX_SIZE:
+            shown = f"{float(size):.10g}" if size < 1e300 else "more than 1e300"
+            raise ValidationError(f"scenario.{key} asks for {shown} {what}, over the cap "
+                                  f"of {_MAX_SIZE}")
+
+    check("duration_s", scenario.duration_s / _series_tau0(scenario),
+          "rounds" if scenario.mode == "sync" else "samples")
+    # the span over which a clock is queried, in the run or its calibration
+    horizon = scenario.duration_s
+    if scenario.protocol is not None:
+        rounds = scenario.protocol.calibration_rounds
+        check("protocol.calibration_rounds", rounds, "rounds")
+        horizon = max(horizon, rounds * scenario.protocol.compensation_period_s)
+    for name in ("server", "user"):
+        clock = getattr(scenario.clocks, name)
+        if clock.noise:
+            key = "pulse_period_s" if clock.noise_grid_s is None else "noise_grid_s"
+            steps = horizon / getattr(clock, key)
+            check(f"clocks.{name}.{key}",
+                  _buffer_size(math.ceil(steps)) if math.isfinite(steps) else steps,
+                  "noise samples")
 
 
 def _check_series(scenario: Scenario) -> None:

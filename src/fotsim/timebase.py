@@ -20,9 +20,10 @@ realized by convolution with its binomial impulse response.  The white_pm,
 white_fm and random_walk_fm scalings are invariant under resampling; the two
 flicker scalings are tied to the grid they are generated on.
 
-A clock's noise is realized lazily, by doublings of its buffer, and its
-flicker filters (two FFTs over the whole white prefix at each size) are most
-of the cost.  An extension filters its flicker classes one after the other.
+A clock's noise is realized lazily, by doublings of its buffer.  At each
+size an extension redraws each flicker class's whites for the whole buffer
+from the class's seed and filters them (two FFTs), one class after the
+other; these filters are most of the cost.
 clock_time_errors puts a run's clocks on workers (``workers.share``), one
 clock per worker, where two or more have a flicker class.  The samples do
 not depend on the worker count.
@@ -147,15 +148,15 @@ def _white_series(kind: str, amplitude: float, dt: float, w: np.ndarray, carry: 
     return carry
 
 
-def _flicker_series(kind: str, amplitude: float, dt: float, prefix: np.ndarray,
+def _flicker_series(kind: str, amplitude: float, dt: float, w: np.ndarray,
                     realized: int, spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The samples of a flicker class past `realized`, from its whole white
-    prefix, as a view of out; spectrum and out take the filter's transforms
-    (see _half_integrate).  The filter is applied anew to the whole prefix
-    at each buffer size."""
-    y = _half_integrate(prefix, spectrum, out)
+    """The samples of a flicker class past `realized`, from its whites w for
+    the whole buffer, as a view of out; spectrum and out take the filter's
+    transforms (see _half_integrate), and w may be out's first half.  The
+    filter is applied anew to all of w at each buffer size."""
+    y = _half_integrate(w, spectrum, out)
     if kind == "flicker_fm":
-        # flicker_fm sums the whole filtered prefix: the filter at this size
+        # flicker_fm sums the whole filtered buffer: the filter at this size
         # rounds the early samples differently from the last size, so a
         # carried sum would not give the same bits
         np.cumsum(y, out=y)
@@ -216,57 +217,51 @@ class _NoiseState:
     """Lazily extended noise realization on a fixed grid.
 
     Each component draws white noise from its own child stream (split off
-    the profile seed), in pieces as the buffer grows.  An extension computes
-    only the samples past the realized end: the filters are causal, and
-    samples already handed out are kept verbatim, which pins every realized
-    value for the lifetime of the instance.  The flicker components keep
-    their white prefix and filter it anew with the process-wide kernel at
-    each size; the others keep only their running sums.
-
-    An extension draws each class's new whites and adds its new samples
-    into the tail in component order, the order that fixes their bits: a
-    flicker class's filtered in one workspace, reused by the next flicker
-    class, and each other class's summed from its whites.  The realized
-    samples, the white prefixes and the filters' workspace are anonymous
-    maps (_mapped).
+    the profile seed).  An extension computes only the samples past the
+    realized end: the filters are causal, and samples already handed out
+    are kept verbatim, which pins every realized value for the lifetime of
+    the instance.  A class without flicker draws its next whites from its
+    generator and keeps only its running sums.  A flicker class keeps no
+    white noise: each extension redraws its whites for the whole buffer
+    from its seed (a generator gives the same normals in one call as in
+    pieces) and filters them anew with the process-wide kernel.  The
+    realized samples and the filters' workspace are anonymous maps
+    (_mapped).
     """
 
     def __init__(self, profile: NoiseProfile, dt: float):
         self.profile = profile
         self.dt = float(dt)
         children = np.random.SeedSequence(profile.rng_seed).spawn(len(profile.components))
-        self._rngs = [np.random.default_rng(s) for s in children]
-        self._carries = [
-            np.empty(0) if kind in _FLICKER_TYPES else () for kind, _ in profile.components
-        ]
+        # a flicker class keeps its seed; any other its generator and the
+        # running sums it carries (() at the start)
+        flicker = [kind in _FLICKER_TYPES for kind, _ in profile.components]
+        self._seeds = {i: s for i, s in enumerate(children) if flicker[i]}
+        self._rngs = {i: np.random.default_rng(s) for i, s in enumerate(children)
+                      if not flicker[i]}
+        self._carries = dict.fromkeys(self._rngs, ())
         self._x = np.empty(0)
 
     def _extend(self, n: int) -> None:
         size = _buffer_size(n)
         realized = self._x.size
-        components = self.profile.components
-        flicker = [i for i, (kind, _) in enumerate(components) if kind in _FLICKER_TYPES]
-        # the grown buffers, holding what is realized; until they are filled
-        # the state keeps views of the realized part only, so an extension
-        # that raises leaves a state of the old size.  The tail, which sums
-        # the new samples, starts as the map's zeros
+        # the grown buffer, holding what is realized; until it is filled the
+        # state keeps a view of the realized part only, so an extension that
+        # raises leaves a state of the old size.  The tail, which sums the
+        # new samples, starts as the map's zeros
         x = _mapped(size)
         x[:realized] = self._x
         self._x = x[:realized]
         tail = x[realized:]
-        prefixes = {}
-        for i in flicker:
-            prefixes[i] = _mapped(size)
-            prefixes[i][:realized] = self._carries[i]
-            self._carries[i] = prefixes[i][:realized]
         # the workspace.  With flicker, the spectrum (size + 1 complex values)
         # and inverse transform (2 * size floats) of a filter, an anonymous
         # map: on a helper thread the heap would keep them resident in that
-        # thread's malloc arena.  The whites of a class without flicker go
-        # into the transform's second half, free once it is read.  Without
-        # flicker, only the new whites, from the heap: a map would only add
-        # system calls and page faults
-        if flicker:
+        # thread's malloc arena.  A flicker class's whites go into the
+        # transform's first half, read before the inverse overwrites it, and
+        # any other class's into its second half, which no filter reads.
+        # Without flicker, only the new whites, from the heap: a map would
+        # only add system calls and page faults
+        if self._seeds:
             with _spectrum_lock:  # no two clocks take it at once
                 _kernel_spectrum(size)
             words = _mapped(4 * size + 2)
@@ -278,30 +273,28 @@ class _NoiseState:
 
         # up to here no generator has moved.  An extension that raises from
         # here on (a filter out of memory, say) puts back the generators and
-        # carries, so that a retried query realizes the samples of an
-        # uninterrupted run; the state's views hold what was realized
-        states = [rng.bit_generator.state for rng in self._rngs]
-        carries = list(self._carries)
+        # running sums of the classes without flicker, so that a retried
+        # query realizes the samples of an uninterrupted run; a flicker class
+        # redraws from its seed, so it has nothing to put back
+        states = {i: rng.bit_generator.state for i, rng in self._rngs.items()}
+        carries = dict(self._carries)
         try:
             # each component's new samples into the tail in component order,
             # the order that fixes the bits of the sum
-            for i, (kind, amp) in enumerate(components):
+            for i, (kind, amp) in enumerate(self.profile.components):
                 if kind in _FLICKER_TYPES:
-                    self._rngs[i].standard_normal(out=prefixes[i][realized:])
-                    part = _flicker_series(kind, amp, self.dt, prefixes[i], realized,
-                                           spectrum, filtered)
+                    w = np.random.default_rng(self._seeds[i]).standard_normal(out=filtered[:size])
+                    part = _flicker_series(kind, amp, self.dt, w, realized, spectrum, filtered)
                 else:
                     part = self._rngs[i].standard_normal(out=whites)
                     self._carries[i] = _white_series(kind, amp, self.dt, part, self._carries[i])
                 np.add(tail, part, out=tail)
         except BaseException:
-            for rng, state in zip(self._rngs, states):
-                rng.bit_generator.state = state
+            for i, state in states.items():
+                self._rngs[i].bit_generator.state = state
             self._carries = carries
             raise
         self._x = x
-        for i, prefix in prefixes.items():
-            self._carries[i] = prefix
 
     def extensions(self, indices: np.ndarray) -> list:
         """The lengths values_at(indices) extends the buffer to, in order:

@@ -254,39 +254,41 @@ def maps(monkeypatch):
     return Maps(monkeypatch)
 
 
-def test_noise_state_keeps_white_prefixes_of_flicker_classes_only(maps):
-    """After prefix(n), a noise state holds its realized samples and one
-    white prefix per flicker class, and nothing per other class.
+def test_noise_state_keeps_only_its_realized_samples(maps):
+    """After prefix(n), a noise state holds its realized samples and nothing
+    per class, whatever its classes.
 
     With the process-wide kernel and spectra already built, growing a state
     through its doublings to n samples leaves, besides the n-sample copy
-    prefix() returns: the realized buffer, plus the white prefix of each
-    flicker class (the filter is applied anew to it at each size).
-    white_pm, white_fm and random_walk_fm carry at most two floats.  So the
-    five-class mix holds 1 + 2 columns, and a mix without flicker 1 column;
-    64 KiB of slack covers the generators and the lists.
+    prefix() returns, the realized buffer alone: a flicker class keeps only
+    its seed and redraws its whites at each extension, and white_pm,
+    white_fm and random_walk_fm carry at most two floats.  So the
+    five-class mix and a mix without flicker each hold 1 + 1 columns
+    (measured: 2.01); 64 KiB of slack covers the generators, the seeds and
+    the dicts.
 
     The last doubling of the five-class mix, from n/2 to n samples, holds
-    at its peak, above the realized half and the old white prefixes it held
-    before: the grown buffer and the two grown white prefixes, less the
-    halves they replace (3 - 1.5), and the workspace, the spectrum and the
-    inverse transform of one filter (4).  The other classes' whites go into
-    the transform's unused half, and each flicker class's samples are added
-    before the next class is filtered, so nothing else is held.  The copy
-    prefix() returns comes after the workspace is gone (1).  That is 6.5
-    columns, and the bound of 9.5 leaves three of slack.
+    at its peak, above the realized half it held before: the grown buffer
+    less the half it replaces (1 - 0.5), and the workspace, the spectrum
+    and the inverse transform of one filter (4).  Each flicker class's
+    whites are drawn into the transform's first half and the other
+    classes' into its second, and each class's samples are added before the
+    next class is drawn, so nothing else is held.  The copy prefix()
+    returns comes after the workspace is gone (1).  That is 5.5 columns
+    (measured: 5.51), and the bound of 6 leaves half a column of slack: one
+    white prefix kept per flicker class would go past it.
     """
     n = 1 << 16
     grow(_NoiseState(ALL_KINDS, 1.0), n)  # the kernel, the spectra and the FFT plans
-    for profile, columns in ((ALL_KINDS, 3), (NO_FLICKER, 1)):
+    for profile in (ALL_KINDS, NO_FLICKER):
         state = _NoiseState(profile, 1.0)
         x, _, kept = noise_peak(state, lambda: grow(state, n), maps)
         assert x.size == n
-        assert kept <= (columns + 1) * COLUMN * n + (64 << 10)
+        assert kept <= 2 * COLUMN * n + (64 << 10)
     state = _NoiseState(ALL_KINDS, 1.0)
     state.prefix(n // 2)
     _, peak, _ = noise_peak(state, lambda: state.prefix(n), maps)
-    assert peak <= 9.5 * COLUMN * n + (64 << 10)
+    assert peak <= 6 * COLUMN * n + (64 << 10)
 
 
 def test_two_clocks_on_two_workers_hold_at_most_two_one_worker_peaks(pin_workers, maps):
@@ -295,14 +297,14 @@ def test_two_clocks_on_two_workers_hold_at_most_two_one_worker_peaks(pin_workers
     filtering its flicker classes on its own worker.
 
     Each clock holds what one clock holds on one worker.  Its maps peak as
-    in the 6.5 columns derived above, less the copy prefix() returns: the
-    grown buffers (1.5) and one workspace (4), while time_errors holds
+    in the 5.5 columns derived above, less the copy prefix() returns: the
+    grown buffer (1 - 0.5) and one workspace (4), while time_errors holds
     neither the grid index nor the deterministic part.  Its heap peaks
     after the workspace is gone, where the copy was counted: the grid index,
     the deterministic part and one temporary of it, then the returned
-    column and the gathered noise (3).  noise_peak adds the two peaks, 8.5
-    columns a clock (measured: 8.51).  Two clocks at once hold at most both
-    clocks' peaks, 17 columns, and never a second workspace per clock.  The
+    column and the gathered noise (3).  noise_peak adds the two peaks, 7.5
+    columns a clock (measured: 7.51).  Two clocks at once hold at most both
+    clocks' peaks, 15 columns, and never a second workspace per clock.  The
     64 KiB of slack covers the helper thread's queue and event.
     """
     n = 1 << 16
@@ -323,7 +325,7 @@ def test_two_clocks_on_two_workers_hold_at_most_two_one_worker_peaks(pin_workers
     both, peak, _ = noise_peak(None, lambda: timebase.clock_time_errors(pair, t), maps)
     assert [x.tobytes() for x in both] == [x.tobytes() for x, _, _ in alone]
     assert peak <= sum(one for _, one, _ in alone) + (64 << 10)
-    assert peak <= 2 * 8.5 * COLUMN * n + (64 << 10)
+    assert peak <= 2 * 7.5 * COLUMN * n + (64 << 10)
 
 
 @pytest.mark.parametrize("mode", ["clocks_only", "sync"])
@@ -355,12 +357,13 @@ def test_process_wide_kernel_and_spectra_hold_about_40_bytes_per_sample(cold_ker
     """What the first state to reach n samples leaves in the process-wide
     cache: the kernel's n taps (8 bytes each) and the spectrum of every
     buffer size from 1024 to n, n/2 + 1 complex values each (16 bytes), so
-    about 32 bytes x n over all spectra: 5 columns above the 4 of the
-    warm case.  A column of slack covers numpy's cached FFT plans.
+    about 32 bytes x n over all spectra: 5 columns above the 2 of the
+    warm case.  A column of slack covers numpy's cached FFT plans
+    (measured: 7.23 in all).
     """
     n = 1 << 16
     state = _NoiseState(ALL_KINDS, 1.0)
     _, _, kept = noise_peak(state, lambda: grow(state, n), maps)
-    assert kept <= (4 + 5 + 1) * COLUMN * n
+    assert kept <= (2 + 5 + 1) * COLUMN * n
     assert timebase._kernel.size == n
     assert timebase._kernel_spectrum.cache_info().currsize == n.bit_length() - 10

@@ -3,13 +3,18 @@
 import errno
 import filecmp
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fotsim
 from fotsim import cells, channel, timebase
 from fotsim import scenario as scenario_module
 from fotsim.cli import main as cli_main
@@ -509,6 +514,80 @@ class TestCompare:
         vals = table.values[i1000]
         assert vals[0] < vals[1] < vals[2]
         assert all(tau != 1000.0 for tau, _, _ in table.ordering_violations)
+
+
+def grid_doc(grid_s):
+    doc = minimal_doc()
+    doc["clocks"]["server"]["noise_grid_s"] = grid_s
+    return doc
+
+
+def calibration_doc(rounds):
+    doc = sync_doc()
+    doc["protocol"]["calibration_rounds"] = rounds
+    doc["clocks"]["server"]["noise_grid_s"] = 1.0
+    return doc
+
+
+def pulse_doc(period_s):
+    doc = minimal_doc()
+    doc["clocks"]["server"]["pulse_period_s"] = period_s
+    return doc
+
+
+CAP = scenario_module._MAX_SIZE
+
+
+class TestAdmission:
+    @pytest.mark.parametrize("key, at_cap, over_cap", [
+        ("duration_s", grid_doc(1.0) | {"duration_s": CAP * 1.0},
+         grid_doc(1.0) | {"duration_s": CAP + 1.0}),
+        # 1e300 samples of 1e-300 s are more than a float holds
+        ("duration_s", grid_doc(1.0) | {"duration_s": CAP * 1.0},
+         grid_doc(1.0) | {"duration_s": 1e300, "sample_period_s": 1e-300}),
+        ("protocol.calibration_rounds", calibration_doc(CAP), calibration_doc(CAP + 1)),
+        ("protocol.calibration_rounds", calibration_doc(CAP), calibration_doc(10 ** 400)),
+        # 32 s on a 2^-19 s grid is a buffer of 2^24 samples, and on a
+        # 2^-20 s grid of 2^25
+        ("clocks.server.noise_grid_s", grid_doc(2.0 ** -19), grid_doc(2.0 ** -20)),
+        # without noise_grid_s the noise takes the pulse period's grid
+        ("clocks.server.pulse_period_s", pulse_doc(2.0 ** -19), pulse_doc(2.0 ** -20)),
+    ])
+    def test_each_size_passes_at_the_cap_and_fails_past_it(self, key, at_cap, over_cap):
+        validate_scenario(at_cap)
+        with pytest.raises(ValidationError,
+                           match=rf"^scenario\.{re.escape(key)} asks for .*, over the cap of {CAP}$"):
+            validate_scenario(over_cap)
+
+    @pytest.mark.parametrize("name, key, change", [
+        ("free_running_clocks", "duration_s", lambda d: d.update(duration_s=1e20)),
+        ("link_sync_230km", "duration_s", lambda d: d.update(duration_s=1e20)),
+        ("demo_short", "protocol.calibration_rounds",
+         lambda d: d["protocol"].update(calibration_rounds=10 ** 20)),
+        ("link_sync_230km", "clocks.user.noise_grid_s",
+         lambda d: d["clocks"]["user"].update(noise_grid_s=1e-15)),
+    ])
+    def test_an_oversized_run_ends_at_once(self, tmp_path, name, key, change):
+        # through the CLI in a child process with 3 GB of address space:
+        # each of these allocated until it failed before the sizes were
+        # checked
+        doc = canned_doc(name)
+        change(doc)
+        (tmp_path / "s.json").write_text(json.dumps(doc))
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+                "from fotsim.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        src = Path(fotsim.__file__).resolve().parent.parent
+        out = subprocess.run(
+            [sys.executable, "-c", code, "run", "--scenario", str(tmp_path / "s.json"),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=5.0,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert out.returncode == 1
+        assert out.stderr.startswith(f"error: scenario.{key} asks for ")
+        assert "Traceback" not in out.stderr
+        assert not (tmp_path / "o").exists()
 
 
 class TestCli:
