@@ -350,8 +350,13 @@ def _check_sizes(scenario: Scenario) -> None:
             raise ValidationError(f"scenario.{key} asks for {shown} {what}, over the cap "
                                   f"of {_MAX_SIZE}")
 
-    check("duration_s", scenario.duration_s / _series_tau0(scenario),
-          "rounds" if scenario.mode == "sync" else "samples")
+    # duration_s over the period of the rounds or samples: name both
+    tau0 = _series_tau0(scenario)
+    if scenario.mode == "sync":
+        what = f"rounds of scenario.protocol.compensation_period_s = {tau0:g} s"
+    else:
+        what = f"samples of scenario.sample_period_s = {tau0:g} s"
+    check("duration_s", scenario.duration_s / tau0, what)
     # the span over which a clock is queried, in the run or its calibration
     horizon = scenario.duration_s
     if scenario.protocol is not None:

@@ -20,10 +20,11 @@ realized by convolution with its binomial impulse response.  The white_pm,
 white_fm and random_walk_fm scalings are invariant under resampling; the two
 flicker scalings are tied to the grid they are generated on.
 
-A clock's noise is realized lazily, by doublings of its buffer.  At each
-size an extension redraws each flicker class's whites for the whole buffer
-from the class's seed and filters them (two FFTs), one class after the
-other; these filters are most of the cost.
+A clock's noise is a pure function of its seed and its buffer size: each
+class redraws its whites for the whole buffer from its own seed.  A query
+grows the buffer once, through the doublings it reaches, and filters each
+flicker class at each of those sizes (two FFTs); these filters are most of
+the cost.
 clock_time_errors puts a run's clocks on workers (``workers.share``), one
 clock per worker, where two or more have a flicker class.  The samples do
 not depend on the worker count.
@@ -124,41 +125,28 @@ def _half_integrate(w: np.ndarray, spectrum=None, out=None) -> np.ndarray:
     return np.fft.irfft(spectrum, 2 * n, out=out)[:n]
 
 
-def _cumsum_from(start: tuple, v: np.ndarray) -> np.ndarray:
-    """np.cumsum of v in place, continued from the running sum in start
-    (empty at the start of the series).  np.cumsum adds in sequence, so this
-    is the tail of the whole series' cumsum bit for bit."""
-    if start:
-        v[0] += start[0]
-    return np.cumsum(v, out=v)
-
-
-def _white_series(kind: str, amplitude: float, dt: float, w: np.ndarray, carry: tuple) -> tuple:
-    """The next samples of a class without flicker, in place of its next
-    whites w, and the last values of the cumsums it takes, which it carries
-    into its following extension (() at the start)."""
+def _white_series(kind: str, amplitude: float, dt: float, w: np.ndarray,
+                  realized: int) -> np.ndarray:
+    """The samples of a class without flicker past `realized`, from its
+    whites w for the whole buffer, as a view of w."""
     if kind == "white_fm":
-        carry = (_cumsum_from(carry, w)[-1],)
+        np.cumsum(w, out=w)
         amplitude *= math.sqrt(dt)
     elif kind == "random_walk_fm":
-        last = _cumsum_from(carry[:1], w)[-1]
-        carry = (last, _cumsum_from(carry[1:], w)[-1])
+        np.cumsum(np.cumsum(w, out=w), out=w)
         amplitude *= dt ** 1.5
-    w *= amplitude
-    return carry
+    new = w[realized:]
+    new *= amplitude
+    return new
 
 
 def _flicker_series(kind: str, amplitude: float, dt: float, w: np.ndarray,
                     realized: int, spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The samples of a flicker class past `realized`, from its whites w for
     the whole buffer, as a view of out; spectrum and out take the filter's
-    transforms (see _half_integrate), and w may be out's first half.  The
-    filter is applied anew to all of w at each buffer size."""
+    transforms (see _half_integrate), and w may be out's first half."""
     y = _half_integrate(w, spectrum, out)
     if kind == "flicker_fm":
-        # flicker_fm sums the whole filtered buffer: the filter at this size
-        # rounds the early samples differently from the last size, so a
-        # carried sum would not give the same bits
         np.cumsum(y, out=y)
         amplitude *= dt
     new = y[realized:]
@@ -214,91 +202,67 @@ class TimeErrorSeries:
 
 
 class _NoiseState:
-    """Lazily extended noise realization on a fixed grid.
+    """Lazily grown noise realization on a fixed grid, a pure function of the
+    profile seed and the buffer size.
 
-    Each component draws white noise from its own child stream (split off
-    the profile seed).  An extension computes only the samples past the
-    realized end: the filters are causal, and samples already handed out
-    are kept verbatim, which pins every realized value for the lifetime of
-    the instance.  A class without flicker draws its next whites from its
-    generator and keeps only its running sums.  A flicker class keeps no
-    white noise: each extension redraws its whites for the whole buffer
-    from its seed (a generator gives the same normals in one call as in
-    pieces) and filters them anew with the process-wide kernel.  The
-    realized samples and the filters' workspace are anonymous maps
-    (_mapped).
+    Each component keeps only its child seed (split off the profile seed).
+    A grow redraws each class's whites for the whole buffer from its seed:
+    a generator gives the same normals in one call as in pieces, and
+    np.cumsum adds in sequence, so a whole-buffer cumsum continues the last
+    one bit for bit.  A flicker class is filtered at each buffer size the
+    grow passes.  Only samples past the realized end are added: samples
+    handed out are kept verbatim for the lifetime of the instance.
     """
 
     def __init__(self, profile: NoiseProfile, dt: float):
         self.profile = profile
         self.dt = float(dt)
-        children = np.random.SeedSequence(profile.rng_seed).spawn(len(profile.components))
-        # a flicker class keeps its seed; any other its generator and the
-        # running sums it carries (() at the start)
-        flicker = [kind in _FLICKER_TYPES for kind, _ in profile.components]
-        self._seeds = {i: s for i, s in enumerate(children) if flicker[i]}
-        self._rngs = {i: np.random.default_rng(s) for i, s in enumerate(children)
-                      if not flicker[i]}
-        self._carries = dict.fromkeys(self._rngs, ())
+        self._seeds = np.random.SeedSequence(profile.rng_seed).spawn(len(profile.components))
         self._x = np.empty(0)
 
-    def _extend(self, n: int) -> None:
-        size = _buffer_size(n)
-        realized = self._x.size
-        # the grown buffer, holding what is realized; until it is filled the
-        # state keeps a view of the realized part only, so an extension that
-        # raises leaves a state of the old size.  The tail, which sums the
-        # new samples, starts as the map's zeros
+    def _grow(self, lengths: list) -> None:
+        """Grow the buffer through each of lengths (extensions()) in one map
+        (_mapped) and one workspace, as one query per length would."""
+        if not lengths:
+            return
+        sizes = [_buffer_size(n) for n in lengths]
+        size, realized = sizes[-1], self._x.size
+        # until the grown buffer is filled the state keeps a view of its
+        # realized part, so a grow that raises leaves the old size
         x = _mapped(size)
         x[:realized] = self._x
         self._x = x[:realized]
-        tail = x[realized:]
-        # the workspace.  With flicker, the spectrum (size + 1 complex values)
-        # and inverse transform (2 * size floats) of a filter, an anonymous
-        # map: on a helper thread the heap would keep them resident in that
-        # thread's malloc arena.  A flicker class's whites go into the
-        # transform's first half, read before the inverse overwrites it, and
-        # any other class's into its second half, which no filter reads.
-        # Without flicker, only the new whites, from the heap: a map would
-        # only add system calls and page faults
-        if self._seeds:
-            with _spectrum_lock:  # no two clocks take it at once
-                _kernel_spectrum(size)
+        # with flicker, the spectrum (size + 1 complex values) and inverse
+        # transform (2 * size floats) of a filter, whites in the transform's
+        # first half, in a map: on a helper thread the heap would keep them
+        # resident in that thread's malloc arena.  Without, the whites alone,
+        # from the heap: a map measured more peak RSS
+        if any(kind in _FLICKER_TYPES for kind, _ in self.profile.components):
+            with _spectrum_lock:  # no two clocks take one at once
+                for s in sizes:
+                    _kernel_spectrum(s)
             words = _mapped(4 * size + 2)
-            spectrum, filtered = words[:2 * size + 2].view(complex), words[2 * size + 2:]
-            whites = filtered[size:2 * size - realized]
+            spectrum, work = words[:2 * size + 2].view(complex), words[2 * size + 2:]
         else:
-            spectrum = filtered = None
-            whites = np.empty(size - realized)
-
-        # up to here no generator has moved.  An extension that raises from
-        # here on (a filter out of memory, say) puts back the generators and
-        # running sums of the classes without flicker, so that a retried
-        # query realizes the samples of an uninterrupted run; a flicker class
-        # redraws from its seed, so it has nothing to put back
-        states = {i: rng.bit_generator.state for i, rng in self._rngs.items()}
-        carries = dict(self._carries)
-        try:
-            # each component's new samples into the tail in component order,
-            # the order that fixes the bits of the sum
-            for i, (kind, amp) in enumerate(self.profile.components):
-                if kind in _FLICKER_TYPES:
-                    w = np.random.default_rng(self._seeds[i]).standard_normal(out=filtered[:size])
-                    part = _flicker_series(kind, amp, self.dt, w, realized, spectrum, filtered)
+            work = np.empty(size)
+        # each component's new samples in component order, which fixes the
+        # bits of each sample's sum
+        for seed, (kind, amp) in zip(self._seeds, self.profile.components):
+            flicker = kind in _FLICKER_TYPES
+            steps = zip([realized] + sizes, sizes) if flicker else [(realized, size)]
+            for start, end in steps:
+                w = np.random.default_rng(seed).standard_normal(out=work[:end])
+                if flicker:
+                    part = _flicker_series(kind, amp, self.dt, w, start, spectrum[:end + 1],
+                                           work[:2 * end])
                 else:
-                    part = self._rngs[i].standard_normal(out=whites)
-                    self._carries[i] = _white_series(kind, amp, self.dt, part, self._carries[i])
-                np.add(tail, part, out=tail)
-        except BaseException:
-            for i, state in states.items():
-                self._rngs[i].bit_generator.state = state
-            self._carries = carries
-            raise
+                    part = _white_series(kind, amp, self.dt, w, start)
+                np.add(x[start:end], part, out=x[start:end])
         self._x = x
 
     def extensions(self, indices: np.ndarray) -> list:
-        """The lengths values_at(indices) extends the buffer to, in order:
-        at each, the first query past the realized part, which is also the
+        """The lengths values_at(indices) grows the buffer to, in order: at
+        each, the first query past the realized part, which is also the
         largest query up to it."""
         lengths, size = [], self._x.size
         while indices.size:
@@ -311,15 +275,13 @@ class _NoiseState:
 
     def values_at(self, indices: np.ndarray) -> np.ndarray:
         """Samples at each index, bit for bit what one call per index returns
-        in this order: the buffer grows through the same sequence of
-        extensions, so the flicker filters see the same FFT sizes."""
-        for n in self.extensions(indices):
-            self._extend(n)
+        in this order: the buffer passes the same sizes."""
+        self._grow(self.extensions(indices))
         return self._x[indices]
 
     def prefix(self, n: int) -> np.ndarray:
         if n > self._x.size:
-            self._extend(n)
+            self._grow([n])
         return self._x[:n].copy()
 
 
@@ -378,8 +340,7 @@ class ClockModel:
             # the noise grows with neither x nor the grid index held, two
             # columns less at the peak; both are taken again after it
             del x, k
-            for n in lengths:
-                self._state._extend(n)
+            self._state._grow(lengths)
             k, x = self._grid_index(t), self._deterministic(t)
         x += self._state.values_at(k)
         return x

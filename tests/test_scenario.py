@@ -568,26 +568,48 @@ class TestAdmission:
          lambda d: d["clocks"]["user"].update(noise_grid_s=1e-15)),
     ])
     def test_an_oversized_run_ends_at_once(self, tmp_path, name, key, change):
-        # through the CLI in a child process with 3 GB of address space:
         # each of these allocated until it failed before the sizes were
         # checked
-        doc = canned_doc(name)
-        change(doc)
-        (tmp_path / "s.json").write_text(json.dumps(doc))
-        code = ("import resource, sys\n"
-                "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
-                "from fotsim.cli import main\n"
-                "sys.exit(main(sys.argv[1:]))\n")
-        src = Path(fotsim.__file__).resolve().parent.parent
-        out = subprocess.run(
-            [sys.executable, "-c", code, "run", "--scenario", str(tmp_path / "s.json"),
-             "--out", str(tmp_path / "o")],
-            capture_output=True, text=True, timeout=5.0,
-            env=dict(os.environ, PYTHONPATH=str(src)))
+        out = run_oversized(tmp_path, name, change)
         assert out.returncode == 1
         assert out.stderr.startswith(f"error: scenario.{key} asks for ")
         assert "Traceback" not in out.stderr
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name, period, change", [
+        ("free_running_clocks", "scenario.sample_period_s",
+         lambda d: d.update(sample_period_s=1e-9)),
+        ("link_sync_230km", "scenario.protocol.compensation_period_s",
+         lambda d: d.update(duration_s=1e20)),
+    ])
+    def test_a_run_past_the_cap_names_its_duration_and_its_period(self, tmp_path, name,
+                                                                   period, change):
+        # the sample or round count is duration_s over the period, and
+        # either may be the one at fault
+        out = run_oversized(tmp_path, name, change)
+        assert out.returncode == 1
+        line = out.stderr.splitlines()[0]
+        assert line.startswith("error: scenario.duration_s asks for ") and period in line
+        assert "Traceback" not in out.stderr
+        assert not (tmp_path / "o").exists()
+
+
+def run_oversized(tmp_path, name, change):
+    """`fotsim run` on the canned scenario changed by change(doc), through
+    the CLI in a child process with 3 GB of address space."""
+    doc = canned_doc(name)
+    change(doc)
+    (tmp_path / "s.json").write_text(json.dumps(doc))
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+            "from fotsim.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    src = Path(fotsim.__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, "-c", code, "run", "--scenario", str(tmp_path / "s.json"),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, timeout=5.0,
+        env=dict(os.environ, PYTHONPATH=str(src)))
 
 
 class TestCli:

@@ -145,6 +145,20 @@ class TestTimeError:
 
         assert run_sequence() == run_sequence()
 
+    @pytest.mark.parametrize("grid", [1.0, 8.0])
+    def test_a_query_between_grid_points_reads_the_nearest_sample(self, grid):
+        """A query at t reads the noise sample nearest t, index
+        rint(t / noise_grid_s): at (k + 0.3) grid steps sample k, at
+        (k + 0.7) sample k + 1.  A tie at k + 0.5 rounds half to even: sample
+        k for an even k, k + 1 for an odd one."""
+        profile = NoiseProfile(components=[("white_pm", 1e-11), ("white_fm", 1e-12)],
+                               rng_seed=13)
+        k = np.arange(0, 3000, 7)
+        x = timebase._NoiseState(profile, grid).prefix(3001)
+        for offset, want in [(0.3, k), (0.7, k + 1), (0.5, k + k % 2)]:
+            clock = ClockModel(noise=profile, noise_grid_s=grid)
+            assert clock.time_errors((k + offset) * grid).tobytes() == x[want].tobytes()
+
     def test_rejects_negative_time(self):
         with pytest.raises(ValidationError):
             ClockModel().time_error(-1.0)
@@ -386,25 +400,32 @@ QUERIES = [("values_at", np.array([5000, 3, 1500, 9000, 2])), ("prefix", 20_000)
 
 
 class TestExtension:
-    @pytest.mark.parametrize("failing", [1e-12, 1e-13])
+    @pytest.mark.parametrize("failing", [1e-12, 1e-13, 1e-16])
     def test_retry_after_a_failed_extension_realizes_the_same_samples(
             self, monkeypatch, failing):
-        # one flicker filter of the five-class doubling from 4096 to 8192
-        # samples, the first class's or the second's, runs out of memory
-        # once; the retried query and the later ones match a run without
-        # the failure
-        series, armed = timebase._flicker_series, [True]
+        """One class of the five-class grow from 4096 to 8192 samples runs
+        out of memory once: the filter of the first flicker class (1e-12) or
+        the second (1e-13), or the cumsums of random_walk_fm (1e-16), the
+        last class, after the other four have added their samples to the
+        grown buffer.  A failed grow only leaves the old size: the state
+        keeps no generator or running sum that the failure could have moved.
+        So the retried query and the later ones match a run without the
+        failure."""
+        armed = [True]
 
-        def flaky(kind, amplitude, dt, prefix, realized, *out):
-            if realized == 4096 and amplitude == failing and armed:
-                armed.clear()
-                raise MemoryError
-            return series(kind, amplitude, dt, prefix, realized, *out)
+        def flaky(series):
+            def call(kind, amplitude, dt, w, realized, *out):
+                if realized == 4096 and amplitude == failing and armed:
+                    armed.clear()
+                    raise MemoryError
+                return series(kind, amplitude, dt, w, realized, *out)
+            return call
 
         profile = NoiseProfile(components=ALL_KINDS, rng_seed=5)
         state, reference = timebase._NoiseState(profile, 1.0), ReferenceState(profile, 1.0)
         assert state.prefix(3000).tobytes() == reference.prefix(3000).tobytes()
-        monkeypatch.setattr(timebase, "_flicker_series", flaky)
+        for name in ("_flicker_series", "_white_series"):
+            monkeypatch.setattr(timebase, name, flaky(getattr(timebase, name)))
         with pytest.raises(MemoryError):
             state.prefix(8000)
         assert not armed and state._x.size == 4096
