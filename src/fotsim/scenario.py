@@ -319,6 +319,13 @@ def _series_tau0(scenario: Scenario) -> float:
     return scenario.sample_period_s
 
 
+def _series_period(scenario: Scenario) -> str:
+    """The period field of the rounds or samples and its value, as an error
+    names it."""
+    key = "protocol.compensation_period_s" if scenario.mode == "sync" else "sample_period_s"
+    return f"scenario.{key} = {_series_tau0(scenario):g} s"
+
+
 def _sample_count(scenario: Scenario) -> int:
     """Rounds of a sync run, clock-difference samples of a clocks_only run."""
     return int(math.floor(scenario.duration_s / _series_tau0(scenario)))
@@ -351,18 +358,20 @@ def _check_sizes(scenario: Scenario) -> None:
                                   f"of {_MAX_SIZE}")
 
     # duration_s over the period of the rounds or samples: name both
-    tau0 = _series_tau0(scenario)
-    if scenario.mode == "sync":
-        what = f"rounds of scenario.protocol.compensation_period_s = {tau0:g} s"
-    else:
-        what = f"samples of scenario.sample_period_s = {tau0:g} s"
-    check("duration_s", scenario.duration_s / tau0, what)
-    # the span over which a clock is queried, in the run or its calibration
-    horizon = scenario.duration_s
+    what = "rounds" if scenario.mode == "sync" else "samples"
+    check("duration_s", scenario.duration_s / _series_tau0(scenario),
+          f"{what} of {_series_period(scenario)}")
+    # the span over which a clock is queried, in the run or its calibration;
+    # where the calibration's is the longer, name the fields that set it
+    horizon, span = scenario.duration_s, ""
     if scenario.protocol is not None:
         rounds = scenario.protocol.calibration_rounds
+        period = scenario.protocol.compensation_period_s
         check("protocol.calibration_rounds", rounds, "rounds")
-        horizon = max(horizon, rounds * scenario.protocol.compensation_period_s)
+        if rounds * period > horizon:
+            horizon = rounds * period
+            span = (f" for the calibration's scenario.protocol.calibration_rounds = {rounds} "
+                    f"rounds of scenario.protocol.compensation_period_s = {period:g} s")
     for name in ("server", "user"):
         clock = getattr(scenario.clocks, name)
         if clock.noise:
@@ -370,7 +379,7 @@ def _check_sizes(scenario: Scenario) -> None:
             steps = horizon / getattr(clock, key)
             check(f"clocks.{name}.{key}",
                   _buffer_size(math.ceil(steps)) if math.isfinite(steps) else steps,
-                  "noise samples")
+                  "noise samples" + span)
 
 
 def _check_series(scenario: Scenario) -> None:
@@ -385,8 +394,8 @@ def _check_series(scenario: Scenario) -> None:
     for label, length in lengths.items():
         if length < MIN_SAMPLES:
             raise ValidationError(
-                f"scenario.duration_s leaves {length} samples for the {label}; "
-                f"at least {MIN_SAMPLES} are needed"
+                f"scenario.duration_s leaves {max(length, 0) or 'no'} samples for the {label} "
+                f"at {_series_period(scenario)}; at least {MIN_SAMPLES} are needed"
             )
     taus = scenario.tdev_taus
     if taus is None:

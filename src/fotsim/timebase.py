@@ -24,7 +24,9 @@ A clock's noise is a pure function of its seed and its buffer size: each
 class redraws its whites for the whole buffer from its own seed.  A query
 grows the buffer once, through the doublings it reaches, and filters each
 flicker class at each of those sizes (two FFTs); these filters are most of
-the cost.
+the cost.  The filters of every clock take the kernel's spectrum at each
+size from one process-wide cache, behind one lock (_kernel_spectra); the
+kernel itself is built only to take spectra, and not kept.
 clock_time_errors puts a run's clocks on workers (``workers.share``), one
 clock per worker, where two or more have a flicker class.  The samples do
 not depend on the worker count.
@@ -32,7 +34,6 @@ not depend on the worker count.
 
 from __future__ import annotations
 
-import functools
 import math
 import mmap
 import threading
@@ -55,24 +56,6 @@ def _buffer_size(n: int) -> int:
     return max(_MIN_CHUNK, 1 << (n - 1).bit_length())
 
 
-def _extend_half_integration_kernel(h: np.ndarray, n: int) -> np.ndarray:
-    """The impulse response of (1 - z^-1)^(-1/2) to n taps, grown from its
-    first taps h (at least h[0] = 1) by h[i] = h[i-1] * (i - 1/2) / i.
-
-    The recurrence runs on Python floats: per tap the same two IEEE double
-    operations, in the same order, as on float64 scalars, so a kernel grown
-    in steps equals one built in one pass bit for bit.
-    """
-    m = h.size
-
-    def tail(v):
-        for i in range(m, n):
-            v = v * (i - 0.5) / i
-            yield v
-
-    return np.concatenate([h, np.fromiter(tail(float(h[-1])), dtype=float, count=n - m)])
-
-
 def _mapped(n: int, dtype=float) -> np.ndarray:
     """n zeros of dtype in an anonymous memory map, unmapped once no array
     uses it.  glibc serves arrays below its mmap threshold, which it raises
@@ -82,46 +65,58 @@ def _mapped(n: int, dtype=float) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, n * np.dtype(dtype).itemsize), dtype)
 
 
-# The process-wide half-integration kernel, shared by every clock.  It only
-# grows, and read-only: the first n taps of a longer kernel are the n-tap one,
-# so which clock grew it first changes no bit.  The lock keeps a clock in one
-# thread from replacing it with a shorter one grown in parallel.
-_kernel = np.ones(1)
-_kernel.flags.writeable = False
-_kernel_lock = threading.Lock()
-_spectrum_lock = threading.Lock()  # so that each size is transformed once
+# The real FFT of the half-integration kernel at each buffer size taken so
+# far in the process, read-only and shared by every clock.  The lock keeps
+# two clocks from taking one size at once; a spectrum is stored whole.
+_spectra = {}
+_spectra_lock = threading.Lock()
 
 
-def _half_integration_kernel(n: int) -> np.ndarray:
-    """The first n taps of the process-wide kernel (a read-only view)."""
-    global _kernel
-    with _kernel_lock:
-        if _kernel.size < n:
-            _kernel = _extend_half_integration_kernel(_kernel, n)
-            _kernel.flags.writeable = False
-        return _kernel[:n]
+def _half_integration_taps(n: int):
+    """The n taps h[0] = 1, h[i] = h[i-1] * (i - 1/2) / i, in one pass on
+    Python floats: per tap the same two IEEE double operations, in the same
+    order, as on float64 scalars."""
+    v = 1.0
+    yield v
+    for i in range(1, n):
+        v = v * (i - 0.5) / i
+        yield v
 
 
-@functools.lru_cache(maxsize=None)
-def _kernel_spectrum(n: int) -> np.ndarray:
-    """The real FFT of the n-tap kernel, as fftconvolve takes it for an
-    n-sample series; taken once per size in the process, and read-only."""
-    spectrum = np.fft.rfft(_half_integration_kernel(n), 2 * n, out=_mapped(n + 1, complex))
-    spectrum.flags.writeable = False
-    return spectrum
+def _kernel_spectra(sizes: list) -> list:
+    """The kernel spectrum of each of sizes: the real FFT, as fftconvolve
+    takes it for an s-sample series, of the s-tap impulse response of
+    (1 - z^-1)^(-1/2) (_half_integration_taps).
+
+    The sizes not cached yet are transformed from prefixes of one kernel,
+    built at the largest of them and dropped after: the first s taps of a
+    longer kernel are the s-tap one, so which clock took a size first, and
+    in which batch, changes no bit.
+    """
+    with _spectra_lock:
+        missing = sorted(set(sizes) - _spectra.keys())
+        if missing:
+            h = np.fromiter(_half_integration_taps(missing[-1]), dtype=float,
+                            count=missing[-1])
+            for s in missing:
+                spectrum = np.fft.rfft(h[:s], 2 * s, out=_mapped(s + 1, complex))
+                spectrum.flags.writeable = False
+                _spectra[s] = spectrum
+        return [_spectra[s] for s in sizes]
 
 
-def _half_integrate(w: np.ndarray, spectrum=None, out=None) -> np.ndarray:
-    """fftconvolve(kernel, w)[:n] bit for bit, for the n-tap kernel: n is a
-    power of two >= _MIN_CHUNK, which fftconvolve also pads to 2n, and
-    numpy's rfft/irfft are the same pocketfft transforms.  spectrum (n + 1
-    complex values) and out (2n floats) take the two transforms when given;
-    the returned samples are then the first n of out."""
+def _half_integrate(w: np.ndarray, kernel: np.ndarray, spectrum=None, out=None) -> np.ndarray:
+    """fftconvolve(h, w)[:n] bit for bit, for the n-tap kernel h whose
+    spectrum is kernel (_kernel_spectra): n is a power of two >= _MIN_CHUNK,
+    which fftconvolve also pads to 2n, and numpy's rfft/irfft are the same
+    pocketfft transforms.  spectrum (n + 1 complex values) and out (2n
+    floats) take the two transforms when given; the returned samples are
+    then the first n of out."""
     n = w.size
     spectrum = np.fft.rfft(w, 2 * n, out=spectrum)
     # kernel first, as fftconvolve multiplies: numpy's complex product
     # rounds by operand order
-    np.multiply(_kernel_spectrum(n), spectrum, out=spectrum)
+    np.multiply(kernel, spectrum, out=spectrum)
     return np.fft.irfft(spectrum, 2 * n, out=out)[:n]
 
 
@@ -140,12 +135,13 @@ def _white_series(kind: str, amplitude: float, dt: float, w: np.ndarray,
     return new
 
 
-def _flicker_series(kind: str, amplitude: float, dt: float, w: np.ndarray,
-                    realized: int, spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _flicker_series(kind: str, amplitude: float, dt: float, w: np.ndarray, realized: int,
+                    kernel: np.ndarray, spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The samples of a flicker class past `realized`, from its whites w for
-    the whole buffer, as a view of out; spectrum and out take the filter's
-    transforms (see _half_integrate), and w may be out's first half."""
-    y = _half_integrate(w, spectrum, out)
+    the whole buffer, as a view of out; kernel is the kernel spectrum of w's
+    size, spectrum and out take the filter's transforms (see
+    _half_integrate), and w may be out's first half."""
+    y = _half_integrate(w, kernel, spectrum, out)
     if kind == "flicker_fm":
         np.cumsum(y, out=y)
         amplitude *= dt
@@ -238,9 +234,7 @@ class _NoiseState:
         # resident in that thread's malloc arena.  Without, the whites alone,
         # from the heap: a map measured more peak RSS
         if any(kind in _FLICKER_TYPES for kind, _ in self.profile.components):
-            with _spectrum_lock:  # no two clocks take one at once
-                for s in sizes:
-                    _kernel_spectrum(s)
+            kernels = _kernel_spectra(sizes)
             words = _mapped(4 * size + 2)
             spectrum, work = words[:2 * size + 2].view(complex), words[2 * size + 2:]
         else:
@@ -249,12 +243,13 @@ class _NoiseState:
         # bits of each sample's sum
         for seed, (kind, amp) in zip(self._seeds, self.profile.components):
             flicker = kind in _FLICKER_TYPES
-            steps = zip([realized] + sizes, sizes) if flicker else [(realized, size)]
-            for start, end in steps:
+            steps = (zip([realized] + sizes, sizes, kernels) if flicker
+                     else [(realized, size, None)])
+            for start, end, kernel in steps:
                 w = np.random.default_rng(seed).standard_normal(out=work[:end])
                 if flicker:
-                    part = _flicker_series(kind, amp, self.dt, w, start, spectrum[:end + 1],
-                                           work[:2 * end])
+                    part = _flicker_series(kind, amp, self.dt, w, start, kernel,
+                                           spectrum[:end + 1], work[:2 * end])
                 else:
                     part = _white_series(kind, amp, self.dt, w, start)
                 np.add(x[start:end], part, out=x[start:end])

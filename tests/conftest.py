@@ -7,12 +7,8 @@ from fotsim import timebase, workers
 
 @pytest.fixture
 def cold_kernel_cache(monkeypatch):
-    """The process-wide flicker kernel cut back to its first tap and no
-    kernel spectrum taken, for one test."""
-    timebase._kernel_spectrum.cache_clear()
-    monkeypatch.setattr(timebase, "_kernel", timebase._kernel[:1])
-    yield
-    timebase._kernel_spectrum.cache_clear()
+    """No flicker kernel spectrum in the process-wide cache, for one test."""
+    monkeypatch.setattr(timebase, "_spectra", {})
 
 
 @pytest.fixture

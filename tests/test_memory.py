@@ -258,7 +258,7 @@ def test_noise_state_keeps_only_its_realized_samples(maps):
     """After prefix(n), a noise state holds its realized samples and nothing
     per class, whatever its classes.
 
-    With the process-wide kernel and spectra already built, growing a state
+    With the process-wide spectra already taken, growing a state
     through its doublings to n samples leaves, besides the n-sample copy
     prefix() returns, the realized buffer alone: every class keeps only its
     seed and redraws its whites at each grow.  So the five-class mix and a
@@ -280,7 +280,7 @@ def test_noise_state_keeps_only_its_realized_samples(maps):
     (1).  That is 2 columns (measured: 2.01), under a bound of 2.5.
     """
     n = 1 << 16
-    grow(_NoiseState(ALL_KINDS, 1.0), n)  # the kernel, the spectra and the FFT plans
+    grow(_NoiseState(ALL_KINDS, 1.0), n)  # the spectra and the FFT plans
     for profile in (ALL_KINDS, NO_FLICKER):
         state = _NoiseState(profile, 1.0)
         x, _, kept = noise_peak(state, lambda: grow(state, n), maps)
@@ -355,18 +355,16 @@ def test_runs_with_flicker_give_equal_bytes_on_one_and_two_workers(
     assert "series.csv" in trees[0] and trees[0] == trees[1]
 
 
-def test_process_wide_kernel_and_spectra_hold_about_40_bytes_per_sample(cold_kernel_cache,
-                                                                         maps):
+def test_process_wide_spectra_hold_about_32_bytes_per_sample(cold_kernel_cache, maps):
     """What the first state to reach n samples leaves in the process-wide
-    cache: the kernel's n taps (8 bytes each) and the spectrum of every
-    buffer size from 1024 to n, n/2 + 1 complex values each (16 bytes), so
-    about 32 bytes x n over all spectra: 5 columns above the 2 of the
-    warm case.  A column of slack covers numpy's cached FFT plans
-    (measured: 7.23 in all).
+    cache: the spectrum of every buffer size from 1024 to n, n/2 + 1
+    complex values each (16 bytes), so about 32 bytes x n over all spectra:
+    4 columns above the 2 of the warm case.  The kernel they were taken
+    from is not kept.  A column of slack covers numpy's cached FFT plans
+    (measured: 6.22 in all).
     """
     n = 1 << 16
     state = _NoiseState(ALL_KINDS, 1.0)
     _, _, kept = noise_peak(state, lambda: grow(state, n), maps)
-    assert kept <= (2 + 5 + 1) * COLUMN * n
-    assert timebase._kernel.size == n
-    assert timebase._kernel_spectrum.cache_info().currsize == n.bit_length() - 10
+    assert kept <= (2 + 4 + 1) * COLUMN * n
+    assert sorted(timebase._spectra) == [1 << k for k in range(10, n.bit_length())]

@@ -593,6 +593,42 @@ class TestAdmission:
         assert "Traceback" not in out.stderr
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("name, path, named, k", [
+        (name, path, path, k)
+        for name, period in (("demo_short", "protocol.compensation_period_s"),
+                             ("free_running_clocks", "sample_period_s"))
+        for path in ("duration_s", period, "clocks.server.noise_grid_s",
+                     "clocks.user.initial_offset_s")
+        for k in (-12, 12)
+    ] + [
+        ("demo_short", "link.fluctuation.grid_s", "link.fluctuation", -12),
+        ("demo_short", "link.fluctuation.grid_s", "link.fluctuation", 12),
+        ("demo_short", "protocol.calibration_rounds", "protocol.calibration_rounds", 12),
+    ])
+    def test_a_size_scaled_by_ten_to_the_twelve_ends_cleanly(self, tmp_path, name, path,
+                                                               named, k):
+        # a run with one size field scaled by 10^k ends in a clean exit, and
+        # a refusal names the field and counts no fewer than no samples
+        def change(doc):
+            *parents, key = path.split(".")
+            table = doc
+            for parent in parents:
+                table = table[parent]
+            if key == "grid_s":  # absent: the default grid, scaled
+                table[key] = table["timescale_s"] / 10 * 10.0 ** k
+            elif key == "calibration_rounds":
+                table[key] *= 10 ** k
+            else:
+                table[key] *= 10.0 ** k
+
+        out = run_oversized(tmp_path, name, change)
+        assert out.returncode in (0, 1, 2, 3)
+        assert "Traceback" not in out.stderr
+        if out.returncode == 1:
+            assert not (tmp_path / "o").exists()
+            [line] = [line for line in out.stderr.splitlines() if line.startswith("error: ")]
+            assert named in line and not re.search(r" -\d", line)
+
 
 def run_oversized(tmp_path, name, change):
     """`fotsim run` on the canned scenario changed by change(doc), through

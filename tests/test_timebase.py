@@ -234,27 +234,45 @@ class TestSynthesis:
 
 
 class TestHalfIntegrationKernel:
-    @pytest.mark.parametrize("m", [1, 1000, 1024, 1 << 16])
-    def test_extension_matches_one_pass_bit_for_bit(self, m):
-        n = 1 << 16
-        want = half_integration_kernel(n)
-        got = timebase._extend_half_integration_kernel(want[:m].copy(), n)
-        assert got.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("sizes", [[1024], [1024, 2048, 4096], [2048, 1 << 16],
+                                       [1 << 16]])
+    def test_spectra_of_one_batch_come_from_one_one_pass_kernel(self, cold_kernel_cache,
+                                                                 monkeypatch, sizes):
+        # each size's spectrum is the rfft of the first taps of one kernel,
+        # built at the largest size; each of those prefixes is the kernel
+        # of its size as the float64 reference builds it, bit for bit
+        n = sizes[-1]
+        taps = np.fromiter(timebase._half_integration_taps(n), dtype=float, count=n)
+        assert taps.tobytes() == half_integration_kernel(n).tobytes()
+        transformed, rfft = [], np.fft.rfft
+
+        def recorded(a, *args, **kwargs):
+            transformed.append(a)
+            return rfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", recorded)
+        spectra = timebase._kernel_spectra(sizes)
+        assert [a.size for a in transformed] == sizes
+        assert all(a.base is transformed[-1].base for a in transformed)
+        for a, s, spectrum in zip(transformed, sizes, spectra):
+            h = half_integration_kernel(s)
+            assert a.tobytes() == h.tobytes()
+            assert spectrum.tobytes() == rfft(h, 2 * s).tobytes()
 
     def test_no_kernel_without_flicker(self, cold_kernel_cache, monkeypatch):
-        def fail(h, n):
+        def fail(sizes):
             raise AssertionError("kernel built for a clock without flicker noise")
 
-        monkeypatch.setattr(timebase, "_extend_half_integration_kernel", fail)
+        monkeypatch.setattr(timebase, "_kernel_spectra", fail)
         profile = NoiseProfile(components=[("white_pm", 1e-11), ("white_fm", 1e-12)])
         timebase._NoiseState(profile, 1.0).prefix(5000)
-        assert timebase._kernel_spectrum.cache_info().currsize == 0
+        assert timebase._spectra == {}
 
     @pytest.mark.parametrize("n", [1024, 3000, 1 << 16, 1 << 18])
     def test_shared_spectrum_matches_fftconvolve_bit_for_bit(self, n):
         h = half_integration_kernel(n)
         w = np.random.default_rng(n).standard_normal(n)
-        got = timebase._half_integrate(w)
+        got = timebase._half_integrate(w, *timebase._kernel_spectra([n]))
         assert got.tobytes() == fftconvolve(h, w)[:n].tobytes()
 
     @pytest.mark.parametrize("log2_n", range(10, 25))
@@ -265,39 +283,72 @@ class TestHalfIntegrationKernel:
         n = 1 << log2_n
         assert next_fast_len(2 * n - 1, True) == 2 * n
 
-    def test_kernel_grows_once_per_size_across_states(self, cold_kernel_cache, monkeypatch):
-        # the kernel and its spectra are process-wide: a second state, and
-        # a second flicker component, reuse what the first one built
-        calls = []
-        extend = timebase._extend_half_integration_kernel
+    def test_each_spectrum_is_taken_once_across_states(self, cold_kernel_cache, monkeypatch):
+        # the spectra are process-wide: a second state, and a second flicker
+        # component, reuse what the first one took; each transform maps one
+        # spectrum of size + 1 complex values
+        maps, mapped = [], timebase._mapped
 
-        def counting(h, n):
-            calls.append((h.size, n))
-            return extend(h, n)
+        def counting(n, dtype=float):
+            if dtype is complex:
+                maps.append(n)
+            return mapped(n, dtype)
 
-        monkeypatch.setattr(timebase, "_extend_half_integration_kernel", counting)
+        monkeypatch.setattr(timebase, "_mapped", counting)
         first = timebase._NoiseState(NoiseProfile(
             components=[("flicker_pm", 1e-12), ("white_pm", 1e-11), ("flicker_fm", 1e-13)],
             rng_seed=4), 1.0)
         for n in (1, 2000, 3000, 4000, 5000):
             first.prefix(n)
+        taken = dict(timebase._spectra)
         second = timebase._NoiseState(NoiseProfile(
             components=[("flicker_fm", 1e-13)], rng_seed=5), 0.5)
         for n in (3000, 9000):
             second.prefix(n)
-        assert calls == [(1, 1024), (1024, 2048), (2048, 4096), (4096, 8192), (8192, 16384)]
-        info = timebase._kernel_spectrum.cache_info()
-        assert (info.misses, info.currsize) == (5, 5)
+        assert maps == [1025, 2049, 4097, 8193, 16385]
+        assert sorted(timebase._spectra) == [1024, 2048, 4096, 8192, 16384]
+        assert all(timebase._spectra[s] is spectrum for s, spectrum in taken.items())
 
-    def test_kernel_and_spectra_are_read_only(self):
+    def test_spectra_are_read_only(self):
         timebase._NoiseState(NoiseProfile(components=[("flicker_pm", 1e-12)]), 1.0).prefix(2000)
-        assert not timebase._half_integration_kernel(2048).flags.writeable
-        assert not timebase._kernel_spectrum(2048).flags.writeable
+        assert not timebase._kernel_spectra([2048])[0].flags.writeable
+        assert not any(spectrum.flags.writeable for spectrum in timebase._spectra.values())
 
-    def test_warm_cache_gives_the_bits_of_a_cold_one(self):
+    @pytest.mark.parametrize("failing", [1, 3])
+    def test_a_failed_transform_leaves_only_whole_spectra(self, cold_kernel_cache,
+                                                          monkeypatch, failing):
+        # the map of the first or third spectrum of a batch of four sizes
+        # fails once: the cache keeps the spectra taken before it, each
+        # whole, and the retried query takes the rest and gives the bits of
+        # a state that never failed
+        maps, mapped = [], timebase._mapped
+
+        def flaky(n, dtype=float):
+            if dtype is complex:
+                maps.append(n)
+                if len(maps) == failing:
+                    raise MemoryError
+            return mapped(n, dtype)
+
+        profile = NoiseProfile(components=ALL_KINDS, rng_seed=3)
+        state, reference = timebase._NoiseState(profile, 1.0), ReferenceState(profile, 1.0)
+        indices = np.array([5, 1500, 3000, 9000, 12_000])
+        sizes = [1024, 2048, 4096, 16384]
+        monkeypatch.setattr(timebase, "_mapped", flaky)
+        with pytest.raises(MemoryError):
+            state.values_at(indices)
+        assert state._x.size == 0
+        assert sorted(timebase._spectra) == sizes[:failing - 1]
+        for s, spectrum in timebase._spectra.items():
+            h = half_integration_kernel(s)
+            assert spectrum.tobytes() == np.fft.rfft(h, 2 * s).tobytes()
+        assert state.values_at(indices).tobytes() == reference.values_at(indices).tobytes()
+        assert maps[failing:] == [s + 1 for s in sizes[failing - 1:]]
+
+    def test_warm_cache_gives_the_bits_of_a_cold_one(self, monkeypatch):
         # a small state built after a large one has warmed the cache equals
         # the same state built in a fresh process, also when its spectra
-        # are taken from a prefix of the grown kernel
+        # are taken from prefixes of a longer kernel
         build = (
             "from fotsim.timebase import NoiseProfile, _NoiseState\n"
             "def build():\n"
@@ -317,13 +368,13 @@ class TestHalfIntegrationKernel:
             components=[("flicker_fm", 1e-13), ("flicker_pm", 1e-12)], rng_seed=1),
             1.0).prefix(1 << 16)
         assert namespace["build"]() == cold
-        timebase._kernel_spectrum.cache_clear()
+        monkeypatch.setattr(timebase, "_spectra", {})
         assert namespace["build"]() == cold
 
     def test_threads_growing_a_cold_cache_get_the_bits_of_one_thread(self, cold_kernel_cache):
-        # more threads than cores grow the shared kernel to different sizes
-        # at once; a lost or shrinking update would give some state a short
-        # kernel and a spectrum of the wrong filter
+        # more threads than cores take the shared spectra at different sizes
+        # at once; a lost update, or a spectrum stored before it is whole,
+        # would give some state a spectrum of the wrong filter
         profiles = [NoiseProfile(components=[("flicker_pm", 1e-12), ("flicker_fm", 1e-13)],
                                  rng_seed=seed) for seed in range(6)]
         stages = [(1 << (11 + seed % 3), 1 << (13 + seed % 3)) for seed in range(6)]
@@ -541,30 +592,33 @@ class TestClocksOnWorkers:
 
     def test_two_clocks_take_each_spectrum_once(self, cold_kernel_cache, monkeypatch,
                                                 pin_workers, idle_helpers):
-        # the first clock to take a spectrum waits a little for the other
-        # to take it too, which only a lock around the spectrum prevents
+        # the first clock to take a spectrum waits a little, in its map, for
+        # the other to take it too, which only a lock around the cache
+        # prevents
         arrived, cond = collections.Counter(), threading.Condition()
-        kernel = timebase._half_integration_kernel
+        mapped = timebase._mapped
 
-        def gated(n):
-            with cond:
-                arrived[n] += 1
-                cond.notify_all()
-                cond.wait_for(lambda: arrived[n] > 1, timeout=0.05)
-            return kernel(n)
+        def gated(n, dtype=float):
+            if dtype is complex:
+                with cond:
+                    arrived[n] += 1
+                    cond.notify_all()
+                    cond.wait_for(lambda: arrived[n] > 1, timeout=0.05)
+            return mapped(n, dtype)
 
-        monkeypatch.setattr(timebase, "_half_integration_kernel", gated)
+        monkeypatch.setattr(timebase, "_mapped", gated)
         t = np.arange(8192.0)
         runs = []
         for count in (1, 2):
             pin_workers(count)
             arrived.clear()
-            timebase._kernel_spectrum.cache_clear()
+            monkeypatch.setattr(timebase, "_spectra", {})
             clocks = [ClockModel(noise=NoiseProfile(components=ALL_KINDS, rng_seed=seed))
                       for seed in (1, 2)]
             runs.append([x.tobytes() for x in timebase.clock_time_errors(clocks, t / 100)])
-            info = timebase._kernel_spectrum.cache_info()
-            assert (info.misses, info.currsize) == (4, 4)  # 1024 to 8192 samples
+            # 1024 to 8192 samples, each taken once
+            assert arrived == {1025: 1, 2049: 1, 4097: 1, 8193: 1}
+            assert sorted(timebase._spectra) == [1024, 2048, 4096, 8192]
         assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
