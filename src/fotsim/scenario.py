@@ -310,6 +310,7 @@ def validate_scenario(doc: dict) -> Scenario:
                 )
     _check_sizes(scenario)
     _check_series(scenario)
+    _check_noise_grids(scenario)
     return scenario
 
 
@@ -346,28 +347,35 @@ def _node_warmup(scenario: Scenario) -> int:
 _MAX_SIZE = 1 << 24
 
 
+def _check_size(key: str, size, what: str) -> None:
+    if size > _MAX_SIZE:
+        shown = f"{float(size):.10g}" if size < 1e300 else "more than 1e300"
+        raise ValidationError(f"scenario.{key} asks for {shown} {what}, over the cap "
+                              f"of {_MAX_SIZE}")
+
+
 def _check_sizes(scenario: Scenario) -> None:
     """Refuse, before any model is built, a run that would ask for more than
-    _MAX_SIZE of its samples or rounds, its calibration rounds or the noise
-    buffer of either clock."""
-
-    def check(key, size, what):
-        if size > _MAX_SIZE:
-            shown = f"{float(size):.10g}" if size < 1e300 else "more than 1e300"
-            raise ValidationError(f"scenario.{key} asks for {shown} {what}, over the cap "
-                                  f"of {_MAX_SIZE}")
-
+    _MAX_SIZE of its samples or rounds or its calibration rounds."""
     # duration_s over the period of the rounds or samples: name both
     what = "rounds" if scenario.mode == "sync" else "samples"
-    check("duration_s", scenario.duration_s / _series_tau0(scenario),
-          f"{what} of {_series_period(scenario)}")
+    _check_size("duration_s", scenario.duration_s / _series_tau0(scenario),
+                f"{what} of {_series_period(scenario)}")
+    if scenario.protocol is not None:
+        _check_size("protocol.calibration_rounds", scenario.protocol.calibration_rounds,
+                    "rounds")
+
+
+def _check_noise_grids(scenario: Scenario) -> None:
+    """Refuse a noisy clock whose noise grid is coarser than the span it is
+    queried over, or whose noise buffer would hold more than _MAX_SIZE
+    samples."""
     # the span over which a clock is queried, in the run or its calibration;
     # where the calibration's is the longer, name the fields that set it
     horizon, span = scenario.duration_s, ""
     if scenario.protocol is not None:
         rounds = scenario.protocol.calibration_rounds
         period = scenario.protocol.compensation_period_s
-        check("protocol.calibration_rounds", rounds, "rounds")
         if rounds * period > horizon:
             horizon = rounds * period
             span = (f" for the calibration's scenario.protocol.calibration_rounds = {rounds} "
@@ -376,10 +384,17 @@ def _check_sizes(scenario: Scenario) -> None:
         clock = getattr(scenario.clocks, name)
         if clock.noise:
             key = "pulse_period_s" if clock.noise_grid_s is None else "noise_grid_s"
-            steps = horizon / getattr(clock, key)
-            check(f"clocks.{name}.{key}",
-                  _buffer_size(math.ceil(steps)) if math.isfinite(steps) else steps,
-                  "noise samples" + span)
+            grid = getattr(clock, key)
+            # on a grid coarser than the span every query reads sample 0: one
+            # draw of each class, scaled to a constant over the whole run
+            if grid > horizon:
+                raise ValidationError(
+                    f"scenario.clocks.{name}.{key} = {grid:g} s is coarser than the "
+                    f"{horizon:g} s the clock is queried over{span}")
+            steps = horizon / grid
+            _check_size(f"clocks.{name}.{key}",
+                        _buffer_size(math.ceil(steps)) if math.isfinite(steps) else steps,
+                        "noise samples" + span)
 
 
 def _check_series(scenario: Scenario) -> None:

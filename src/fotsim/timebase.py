@@ -35,7 +35,6 @@ not depend on the worker count.
 from __future__ import annotations
 
 import math
-import mmap
 import threading
 from dataclasses import dataclass
 
@@ -54,15 +53,6 @@ def _buffer_size(n: int) -> int:
     """The samples a noise buffer holds to reach n: a power of two, at least
     _MIN_CHUNK."""
     return max(_MIN_CHUNK, 1 << (n - 1).bit_length())
-
-
-def _mapped(n: int, dtype=float) -> np.ndarray:
-    """n zeros of dtype in an anonymous memory map, unmapped once no array
-    uses it.  glibc serves arrays below its mmap threshold, which it raises
-    up to 32 MB as large blocks are freed, from the heap, where a freed
-    buffer stays resident; the noise buffers grow by doublings and would
-    leave each last size there."""
-    return np.frombuffer(mmap.mmap(-1, n * np.dtype(dtype).itemsize), dtype)
 
 
 # The real FFT of the half-integration kernel at each buffer size taken so
@@ -98,10 +88,14 @@ def _kernel_spectra(sizes: list) -> list:
         if missing:
             h = np.fromiter(_half_integration_taps(missing[-1]), dtype=float,
                             count=missing[-1])
+            # the batch's spectra, size + 1 values each, in one heap block:
+            # one allocation per size read more peak RSS on clocks_flicker
+            block, start = np.empty(sum(s + 1 for s in missing), complex), 0
             for s in missing:
-                spectrum = np.fft.rfft(h[:s], 2 * s, out=_mapped(s + 1, complex))
+                spectrum = np.fft.rfft(h[:s], 2 * s, out=block[start:start + s + 1])
                 spectrum.flags.writeable = False
                 _spectra[s] = spectrum
+                start += s + 1
         return [_spectra[s] for s in sizes]
 
 
@@ -173,6 +167,13 @@ class NoiseProfile:
         object.__setattr__(self, "components", comps)
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """np.all(np.isfinite(a)) without a temporary of a's length: a NaN makes
+    the minimum NaN, and an infinity makes the minimum or the maximum
+    infinite."""
+    return a.size == 0 or bool(np.isfinite(a.min()) & np.isfinite(a.max()))
+
+
 # the shortest series with a default tau: tau0 needs n * tau0 / 4 >= tau0
 MIN_SAMPLES = 4
 
@@ -190,7 +191,7 @@ class TimeErrorSeries:
             raise ValidationError("series values must be a non-empty 1-d array")
         if not 0 < self.tau0_s < math.inf:
             raise ValidationError("tau0_s must be finite and > 0")
-        if not np.all(np.isfinite(self.values)):
+        if not _all_finite(self.values):
             raise ValidationError("series values must all be finite")
 
     def __len__(self):
@@ -217,25 +218,23 @@ class _NoiseState:
         self._x = np.empty(0)
 
     def _grow(self, lengths: list) -> None:
-        """Grow the buffer through each of lengths (extensions()) in one map
-        (_mapped) and one workspace, as one query per length would."""
+        """Grow the buffer through each of lengths (extensions()) in one
+        buffer and one workspace, as one query per length would."""
         if not lengths:
             return
         sizes = [_buffer_size(n) for n in lengths]
         size, realized = sizes[-1], self._x.size
         # until the grown buffer is filled the state keeps a view of its
         # realized part, so a grow that raises leaves the old size
-        x = _mapped(size)
+        x = np.zeros(size)
         x[:realized] = self._x
         self._x = x[:realized]
         # with flicker, the spectrum (size + 1 complex values) and inverse
         # transform (2 * size floats) of a filter, whites in the transform's
-        # first half, in a map: on a helper thread the heap would keep them
-        # resident in that thread's malloc arena.  Without, the whites alone,
-        # from the heap: a map measured more peak RSS
+        # first half; without, the whites alone
         if any(kind in _FLICKER_TYPES for kind, _ in self.profile.components):
             kernels = _kernel_spectra(sizes)
-            words = _mapped(4 * size + 2)
+            words = np.empty(4 * size + 2)
             spectrum, work = words[:2 * size + 2].view(complex), words[2 * size + 2:]
         else:
             work = np.empty(size)
@@ -321,13 +320,13 @@ class ClockModel:
         """Time errors at each true time of t, bit for bit what time_error
         returns element by element when queried in this order."""
         t = np.asarray(t, dtype=float)
-        if not np.all(np.isfinite(t) & (t >= 0)):
+        if t.size and not (t.min() >= 0 and t.max() < math.inf):
             raise ValidationError("query times must be finite and >= 0")
         if self._state is not None:
             k = self._grid_index(t)
             lengths = self._state.extensions(k)
         x = self._deterministic(t)
-        if not np.all(np.isfinite(x)):
+        if not _all_finite(x):
             raise ValidationError("clock time error overflows at these query times")
         if self._state is None:
             return x
@@ -344,7 +343,7 @@ class ClockModel:
         with np.errstate(over="ignore"):
             k = t / self.noise_grid_s
         np.rint(k, out=k)
-        if not np.all(k < 2.0 ** 63):
+        if k.size and not k.max() < 2.0 ** 63:
             raise ValidationError("query times must index the noise grid within int64")
         return k.astype(np.int64)
 

@@ -8,10 +8,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from fotsim.access import observe_round
+from fotsim.access import AccessNode, observe_round
 from fotsim.channel import Direction, FluctuationSpec, HardwareDelays, LinkModel, path_delay
-from fotsim.protocol import ProtocolConfig, TicModel, run_session, sync_round, tdm_admission, two_way_offset
+from fotsim.protocol import (ProtocolConfig, TicModel, run_rounds, run_session, sync_round,
+                             tdm_admission, two_way_offset)
 from fotsim.scenario import build_calibration_set, load_scenario, run, validate_scenario
 from fotsim.stability import StabilityCurve, slope, tdev, tdev_bruteforce
 from fotsim.timebase import ClockModel, TimeErrorSeries
@@ -111,7 +113,6 @@ def test_criterion_3_multiple_access_position_invariance():
     r = sync_round(server, user, link, HW0, ideal_tic(), ideal_tic(), cfg, 0.0)
     worst = 0.0
     for km in range(0, 231, 10):
-        from fotsim.access import AccessNode
         node = AccessNode(distance_from_server_km=float(km), tic=ideal_tic())
         obs = observe_round(node, r.events)
         worst = max(worst, abs(obs.residual_s))
@@ -121,13 +122,75 @@ def test_criterion_3_multiple_access_position_invariance():
     link_a = LinkModel(length_km=230.0, dispersion_coeff_ps_per_nm_km=0.0,
                        sagnac_s=30e-12)
     r_a = sync_round(server, user, link_a, HW0, ideal_tic(), ideal_tic(), cfg, 0.0)
-    from fotsim.access import AccessNode
     node_end = AccessNode(distance_from_server_km=230.0, tic=ideal_tic())
     obs_end = observe_round(node_end, r_a.events)
     end_to_end = r_a.offset_estimate_s - r_a.true_offset_s
     assert abs(obs_end.residual_s - end_to_end) <= FS
     ok(f"criterion 3: position sweep worst residual {worst:.2e} s; user-end node "
        f"matches end-to-end to {abs(obs_end.residual_s - end_to_end):.2e} s")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    length_km=st.floats(1.0, 300.0),
+    amplifier=st.floats(0.0, 1.0),
+    amplifier_delay_s=st.floats(0.0, 1e-6),
+    amplitude_exp=st.floats(-12.0, -8.0),
+    timescale_s=st.floats(1.0, 1000.0),
+    seed=st.integers(0, 2**32 - 1),
+    offset_s=st.floats(-1e-6, 1e-6),
+    taps=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+)
+def test_criterion_3_position_invariance_on_any_reciprocal_link(
+        length_km, amplifier, amplifier_delay_s, amplitude_exp, timescale_s, seed, offset_s,
+        taps):
+    """Tap-position invariance through the round engine, on drawn links.
+
+    The link is reciprocal: no dispersion or Sagnac asymmetry, one
+    amplifier delay a at both wavelengths, and the OU fluctuation taken at
+    the round epoch, so both crossings of a round see one fiber delay F.
+    With ideal counters a node at d km taps t_u = e_u + f_u F + [a if the
+    amplifier is between the node and the user] and t_s = e_r + f_s F +
+    [a if it is between the server and the node], where f_u + f_s = 1, e_u
+    is the user emission and e_r = p + C - (e_u + F + a - p) the reversed
+    emission after the server pulse p.  Its fresh recovery t_u + (t_s -
+    t_u) / 2 is then p + C/2 exactly, wherever the node sits: the two taps
+    hold F once and a once between them.  A tap at the amplifier itself
+    would hold no a, and is not drawn.
+
+    In floating point, the operations from e_u, p and F to the residual
+    are fewer than 32 (the amplifier's two additions, the request's
+    arrival and T1, C - T1, the tap fractions and their products with F,
+    the taps' sums, the interval, the recovery and the residual), each
+    rounding by at most half an ulp of its result.  Every result lies
+    below 2^-7 s (C = 5 ms, F at most 1.5 ms at 300 km, a at most 1 us),
+    so half an ulp is at most 2^-61 s, and each error reaches the
+    residual with a weight of at most 1 (the tap fractions' own errors,
+    relative 2^-52, enter times F < 2^-9 s).  So every round's fresh
+    residual, and the recorded residual of round 0, which applies its own
+    interval, lie within 32 x 2^-61 s = 2^-56 s (1.4e-17 s).  Later
+    rounds apply the previous round's interval, so their recorded residual
+    follows the link's change from round to round, and is not checked.
+    """
+    amp_km = amplifier * length_km
+    positions = [tap * length_km for tap in taps]
+    assume(amp_km not in positions)
+    link = LinkModel(length_km=length_km, dispersion_coeff_ps_per_nm_km=0.0,
+                     biedfa_position_km=amp_km,
+                     fluctuation=FluctuationSpec(amplitude_s=10.0 ** amplitude_exp,
+                                                 timescale_s=timescale_s, rng_seed=seed))
+    hw = HardwareDelays(biedfa_lambda1_s=amplifier_delay_s, biedfa_lambda2_s=amplifier_delay_s)
+    cfg = ProtocolConfig(reversal_constant_s=5e-3)
+    nodes = [AccessNode(distance_from_server_km=d, tic=ideal_tic(), name=f"n{i}")
+             for i, d in enumerate(positions)]
+    result = run_rounds(ClockModel(), ClockModel(initial_offset_s=offset_s), link, hw,
+                        ideal_tic(), ideal_tic(), cfg, 16, nodes=nodes)
+    target = result.events.server_pulse_rel_s + 0.5 * cfg.reversal_constant_s
+    bound = 2.0 ** -56
+    for obs in result.nodes.values():
+        fresh = obs.t_u_an_rel_s + 0.5 * obs.t3_s - target
+        assert np.max(np.abs(fresh)) <= bound
+        assert abs(obs.residual_s[0]) <= bound
 
 
 def test_criterion_4_baseline_equivalence():

@@ -9,9 +9,7 @@ per round (24 bytes, plus 8 for its list slot) or a second run-length
 buffer goes past it.
 """
 
-import threading
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -124,6 +122,18 @@ def test_adev_on_two_workers_holds_two_buffers(pin_workers):
     assert peak <= 2 * series.values.size * COLUMN + (64 << 10)
 
 
+def test_series_checks_its_values_without_a_temporary():
+    """TimeErrorSeries checks its values by a minimum and a maximum, so a
+    series built on a 2^20-value float64 array holds nothing more
+    (np.asarray keeps the array).  A bool temporary of the values' length,
+    1/8 of a column (1 MiB here), would go past the 64 KiB of slack.
+    """
+    values = np.arange(1 << 20, dtype=float)
+    series, peak, _ = traced(lambda: TimeErrorSeries(tau0_s=1.0, values=values))
+    assert series.values is values
+    assert peak <= 64 << 10
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_read_columns_holds_its_output_and_one_workspace_per_worker(tmp_path, pin_workers,
                                                                     workers):
@@ -205,56 +215,7 @@ def grow(state, n):
     return x
 
 
-class Maps:
-    """timebase's anonymous maps, counted, as tracemalloc cannot see them:
-    the bytes mapped now (`live`) and the most since `mark()` above what was
-    mapped then (`peak`)."""
-
-    def __init__(self, monkeypatch):
-        self.lock = threading.Lock()
-        self.live = self.base = self.top = 0
-        self.mapped = timebase._mapped
-        monkeypatch.setattr(timebase, "_mapped", self)
-
-    def __call__(self, n, dtype=float):
-        a = self.mapped(n, dtype)
-        with self.lock:
-            self.live += a.nbytes
-            self.top = max(self.top, self.live)
-        weakref.finalize(a, self.unmapped, a.nbytes)
-        return a
-
-    def unmapped(self, nbytes):
-        with self.lock:
-            self.live -= nbytes
-
-    def mark(self):
-        self.base = self.top = self.live
-
-    @property
-    def peak(self):
-        return self.top - self.base
-
-    @property
-    def kept(self):
-        return self.live - self.base
-
-
-def noise_peak(state, call, maps):
-    """call() on state, and its peak and what it keeps above the memory
-    before it, each as the traced part plus the mapped part: (result, peak,
-    kept).  The two parts' peaks are added, which bounds their sum."""
-    maps.mark()
-    result, peak, transient = traced(call)
-    return result, peak + maps.peak, peak - transient + maps.kept
-
-
-@pytest.fixture
-def maps(monkeypatch):
-    return Maps(monkeypatch)
-
-
-def test_noise_state_keeps_only_its_realized_samples(maps):
+def test_noise_state_keeps_only_its_realized_samples():
     """After prefix(n), a noise state holds its realized samples and nothing
     per class, whatever its classes.
 
@@ -266,49 +227,50 @@ def test_noise_state_keeps_only_its_realized_samples(maps):
     of slack covers the seeds.
 
     The last doubling of the five-class mix, from n/2 to n samples, holds
-    at its peak, above the realized half it held before: the grown buffer
-    less the half it replaces (1 - 0.5), and one workspace, the spectrum
-    and the inverse transform of a filter (4).  Every class's whites are
+    at its peak, above what it held before: the grown buffer (1) and one
+    workspace, the spectrum and the inverse transform of a filter (4).  The
+    realized half it replaces was allocated before tracing began, so its
+    release does not lower the traced count.  Every class's whites are
     drawn into the transform's first half, and each class's samples are
     added before the next class is drawn, so nothing else is held.  The
-    copy prefix() returns comes after the workspace is gone (1).  That is
-    5.5 columns (measured: 5.50), and the bound of 6 leaves half a column
-    of slack: one white prefix kept per flicker class would go past it.
-    The mix without flicker takes its workspace, one n-sample whites
-    buffer, from the heap, and frees it before the copy: the grown buffer
-    while it still holds the realized half (1), and the whites or the copy
-    (1).  That is 2 columns (measured: 2.01), under a bound of 2.5.
+    copy prefix() returns comes after the workspace is gone (1 + 1).  That
+    is 5 columns (measured: 5.01), and the bound of 5.5 leaves half a
+    column of slack: one white prefix kept by a flicker class would go past
+    it.  The mix without flicker holds the grown buffer (1) and its
+    workspace, one n-sample whites buffer, which it frees before the copy
+    (1).  That is 2 columns (measured: 2.00), under a bound of 2.5.
     """
     n = 1 << 16
     grow(_NoiseState(ALL_KINDS, 1.0), n)  # the spectra and the FFT plans
     for profile in (ALL_KINDS, NO_FLICKER):
         state = _NoiseState(profile, 1.0)
-        x, _, kept = noise_peak(state, lambda: grow(state, n), maps)
+        x, peak, transient = traced(lambda: grow(state, n))
+        kept = peak - transient
         assert x.size == n
         assert kept <= 2 * COLUMN * n + (64 << 10)
-    for profile, columns in ((ALL_KINDS, 6), (NO_FLICKER, 2.5)):
+    for profile, columns in ((ALL_KINDS, 5.5), (NO_FLICKER, 2.5)):
         state = _NoiseState(profile, 1.0)
         state.prefix(n // 2)
-        _, peak, _ = noise_peak(state, lambda: state.prefix(n), maps)
+        _, peak, _ = traced(lambda: state.prefix(n))
         assert peak <= columns * COLUMN * n + (64 << 10)
 
 
-def test_two_clocks_on_two_workers_hold_at_most_two_one_worker_peaks(pin_workers, maps):
+def test_two_clocks_on_two_workers_hold_at_most_two_one_worker_peaks(pin_workers):
     """The last doubling of two five-class clocks, from n/2 to n samples,
     through clock_time_errors on two workers: one clock per worker, each
     filtering its flicker classes on its own worker.
 
-    Each clock holds what one clock holds on one worker.  Its maps peak as
-    in the 5.5 columns derived above, less the copy prefix() returns: the
-    grown buffer (1 - 0.5) and one workspace (4), while time_errors holds
-    neither the grid index nor the deterministic part.  Its heap peaks
-    after the workspace is gone, where the copy was counted: the grid index,
-    the deterministic part and one temporary of it, then the returned
-    column and the gathered noise (3).  noise_peak adds the two peaks, 7.5
-    columns a clock (measured: 7.50).  Two clocks at once hold at most both
-    clocks' peaks, 15 columns (measured: 13.0-15.02, as the two peaks
-    meet or not), and never a second workspace per clock.  The 64 KiB of slack covers the helper thread's
-    queue and event.
+    Each clock holds what one clock holds on one worker.  It peaks as in
+    the 5 columns derived above, less the copy prefix() returns: the grown
+    buffer (1) and one workspace (4), while time_errors holds neither the
+    grid index nor the deterministic part.  After the workspace is gone it
+    holds the grown buffer and at most the grid index, the deterministic
+    part and one temporary of it, then the returned column and the
+    gathered noise (1 + 3).  So 5 columns a clock (measured: 5.01).  Two
+    clocks at once hold at most both clocks' peaks, 10 columns (measured:
+    10.02), and never a second workspace per clock: the bound of 2 x 5.5
+    leaves half a column of slack a clock.  The 64 KiB of slack covers the
+    helper thread's queue and event.
     """
     n = 1 << 16
     t = np.arange(n, dtype=float)
@@ -322,13 +284,13 @@ def test_two_clocks_on_two_workers_hold_at_most_two_one_worker_peaks(pin_workers
         return pair
 
     pin_workers(1)
-    alone = [noise_peak(None, lambda: clock.time_errors(t), maps) for clock in clocks()]
+    alone = [traced(lambda: clock.time_errors(t)) for clock in clocks()]
     pin_workers(2)
     pair = clocks()
-    both, peak, _ = noise_peak(None, lambda: timebase.clock_time_errors(pair, t), maps)
+    both, peak, _ = traced(lambda: timebase.clock_time_errors(pair, t))
     assert [x.tobytes() for x in both] == [x.tobytes() for x, _, _ in alone]
     assert peak <= sum(one for _, one, _ in alone) + (64 << 10)
-    assert peak <= 2 * 7.5 * COLUMN * n + (64 << 10)
+    assert peak <= 2 * 5.5 * COLUMN * n + (64 << 10)
 
 
 @pytest.mark.parametrize("mode", ["clocks_only", "sync"])
@@ -355,16 +317,17 @@ def test_runs_with_flicker_give_equal_bytes_on_one_and_two_workers(
     assert "series.csv" in trees[0] and trees[0] == trees[1]
 
 
-def test_process_wide_spectra_hold_about_32_bytes_per_sample(cold_kernel_cache, maps):
+def test_process_wide_spectra_hold_about_32_bytes_per_sample(cold_kernel_cache):
     """What the first state to reach n samples leaves in the process-wide
-    cache: the spectrum of every buffer size from 1024 to n, n/2 + 1
-    complex values each (16 bytes), so about 32 bytes x n over all spectra:
+    cache: the spectrum of every buffer size s from 1024 to n, s + 1
+    complex values of 16 bytes each, so about 32 bytes x n over all spectra:
     4 columns above the 2 of the warm case.  The kernel they were taken
     from is not kept.  A column of slack covers numpy's cached FFT plans
     (measured: 6.22 in all).
     """
     n = 1 << 16
     state = _NoiseState(ALL_KINDS, 1.0)
-    _, _, kept = noise_peak(state, lambda: grow(state, n), maps)
+    _, peak, transient = traced(lambda: grow(state, n))
+    kept = peak - transient
     assert kept <= (2 + 4 + 1) * COLUMN * n
     assert sorted(timebase._spectra) == [1 << k for k in range(10, n.bit_length())]

@@ -10,12 +10,13 @@ import sys
 from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import fotsim
-from fotsim import cells, channel, timebase
+from fotsim import cells, channel
 from fotsim import scenario as scenario_module
 from fotsim.cli import main as cli_main
 from fotsim.errors import ConfigError, NonCausalError, ScenarioParseError, ValidationError
@@ -535,6 +536,11 @@ def pulse_doc(period_s):
     return doc
 
 
+def with_server_grid(doc, grid_s):
+    doc["clocks"]["server"]["noise_grid_s"] = grid_s
+    return doc
+
+
 CAP = scenario_module._MAX_SIZE
 
 
@@ -558,6 +564,24 @@ class TestAdmission:
         with pytest.raises(ValidationError,
                            match=rf"^scenario\.{re.escape(key)} asks for .*, over the cap of {CAP}$"):
             validate_scenario(over_cap)
+
+    @pytest.mark.parametrize("key, at_span, past_span, span", [
+        ("clocks.server.noise_grid_s", grid_doc(32.0), grid_doc(32.5), "32 s"),
+        ("clocks.server.pulse_period_s", pulse_doc(32.0), pulse_doc(32.5), "32 s"),
+        # 64 calibration rounds of 1 s outlast the 24 s run
+        ("clocks.server.noise_grid_s",
+         with_server_grid(calibration_doc(64), 64.0), with_server_grid(calibration_doc(64), 65.0),
+         "64 s the clock is queried over for the calibration's "
+         "scenario.protocol.calibration_rounds = 64 rounds"),
+    ])
+    def test_a_noise_grid_passes_at_the_span_and_fails_past_it(self, key, at_span, past_span,
+                                                              span):
+        # a grid coarser than the span reads sample 0 at every query
+        validate_scenario(at_span)
+        with pytest.raises(ValidationError,
+                           match=rf"^scenario\.{re.escape(key)} = .* s is coarser than the "
+                                 rf"{re.escape(span)}"):
+            validate_scenario(past_span)
 
     @pytest.mark.parametrize("name, key, change", [
         ("free_running_clocks", "duration_s", lambda d: d.update(duration_s=1e20)),
@@ -608,7 +632,8 @@ class TestAdmission:
     def test_a_size_scaled_by_ten_to_the_twelve_ends_cleanly(self, tmp_path, name, path,
                                                                named, k):
         # a run with one size field scaled by 10^k ends in a clean exit, and
-        # a refusal names the field and counts no fewer than no samples
+        # a refusal names the field and counts no fewer than no samples; a
+        # noise grid 10^12 times coarser than the run's span is refused
         def change(doc):
             *parents, key = path.split(".")
             table = doc
@@ -622,7 +647,8 @@ class TestAdmission:
                 table[key] *= 10.0 ** k
 
         out = run_oversized(tmp_path, name, change)
-        assert out.returncode in (0, 1, 2, 3)
+        assert out.returncode in ((1,) if path.endswith("noise_grid_s") and k > 0
+                                  else (0, 1, 2, 3))
         assert "Traceback" not in out.stderr
         if out.returncode == 1:
             assert not (tmp_path / "o").exists()
@@ -720,18 +746,24 @@ class TestCli:
         assert cli_main(["run", "--scenario", str(f), "--out", str(tmp_path / "o")]) == 1
         assert "clock time error overflows" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("module, name, error", [
-        (timebase, "_mapped", OSError(errno.ENOMEM, "Cannot allocate memory")),
-        (cells, "_float_words", MemoryError()),
-    ])
-    def test_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch, module, name, error):
-        # a noise buffer's memory map, or the CSV writer, fails to allocate:
-        # an error line and exit 1, not an i/o error or a traceback
+    @pytest.mark.parametrize("command", ["tdev", "run"])
+    def test_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch, command):
+        # the CSV reader's workspace map fails with ENOMEM, or the CSV
+        # writer raises MemoryError: an error line and exit 1, not an i/o
+        # error or a traceback
         def fail(*args):
-            raise error
+            raise {"tdev": OSError(errno.ENOMEM, "Cannot allocate memory"),
+                   "run": MemoryError()}[command]
 
-        monkeypatch.setattr(module, name, fail)
-        assert cli_main(["run", "--scenario", "demo_short", "--out", str(tmp_path / "o")]) == 1
+        if command == "tdev":
+            series = tmp_path / "series.csv"
+            cells.write_columns(series, ["index", "x_seconds"], [np.arange(64), np.ones(64)])
+            argv = ["tdev", "--input", str(series), "--tau0", "1", "--out", str(tmp_path / "t")]
+            monkeypatch.setattr(cells, "mmap", SimpleNamespace(mmap=fail))
+        else:
+            argv = ["run", "--scenario", "demo_short", "--out", str(tmp_path / "o")]
+            monkeypatch.setattr(cells, "_float_words", fail)
+        assert cli_main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory") and "Traceback" not in err
 

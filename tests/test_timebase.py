@@ -55,6 +55,21 @@ def component_reference(kind, amp, w, dt, h):
     raise AssertionError(kind)
 
 
+def on_kernel_transform(monkeypatch, call):
+    """Make np.fft.rfft call call(n) before each transform of a kernel, n
+    the complex values of the spectrum it makes: the rfft whose input
+    starts with the kernel's first two taps, 1 and 1/2, which white noise
+    does not."""
+    rfft = np.fft.rfft
+
+    def recorded(a, n=None, *args, **kwargs):
+        if a[:2].tolist() == [1.0, 0.5]:
+            call(n // 2 + 1)
+        return rfft(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", recorded)
+
+
 class ReferenceState:
     """A noise realization built from scratch at every doubling: the whole
     white prefix of each class, a fresh one-pass kernel and fftconvolve;
@@ -164,6 +179,31 @@ class TestTimeError:
             ClockModel().time_error(-1.0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("t", [[], [0.0], [-0.0, 5.0], [3.0, -1e-300], [2.0, np.nan],
+                                   [np.nan, -1.0], [np.inf], [1.0, -np.inf], [1e308, 0.0]])
+    @pytest.mark.parametrize("noise", [None, NoiseProfile(components=[("white_pm", 1e-11)])])
+    def test_query_times_are_checked_as_by_isfinite(self, t, noise):
+        # the check takes the minimum and maximum; it accepts exactly what
+        # np.all(np.isfinite(t) & (t >= 0)) accepts, an empty query included
+        t = np.array(t, dtype=float)
+        clock = ClockModel(noise=noise, noise_grid_s=1e308)
+        if np.all(np.isfinite(t) & (t >= 0)):
+            assert clock.time_errors(t).size == t.size
+        else:
+            with pytest.raises(ValidationError, match="query times must be finite and >= 0"):
+                clock.time_errors(t)
+
+    @pytest.mark.parametrize("values", [[0.0], [1.0, -1e308], [np.nan, 1.0], [1.0, np.nan],
+                                        [np.inf, 0.0], [0.0, -np.inf], [np.nan, np.inf]])
+    def test_series_values_are_checked_as_by_isfinite(self, values):
+        values = np.array(values)
+        if np.all(np.isfinite(values)):
+            assert len(TimeErrorSeries(tau0_s=1.0, values=values)) == values.size
+        else:
+            with pytest.raises(ValidationError, match="series values must all be finite"):
+                TimeErrorSeries(tau0_s=1.0, values=values)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("t, grid", [(1e20, 1.0), (1e308, 1e-3), (2.0 ** 63, 1.0)])
     def test_rejects_time_past_the_int64_grid_without_a_warning(self, t, grid):
         clock = ClockModel(noise=NoiseProfile(components=[("white_pm", 1e-11)]),
@@ -239,8 +279,9 @@ class TestHalfIntegrationKernel:
     def test_spectra_of_one_batch_come_from_one_one_pass_kernel(self, cold_kernel_cache,
                                                                  monkeypatch, sizes):
         # each size's spectrum is the rfft of the first taps of one kernel,
-        # built at the largest size; each of those prefixes is the kernel
-        # of its size as the float64 reference builds it, bit for bit
+        # built at the largest size, into one block for the batch; each of
+        # those prefixes is the kernel of its size as the float64 reference
+        # builds it, bit for bit
         n = sizes[-1]
         taps = np.fromiter(timebase._half_integration_taps(n), dtype=float, count=n)
         assert taps.tobytes() == half_integration_kernel(n).tobytes()
@@ -254,6 +295,7 @@ class TestHalfIntegrationKernel:
         spectra = timebase._kernel_spectra(sizes)
         assert [a.size for a in transformed] == sizes
         assert all(a.base is transformed[-1].base for a in transformed)
+        assert all(spectrum.base is spectra[0].base for spectrum in spectra)
         for a, s, spectrum in zip(transformed, sizes, spectra):
             h = half_integration_kernel(s)
             assert a.tobytes() == h.tobytes()
@@ -285,16 +327,10 @@ class TestHalfIntegrationKernel:
 
     def test_each_spectrum_is_taken_once_across_states(self, cold_kernel_cache, monkeypatch):
         # the spectra are process-wide: a second state, and a second flicker
-        # component, reuse what the first one took; each transform maps one
+        # component, reuse what the first one took; each transform makes one
         # spectrum of size + 1 complex values
-        maps, mapped = [], timebase._mapped
-
-        def counting(n, dtype=float):
-            if dtype is complex:
-                maps.append(n)
-            return mapped(n, dtype)
-
-        monkeypatch.setattr(timebase, "_mapped", counting)
+        maps = []
+        on_kernel_transform(monkeypatch, maps.append)
         first = timebase._NoiseState(NoiseProfile(
             components=[("flicker_pm", 1e-12), ("white_pm", 1e-11), ("flicker_fm", 1e-13)],
             rng_seed=4), 1.0)
@@ -317,31 +353,29 @@ class TestHalfIntegrationKernel:
     @pytest.mark.parametrize("failing", [1, 3])
     def test_a_failed_transform_leaves_only_whole_spectra(self, cold_kernel_cache,
                                                           monkeypatch, failing):
-        # the map of the first or third spectrum of a batch of four sizes
-        # fails once: the cache keeps the spectra taken before it, each
-        # whole, and the retried query takes the rest and gives the bits of
-        # a state that never failed
-        maps, mapped = [], timebase._mapped
+        # the transform of the first or third spectrum of a batch of four
+        # sizes fails once: the cache keeps the spectra taken before it,
+        # each whole, and the retried query takes the rest and gives the
+        # bits of a state that never failed
+        maps, rfft = [], np.fft.rfft
 
-        def flaky(n, dtype=float):
-            if dtype is complex:
-                maps.append(n)
-                if len(maps) == failing:
-                    raise MemoryError
-            return mapped(n, dtype)
+        def flaky(n):
+            maps.append(n)
+            if len(maps) == failing:
+                raise MemoryError
 
         profile = NoiseProfile(components=ALL_KINDS, rng_seed=3)
         state, reference = timebase._NoiseState(profile, 1.0), ReferenceState(profile, 1.0)
         indices = np.array([5, 1500, 3000, 9000, 12_000])
         sizes = [1024, 2048, 4096, 16384]
-        monkeypatch.setattr(timebase, "_mapped", flaky)
+        on_kernel_transform(monkeypatch, flaky)
         with pytest.raises(MemoryError):
             state.values_at(indices)
         assert state._x.size == 0
         assert sorted(timebase._spectra) == sizes[:failing - 1]
         for s, spectrum in timebase._spectra.items():
             h = half_integration_kernel(s)
-            assert spectrum.tobytes() == np.fft.rfft(h, 2 * s).tobytes()
+            assert spectrum.tobytes() == rfft(h, 2 * s).tobytes()
         assert state.values_at(indices).tobytes() == reference.values_at(indices).tobytes()
         assert maps[failing:] == [s + 1 for s in sizes[failing - 1:]]
 
@@ -592,21 +626,18 @@ class TestClocksOnWorkers:
 
     def test_two_clocks_take_each_spectrum_once(self, cold_kernel_cache, monkeypatch,
                                                 pin_workers, idle_helpers):
-        # the first clock to take a spectrum waits a little, in its map, for
-        # the other to take it too, which only a lock around the cache
-        # prevents
+        # the first clock to take a spectrum waits a little, in its
+        # transform, for the other to take it too, which only a lock around
+        # the cache prevents
         arrived, cond = collections.Counter(), threading.Condition()
-        mapped = timebase._mapped
 
-        def gated(n, dtype=float):
-            if dtype is complex:
-                with cond:
-                    arrived[n] += 1
-                    cond.notify_all()
-                    cond.wait_for(lambda: arrived[n] > 1, timeout=0.05)
-            return mapped(n, dtype)
+        def gated(n):
+            with cond:
+                arrived[n] += 1
+                cond.notify_all()
+                cond.wait_for(lambda: arrived[n] > 1, timeout=0.05)
 
-        monkeypatch.setattr(timebase, "_mapped", gated)
+        on_kernel_transform(monkeypatch, gated)
         t = np.arange(8192.0)
         runs = []
         for count in (1, 2):
