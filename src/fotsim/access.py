@@ -4,8 +4,9 @@ The node sits distance_from_server_km from the server on a uniform fiber,
 so each tapped signal has covered the corresponding fraction of its
 direction's full fiber delay (fluctuation and asymmetry shares included).
 The amplifier delay is included in a tap only when the amplifier lies
-upstream of the node for that direction.  The node never transmits; its
-recovery quality includes its own counter noise.
+upstream of the node for that direction; a node at the amplifier counts as
+on its server side, so that its taps hold the delay once.  The node never
+transmits; its recovery quality includes its own counter noise.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def tap_times(node: AccessNode, events: RoundEvents) -> tuple[float, float]:
         events.user_emit_rel_s
         + hw.tx_user_s
         + frac_from_user * events.fiber_us_s
-        + (hw.biedfa_lambda2_s if amp_pos > d else 0.0)
+        + (hw.biedfa_lambda2_s if amp_pos >= d else 0.0)
         + node.coupler_delay_s
     )
     t_s_an = (

@@ -41,7 +41,6 @@ rounding the bound leaves open, to ``float()``, the reference.
 
 from __future__ import annotations
 
-import mmap
 import os
 from collections import Counter
 from collections.abc import Iterator
@@ -464,26 +463,20 @@ class _Workspace:
     matrix holds, for each row of the block, the words that _block_columns
     and _parse_cells fill.  Made for _BLOCK_BYTES of text plus a last line
     of up to _BLOCK_BYTES more, and for _BLOCK_BYTES // _MIN_ROW rows, it
-    maps 2 * _BLOCK_BYTES + 33 bytes, resident only as far as a block fills
-    them, plus (_WORDS_PER_ROW + columns) words per row.  Before a block's cells are
-    read, the first 13 words of each row hold its two separator masks, one
-    byte per byte of text each.  Parsing a block makes two arrays besides:
-    the offsets of its separators (8 bytes each) with their kinds and the
-    kinds' check (1 byte each), and its cells' 24-byte windows.  For one
-    column of a file of canonical cells that is about 8 bytes per byte of
-    block.  A last line longer than _BLOCK_BYTES, or a block of more rows,
-    grows the workspace; neither occurs in the files fotsim writes.
-
-    The text and the matrix are anonymous memory maps, not heap memory, and
-    are unmapped when the read ends.  From the heap, a workspace freed at
-    the end of a read stayed resident as free heap (glibc trims only above
-    a threshold it raises to the size of large blocks freed before), and a
-    statistic run after the read carried it in its peak.
+    holds 2 * _BLOCK_BYTES + 33 bytes plus (_WORDS_PER_ROW + columns) words
+    per row.  Before a block's cells are read, the first 13 words of each
+    row hold its two separator masks, one byte per byte of text each.
+    Parsing a block makes two arrays besides: the offsets of its separators
+    (8 bytes each) with their kinds and the kinds' check (1 byte each), and
+    its cells' 24-byte windows.  For one column of a file of canonical cells
+    that is about 8 bytes per byte of block.  A last line longer than
+    _BLOCK_BYTES, or a block of more rows, grows the workspace; neither
+    occurs in the files fotsim writes.
     """
 
     def __init__(self, columns: int):
         self.columns = columns
-        self.text = mmap.mmap(-1, 2 * _BLOCK_BYTES + 1 + len(_PAD))
+        self.text = bytearray(2 * _BLOCK_BYTES + 1 + len(_PAD))
         self.rows = 0
         self.fit(_BLOCK_BYTES // _MIN_ROW)
 
@@ -494,7 +487,7 @@ class _Workspace:
             return
         self.rows = rows
         shape = (_WORDS_PER_ROW + self.columns, rows)
-        words = np.frombuffer(mmap.mmap(-1, 8 * shape[0] * rows), dtype=np.uint64).reshape(shape)
+        words = np.empty(shape, dtype=np.uint64)
         self.digits = words[:3]
         self.scratch = words[3:13]
         self.masks = words[:13].reshape(-1).view(np.bool_)
@@ -504,9 +497,7 @@ class _Workspace:
 
     def grow_text(self) -> None:
         """Twice the room for text, keeping what it holds."""
-        text = mmap.mmap(-1, 2 * len(self.text))
-        text[:len(self.text)] = self.text[:]
-        self.text = text
+        self.text = self.text + bytes(len(self.text))
         self.fit(self.rows)
 
 

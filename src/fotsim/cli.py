@@ -150,7 +150,7 @@ def main(argv=None) -> int:
     except MemoryError:
         return _out_of_memory()
     except OSError as exc:
-        # a memory map that fails raises OSError with ENOMEM
+        # open and read can fail with ENOMEM too
         if exc.errno == errno.ENOMEM:
             return _out_of_memory()
         print(f"i/o error: {exc}", file=sys.stderr)

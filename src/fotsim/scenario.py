@@ -803,30 +803,32 @@ class ComparisonTable:
 def compare_curves(labeled_curves: list) -> ComparisonTable:
     """Tabulate stability curves on their shared tau grid.
 
-    Curves are compared in the given order; a value lower than an earlier
-    run's value at the same tau is recorded as an ordering violation (the
-    caller passes runs in expected non-decreasing order).
+    The shared grid is the first curve's taus that every other curve holds
+    to a relative 1e-9 (StabilityCurve.index_of).  Curves are compared in
+    the given order; a value lower than an earlier run's value at the same
+    tau is recorded as an ordering violation (the caller passes runs in
+    expected non-decreasing order).
     """
     if len(labeled_curves) < 2:
         raise ValidationError("compare needs at least two runs")
-    keyed = []
-    for label, curve in labeled_curves:
-        keyed.append((label, {round(t, 9): v for t, v in zip(curve.taus, curve.values)}))
-    shared = set(keyed[0][1])
-    for _, d in keyed[1:]:
-        shared &= set(d)
-    if not shared:
+    labels, curves = map(list, zip(*labeled_curves))
+    taus, rows = [], []
+    for tau in curves[0].taus:
+        idx = [curve.index_of(tau) for curve in curves]
+        if None not in idx:
+            taus.append(float(tau))
+            rows.append([curve.values[i] for curve, i in zip(curves, idx)])
+    if not taus:
         raise ValidationError("tau grids of the runs are disjoint")
-    taus = sorted(shared)
-    values = np.array([[d[t] for _, d in keyed] for t in taus])
+    values = np.array(rows)
     ratios = values / values[:, :1]
     violations = []
     for i, tau in enumerate(taus):
-        for j in range(1, len(keyed)):
+        for j in range(1, len(labels)):
             if values[i, j] < values[i, j - 1]:
-                violations.append((tau, keyed[j - 1][0], keyed[j][0]))
+                violations.append((tau, labels[j - 1], labels[j]))
     return ComparisonTable(
-        labels=[label for label, _ in labeled_curves],
+        labels=labels,
         taus=taus, values=values, ratios=ratios,
         ordering_violations=violations,
     )

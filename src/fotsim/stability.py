@@ -44,9 +44,14 @@ class StabilityCurve:
         if np.any(self.n_samples < 1):
             raise ValidationError("n_samples must be >= 1")
 
+    def index_of(self, tau: float) -> int | None:
+        """The index of tau on this curve's grid, to a relative 1e-9, or None."""
+        near = np.flatnonzero(np.isclose(self.taus, tau, rtol=1e-9, atol=0.0))
+        return int(near[0]) if near.size else None
+
     def value_at(self, tau: float) -> float:
-        idx = np.argmin(np.abs(self.taus - tau))
-        if not math.isclose(self.taus[idx], tau, rel_tol=1e-9):
+        idx = self.index_of(tau)
+        if idx is None:
             raise ValidationError(f"tau {tau} not on this curve's grid")
         return float(self.values[idx])
 

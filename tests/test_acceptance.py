@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fotsim.access import AccessNode, observe_round
 from fotsim.channel import Direction, FluctuationSpec, HardwareDelays, LinkModel, path_delay
@@ -103,19 +103,22 @@ def test_criterion_2_asymmetry_and_calibration_theorem():
 
 def test_criterion_3_multiple_access_position_invariance():
     """Ideal scenario: recovered residual within 1 fs at every 10 km tap
-    position; the node at the user end equals the end-to-end result."""
+    position and at the amplifier (115 km), with and without 50 ns of
+    amplifier delay; the node at the user end equals the end-to-end
+    result."""
     link = LinkModel(length_km=230.0, dispersion_coeff_ps_per_nm_km=0.0,
                      fluctuation=FluctuationSpec(amplitude_s=1e-10,
                                                  timescale_s=300.0, rng_seed=9))
     cfg = ProtocolConfig(reversal_constant_s=5e-3)
     server = ClockModel()
     user = ClockModel(initial_offset_s=100e-9)
-    r = sync_round(server, user, link, HW0, ideal_tic(), ideal_tic(), cfg, 0.0)
     worst = 0.0
-    for km in range(0, 231, 10):
-        node = AccessNode(distance_from_server_km=float(km), tic=ideal_tic())
-        obs = observe_round(node, r.events)
-        worst = max(worst, abs(obs.residual_s))
+    for hw in (HW0, HardwareDelays(biedfa_lambda1_s=50e-9, biedfa_lambda2_s=50e-9)):
+        r = sync_round(server, user, link, hw, ideal_tic(), ideal_tic(), cfg, 0.0)
+        for km in [*range(0, 231, 10), link.biedfa_position_km]:
+            node = AccessNode(distance_from_server_km=float(km), tic=ideal_tic())
+            obs = observe_round(node, r.events)
+            worst = max(worst, abs(obs.residual_s))
     assert worst <= FS
 
     # user-end node vs end-to-end, with a constant asymmetry so both are biased
@@ -141,6 +144,8 @@ def test_criterion_3_multiple_access_position_invariance():
     offset_s=st.floats(-1e-6, 1e-6),
     taps=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
 )
+@example(length_km=230.0, amplifier=0.5, amplifier_delay_s=5e-8, amplitude_exp=-10.0,
+         timescale_s=300.0, seed=9, offset_s=1e-7, taps=[0.0, 0.5, 1.0])
 def test_criterion_3_position_invariance_on_any_reciprocal_link(
         length_km, amplifier, amplifier_delay_s, amplitude_exp, timescale_s, seed, offset_s,
         taps):
@@ -150,13 +155,14 @@ def test_criterion_3_position_invariance_on_any_reciprocal_link(
     amplifier delay a at both wavelengths, and the OU fluctuation taken at
     the round epoch, so both crossings of a round see one fiber delay F.
     With ideal counters a node at d km taps t_u = e_u + f_u F + [a if the
-    amplifier is between the node and the user] and t_s = e_r + f_s F +
-    [a if it is between the server and the node], where f_u + f_s = 1, e_u
-    is the user emission and e_r = p + C - (e_u + F + a - p) the reversed
-    emission after the server pulse p.  Its fresh recovery t_u + (t_s -
-    t_u) / 2 is then p + C/2 exactly, wherever the node sits: the two taps
-    hold F once and a once between them.  A tap at the amplifier itself
-    would hold no a, and is not drawn.
+    amplifier is between the node and the user, or at the node] and t_s =
+    e_r + f_s F + [a if it is between the server and the node], where f_u
+    + f_s = 1, e_u is the user emission and e_r = p + C - (e_u + F + a - p)
+    the reversed emission after the server pulse p.  Its fresh recovery
+    t_u + (t_s - t_u) / 2 is then p + C/2 exactly, wherever the node sits:
+    the two taps hold F once and a once between them.  A tap at the
+    amplifier itself sits on its server side, so t_u holds a and t_s does
+    not; the example puts one there.
 
     In floating point, the operations from e_u, p and F to the residual
     are fewer than 32 (the amplifier's two additions, the request's
@@ -174,7 +180,6 @@ def test_criterion_3_position_invariance_on_any_reciprocal_link(
     """
     amp_km = amplifier * length_km
     positions = [tap * length_km for tap in taps]
-    assume(amp_km not in positions)
     link = LinkModel(length_km=length_km, dispersion_coeff_ps_per_nm_km=0.0,
                      biedfa_position_km=amp_km,
                      fluctuation=FluctuationSpec(amplitude_s=10.0 ** amplitude_exp,

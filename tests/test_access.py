@@ -88,6 +88,10 @@ class TestTapTimes:
             (200.0 / 230.0) * r.events.fiber_su_s + 2.140e-9, abs=1e-18)
         assert dn_s - base_s == pytest.approx((30.0 / 230.0) * r.events.fiber_su_s,
                                               abs=1e-18)
+        # at the amplifier: on its server side, so only the request holds it
+        at_u, at_s = tap_times(node_at(115.0), r.events)
+        assert at_u - base_u == pytest.approx(0.5 * r.events.fiber_us_s + 2.137e-9, abs=1e-18)
+        assert at_s - base_s == pytest.approx(0.5 * r.events.fiber_su_s, abs=1e-18)
 
     def test_rejects_node_beyond_link(self):
         r = ideal_round()

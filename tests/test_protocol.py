@@ -71,6 +71,22 @@ class TestMeasureInterval:
         with pytest.raises(ValidationError):
             TicModel().measure_interval(0.0, math.inf)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("side", ["start", "stop"])
+    @pytest.mark.parametrize("t", [[], [0.0], [1.0, -1e308], [np.nan, 1.0], [1.0, np.nan],
+                                   [np.inf, 0.0], [0.0, -np.inf], [np.nan, np.inf]])
+    def test_timestamps_are_checked_as_by_isfinite(self, t, side):
+        # the check takes the minimum and maximum of each side; it accepts
+        # exactly what np.all(np.isfinite(t)) accepts, no readings included
+        t = np.array(t, dtype=float)
+        pair = (t, np.zeros_like(t)) if side == "start" else (np.zeros_like(t), t)
+        tic = TicModel(jitter_rms_s=1e-12)
+        if np.all(np.isfinite(t)):
+            assert tic.measure_intervals(*pair).size == t.size
+        else:
+            with pytest.raises(ValidationError, match="timestamps must be finite"):
+                tic.measure_intervals(*pair)
+
 
 class TestReversalDelay:
     def test_subtraction(self):

@@ -2,6 +2,7 @@
 
 import errno
 import filecmp
+import io
 import json
 import os
 import re
@@ -10,7 +11,6 @@ import sys
 from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -498,6 +498,20 @@ class TestCompare:
         with pytest.raises(ValidationError):
             compare_curves([("a", a), ("b", b)])
 
+    def test_sub_nanosecond_taus_keep_one_row_each(self):
+        # taus are matched to a relative 1e-9, not rounded to 1 ns: four taus
+        # below 1 ns next to longer ones give one row each, with its values
+        from fotsim.stability import StabilityCurve
+        taus = np.array([1e-10, 2e-10, 5e-10, 1e-9, 1.0, 2.0])
+        a = StabilityCurve(taus, np.arange(1, 7) * 1e-12, np.full(6, 5))
+        # b's taus off by a relative 1e-12 still match a's
+        b = StabilityCurve(taus * (1 + 1e-12), np.arange(1, 7) * 2e-12, np.full(6, 5))
+        table = compare_curves([("a", a), ("b", b)])
+        assert table.taus == taus.tolist()
+        assert np.array_equal(table.values, np.stack([a.values, b.values], axis=1))
+        assert np.allclose(table.ratios[:, 1], 2.0)
+        assert table.ordering_violations == []
+
     def test_table_renders(self, tmp_path):
         a = self._curve_report(tmp_path, "a", 1e-11)
         b = self._curve_report(tmp_path, "b", 1e-11)
@@ -748,24 +762,31 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["tdev", "run"])
     def test_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch, command):
-        # the CSV reader's workspace map fails with ENOMEM, or the CSV
-        # writer raises MemoryError: an error line and exit 1, not an i/o
-        # error or a traceback
+        # the CSV reader's workspace raises MemoryError or its read fails
+        # with ENOMEM, or the CSV writer raises MemoryError: an error line
+        # and exit 1, not an i/o error or a traceback
         def fail(*args):
-            raise {"tdev": OSError(errno.ENOMEM, "Cannot allocate memory"),
-                   "run": MemoryError()}[command]
+            raise MemoryError()
+
+        class StarvedReader(io.BufferedReader):
+            def readinto(self, buffer):
+                raise OSError(errno.ENOMEM, "Cannot allocate memory")
 
         if command == "tdev":
             series = tmp_path / "series.csv"
             cells.write_columns(series, ["index", "x_seconds"], [np.arange(64), np.ones(64)])
             argv = ["tdev", "--input", str(series), "--tau0", "1", "--out", str(tmp_path / "t")]
-            monkeypatch.setattr(cells, "mmap", SimpleNamespace(mmap=fail))
+            seams = [("_Workspace", fail),
+                     ("open", lambda path, mode: StarvedReader(io.FileIO(path, mode)))]
         else:
             argv = ["run", "--scenario", "demo_short", "--out", str(tmp_path / "o")]
-            monkeypatch.setattr(cells, "_float_words", fail)
-        assert cli_main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: out of memory") and "Traceback" not in err
+            seams = [("_float_words", fail)]
+        for name, stand_in in seams:
+            with monkeypatch.context() as patch:
+                patch.setattr(cells, name, stand_in, raising=False)
+                assert cli_main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: out of memory") and "Traceback" not in err
 
     def test_missing_input_exits_1(self, tmp_path, capsys):
         assert cli_main(["run", "--scenario", str(tmp_path / "none.json"),
