@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,9 +70,9 @@ class FluctuationSpec:
             raise ValidationError("fluctuation grid_s must be > 0")
 
 
-# The most grid cells a fluctuation path may hold: at about 40 bytes (a float
-# and its list slot) and 1 us (one normal drawn in Python) a cell, 400 MB and
-# 10 s.  No canned scenario or benchmark input's path has more than 278 cells.
+# The most grid cells a fluctuation path may hold: at about 8 bytes (a packed
+# double) and 1 us (one normal drawn in Python) a cell, 80 MB and 10 s.  No
+# canned scenario or benchmark input's path has more than 278 cells.
 _MAX_PATH_CELLS = 10_000_000
 
 
@@ -88,7 +89,7 @@ class _OuProcess:
         self._rho = math.exp(-self.grid / spec.timescale_s)
         self._sigma_step = spec.amplitude_s * math.sqrt(1.0 - self._rho ** 2)
         self._rng = np.random.default_rng(spec.rng_seed)
-        self._path = [spec.amplitude_s * float(self._rng.standard_normal())]
+        self._path = array("d", [spec.amplitude_s * float(self._rng.standard_normal())])
 
     def value(self, t: float) -> float:
         if not 0.0 <= t < math.inf:
@@ -108,7 +109,7 @@ class _OuProcess:
         if t.size:
             self.value(float(t.min()))  # checks the times: the min is nan if any is
             self.value(float(t.max()))  # and grows the path for all of them
-        return np.asarray(self._path)[(t / self.grid).astype(np.int64)]
+        return np.frombuffer(self._path)[(t / self.grid).astype(np.int64)]
 
 
 class LinkModel:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -29,14 +30,13 @@ from .stability import MIN_SAMPLES, tdev
 from .timebase import TimeErrorSeries
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> str:
     scenario = load_scenario(args.scenario)
     report = run(scenario, out_dir=args.out, master_seed=args.seed)
     summary = report.manifest["summary"]["main"]
-    print(f"{scenario.name}: {summary['n_samples']} samples, "
-          f"tdev {summary['tdev_first_s']:.3e} s -> {summary['tdev_last_s']:.3e} s, "
-          f"outputs in {report.out_dir}")
-    return 0
+    return (f"{scenario.name}: {summary['n_samples']} samples, "
+            f"tdev {summary['tdev_first_s']:.3e} s -> {summary['tdev_last_s']:.3e} s, "
+            f"outputs in {report.out_dir}")
 
 
 def _load_series(path: Path, column: str, tau0: float | None) -> TimeErrorSeries:
@@ -61,15 +61,14 @@ def _load_series(path: Path, column: str, tau0: float | None) -> TimeErrorSeries
     return series
 
 
-def _cmd_tdev(args) -> int:
+def _cmd_tdev(args) -> str:
     series = _load_series(Path(args.input), args.column, args.tau0)
     curve = tdev(series)
     write_curve_csv(Path(args.out), curve)
-    print(f"{len(curve.taus)} tau points -> {args.out}")
-    return 0
+    return f"{len(curve.taus)} tau points -> {args.out}"
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> str:
     labeled = []
     for item in args.inputs:
         path = Path(item)
@@ -77,23 +76,18 @@ def _cmd_compare(args) -> int:
         if not csv_path.exists():
             raise ConfigError(f"no stability curve found at {csv_path}")
         labeled.append((path.name, read_curve_csv(csv_path)))
-    table = compare_curves(labeled)
-    print(table.to_text())
-    return 0
+    return compare_curves(labeled).to_text()
 
 
-def _cmd_calibrate(args) -> int:
+def _cmd_calibrate(args) -> str:
     scenario = load_scenario(args.scenario)
     cal = build_calibration_set(scenario, master_seed=args.seed,
                                 literal_sign=args.literal_sign)
-    print(json.dumps(asdict(cal), indent=2, sort_keys=True))
-    return 0
+    return json.dumps(asdict(cal), indent=2, sort_keys=True)
 
 
-def _cmd_scenarios(_args) -> int:
-    for name in canned_scenarios():
-        print(name)
-    return 0
+def _cmd_scenarios(_args) -> str:
+    return "\n".join(canned_scenarios())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,7 +134,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        text = args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -155,6 +149,17 @@ def main(argv=None) -> int:
             return _out_of_memory()
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    try:  # a failing stdout fails here, not at the flush at exit
+        print(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # its unwritten bytes go to devnull; a reader that closed stdout
+        # early (| head) is no failure, any other write failure is
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return 3
+    return 0
 
 
 def _out_of_memory() -> int:

@@ -239,10 +239,6 @@ def sync_round(
     )
 
 
-# rounds per block of scan inputs converted to Python floats
-_SCAN_ROWS = 4096
-
-
 def run_rounds(
     server: ClockModel,
     user: ClockModel,
@@ -298,51 +294,47 @@ def run_rounds(
     res_server, res_user = tic_server.resolution_s, tic_user.resolution_s
     server_pulse = -x_server
 
-    # the scan: the steering recurrence alone, in sync_round's operations
+    # the scan: the steering recurrence alone, in sync_round's operations,
+    # on Python floats that memoryviews of the inputs hand out one at a time
     steers, fibers_us, fibers_su = array("d"), array("d"), array("d")
     steer = 0.0
-    scanned = (epochs if emit else None, server_pulse, x_user, jitter_server, jitter_user,
-               tau_us, tau_su)
-    for start in range(0, n_rounds, _SCAN_ROWS):
-        block = (repeat(None) if col is None else col[start:start + _SCAN_ROWS].tolist()
-                 for col in scanned)
-        for t, pulse, xu_free, j1, j2, tu, ts in zip(*block):
-            steers.append(steer)
-            user_emit = -(xu_free - steer)
-            if emit:
-                f_us = link.fiber_delay_s(us, link.query_time(t, user_emit))
-                tu = path_delay(hw, us, f_us)
-                fibers_us.append(f_us)
-            t1 = ((user_emit + tu) - pulse) + j1
-            if res_server > 0:
-                t1 = _quantize(t1, res_server)
-            reversal_emit = pulse + ((c - t1) + du_server)
-            if emit:
-                # a round failing one of sync_round's checks ends the scan:
-                # its server->user crossing, where sync_round has raised,
-                # is not queried (NaN)
-                if tu < 0 or t1 >= c or reversal_emit < user_emit + tu:
-                    fibers_su.append(math.nan)
-                    break
-                f_su = link.fiber_delay_s(su, link.query_time(t, reversal_emit))
-                ts = path_delay(hw, su, f_su)
-                fibers_su.append(f_su)
-                if ts < 0:
-                    break
-            t2 = ((reversal_emit + ts) - user_emit) + j2
-            if res_user > 0:
-                t2 = _quantize(t2, res_user)
-            if steering_enabled:
-                steer += 0.5 * (t2 - c_cal - hd - fpda - oaa)
-        else:
-            continue
-        # the rounds up to the failing one, which the checks below find
-        n_rounds = len(steers)
-        epochs, x_server, x_user, server_pulse, jitter_server, jitter_user = (
-            col[:n_rounds] for col in (epochs, x_server, x_user, server_pulse,
-                                       jitter_server, jitter_user))
-        break
-    del scanned
+    for t, pulse, xu_free, j1, j2, tu, ts in zip(
+            *(repeat(None) if col is None else memoryview(col)
+              for col in (epochs if emit else None, server_pulse, x_user, jitter_server,
+                          jitter_user, tau_us, tau_su))):
+        steers.append(steer)
+        user_emit = -(xu_free - steer)
+        if emit:
+            f_us = link.fiber_delay_s(us, link.query_time(t, user_emit))
+            tu = path_delay(hw, us, f_us)
+            fibers_us.append(f_us)
+        t1 = ((user_emit + tu) - pulse) + j1
+        if res_server > 0:
+            t1 = _quantize(t1, res_server)
+        reversal_emit = pulse + ((c - t1) + du_server)
+        if emit:
+            # a round failing one of sync_round's checks ends the scan: its
+            # server->user crossing, where sync_round has raised, is not
+            # queried (NaN)
+            if tu < 0 or t1 >= c or reversal_emit < user_emit + tu:
+                fibers_su.append(math.nan)
+                break
+            f_su = link.fiber_delay_s(su, link.query_time(t, reversal_emit))
+            ts = path_delay(hw, su, f_su)
+            fibers_su.append(f_su)
+            if ts < 0:
+                break
+        t2 = ((reversal_emit + ts) - user_emit) + j2
+        if res_user > 0:
+            t2 = _quantize(t2, res_user)
+        if steering_enabled:
+            steer += 0.5 * (t2 - c_cal - hd - fpda - oaa)
+    # the rounds up to the failing one in emit mode, which the checks below
+    # find, else all of them
+    n_rounds = len(steers)
+    epochs, x_server, x_user, server_pulse, jitter_server, jitter_user = (
+        col[:n_rounds] for col in (epochs, x_server, x_user, server_pulse,
+                                   jitter_server, jitter_user))
 
     # the rest as arrays, each built in place of an input used for the last
     # time where it can be

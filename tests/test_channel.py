@@ -252,6 +252,22 @@ class TestFluctuation:
         step_std = 50e-12 * np.sqrt(1 - np.exp(-2 * 1.0 / 600.0))
         assert steps.max() < 6 * step_std
 
+    def test_path_equals_the_plain_recurrence_bit_for_bit(self):
+        # x0 = a*w0 and xk = rho*x(k-1) + sigma*wk on Python floats, with
+        # the normals w drawn one at a time from the same seeded generator
+        spec = FluctuationSpec(amplitude_s=50e-12, timescale_s=60.0, grid_s=1.5, rng_seed=7)
+        rho = math.exp(-spec.grid_s / spec.timescale_s)
+        sigma = spec.amplitude_s * math.sqrt(1.0 - rho ** 2)
+        rng = np.random.default_rng(spec.rng_seed)
+        expected = [spec.amplitude_s * float(rng.standard_normal())]
+        for _ in range(999):
+            expected.append(rho * expected[-1] + sigma * float(rng.standard_normal()))
+        link = reciprocal_link(fluctuation=spec)
+        cells = np.arange(1000)
+        values = link.fluctuation_values(cells * spec.grid_s)
+        assert values.tobytes() == np.array(expected).tobytes()
+        assert [link.fluctuation_value(k * spec.grid_s) for k in range(1000)] == expected
+
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValidationError):
             FluctuationSpec(amplitude_s=-1e-12)

@@ -200,16 +200,6 @@ def test_engine_equals_per_round_replay(case):
     check_engine_equals_replay(case)
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(sessions())
-def test_engine_equals_per_round_replay_across_scan_blocks(case):
-    # three rounds per block of scan inputs: a session of up to 40 rounds
-    # spans up to 14 blocks, and a failing round can fall in any of them
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(protocol, "_SCAN_ROWS", 3)
-        check_engine_equals_replay(case)
-
-
 # --- failing rounds ----------------------------------------------------------
 
 def drifting_parts(frac_frequency, tx_server_s=0.0, nodes=True):
@@ -249,11 +239,9 @@ def test_node_failure_in_an_earlier_round_wins():
 
 
 @pytest.mark.parametrize("nodes", [False, True])
-def test_failure_in_a_later_scan_block_matches_replay(monkeypatch, nodes):
-    # with three rounds per block, round 14 (the first whose reversal
-    # emission precedes the request) is in the fifth block and the node's
-    # first negative tap interval, in round 9, in the fourth
-    monkeypatch.setattr(protocol, "_SCAN_ROWS", 3)
+def test_failure_in_a_later_round_matches_replay(monkeypatch, nodes):
+    # round 14 is the first whose reversal emission precedes the request,
+    # and round 9 holds the node's first negative tap interval
     parts = drifting_parts(-1e-4, tx_server_s=-2e-3, nodes=nodes)
     completed = []
 
@@ -292,8 +280,7 @@ def test_failure_under_emit_mode_and_quantization_matches_replay(
     # both readings, and ends at the failing round; unsteered, the
     # user clock drifts away from the server, steered, the steer lags a
     # drift that grows each round.  Either way the reversal emission first
-    # precedes the request in the fifth or sixth block of three rounds
-    monkeypatch.setattr(protocol, "_SCAN_ROWS", 3)
+    # precedes the request in round 14 or 15
     link = LinkModel(length_km=230.0, dispersion_coeff_ps_per_nm_km=17.0,
                      fluctuation=FluctuationSpec(amplitude_s=1e-9, timescale_s=5.0,
                                                  grid_s=0.5, rng_seed=3),

@@ -39,35 +39,46 @@ def traced(call):
 
 
 def test_round_engine_holds_a_fixed_number_of_columns_per_round():
-    """Peak less the returned result, per round, stays within 2 columns.
+    """Peak less the returned result, per round, stays within 2 columns
+    with two access nodes and within 1 without, in either fluctuation mode.
 
     run_rounds returns 14 float64 columns, and each of the two nodes' taps 5
-    more.  After the scan the engine builds three of its returned columns in
-    place of inputs it has used for the last time: the user clock's time
-    error becomes the user emissions, and the two path delays the two
-    arrivals.  Its other inputs (the server clock's time error and both
-    counters' jitter) and the steering column it frees before the nodes tap
-    the rounds.  So at its peak, while the last node derives its recovered
-    times, it holds the returned columns and one temporary (numpy elides
-    temporaries only above 256 KiB, and 20k rounds are 160 KB a column): 1
-    column.  Before that the scan holds ten input columns, the steering
-    column and one block of _SCAN_ROWS rounds' inputs as Python floats,
-    about 16 columns, under the 24 returned.  The bound leaves a column of
-    slack above the peak for the call's Python objects and small arrays
-    (measured: 1.01 columns in all, in either fluctuation mode).
+    more.  The scan holds the input columns, at most ten, and the steering
+    column, and per round only the Python floats of the round it is on,
+    which memoryviews of the inputs hand out one at a time: about 11
+    columns, under the 14 returned.  After the scan the engine builds three
+    of its returned columns in place of inputs it has used for the last
+    time: the user clock's time error becomes the user emissions, and the
+    two path delays the two arrivals.  Its other inputs (the server clock's
+    time error and both counters' jitter) and the steering column it frees
+    before the checks.  Without nodes its peak is at the checks: the
+    returned columns, the four check masks and the two partial unions of
+    them, bool arrays of an eighth of a column each: 0.75 columns.  With
+    nodes it is while the last node derives its recovered times: the
+    returned columns and one temporary (numpy elides temporaries only above
+    256 KiB, and 20k rounds are 160 KB a column): 1 column.  Each bound
+    leaves a quarter of a column or more of slack for the call's Python
+    objects and small arrays (measured: 0.75 and 1.01 columns, in either
+    mode); a block of the scan's inputs held as Python floats would go past
+    the bound without nodes.
     """
     n_rounds = 20_000
-    link = LinkModel(length_km=230.0, dispersion_coeff_ps_per_nm_km=17.0,
-                     fluctuation=FluctuationSpec(amplitude_s=1e-11, timescale_s=600.0,
-                                                 rng_seed=4))
-    nodes = [AccessNode(distance_from_server_km=d, tic=TicModel(jitter_rms_s=3e-11, rng_seed=i),
-                        name=f"n{i}") for i, d in enumerate((60.0, 170.0))]
-    models = (ClockModel(), ClockModel(initial_offset_s=1e-7, frac_frequency=1e-10), link,
-              HardwareDelays(tx_server_s=3.5e-8), TicModel(jitter_rms_s=3e-11, rng_seed=7),
-              TicModel(jitter_rms_s=3e-11, rng_seed=8), ProtocolConfig())
-    result, _, transient = traced(lambda: run_rounds(*models, n_rounds, nodes=nodes))
-    assert len(result) == n_rounds
-    assert transient <= 2 * COLUMN * n_rounds
+    for emit in (False, True):
+        for node_count, columns in ((2, 2), (0, 1)):
+            link = LinkModel(length_km=230.0, dispersion_coeff_ps_per_nm_km=17.0,
+                             fluctuation=FluctuationSpec(amplitude_s=1e-11, timescale_s=600.0,
+                                                         rng_seed=4),
+                             evaluate_at_emit_time=emit)
+            nodes = [AccessNode(distance_from_server_km=d,
+                                tic=TicModel(jitter_rms_s=3e-11, rng_seed=i), name=f"n{i}")
+                     for i, d in enumerate((60.0, 170.0)[:node_count])]
+            models = (ClockModel(), ClockModel(initial_offset_s=1e-7, frac_frequency=1e-10),
+                      link, HardwareDelays(tx_server_s=3.5e-8),
+                      TicModel(jitter_rms_s=3e-11, rng_seed=7),
+                      TicModel(jitter_rms_s=3e-11, rng_seed=8), ProtocolConfig())
+            result, _, transient = traced(lambda: run_rounds(*models, n_rounds, nodes=nodes))
+            assert len(result) == n_rounds
+            assert transient <= columns * COLUMN * n_rounds, (emit, node_count)
 
 
 def drifting_series(seed, n=1 << 20):
@@ -253,6 +264,25 @@ def test_noise_state_keeps_only_its_realized_samples():
         state.prefix(n // 2)
         _, peak, _ = traced(lambda: state.prefix(n))
         assert peak <= columns * COLUMN * n + (64 << 10)
+
+
+def test_fluctuation_path_holds_a_packed_double_per_grid_cell():
+    """Growing a link's fluctuation path to n grid cells holds 8 bytes a cell.
+
+    The path is an array('d'), whose buffer grows, as CPython's array
+    module resizes it, to the new length plus a sixteenth of it and 7 more
+    items, so at any length it holds at most 8 * 17/16 = 8.5 bytes a cell
+    and 56 bytes of whole items (measured: 8.45).  Each step's normal
+    and its Python floats are freed before the next, and 64 KiB of slack
+    covers the generator's state and the call's other objects.  A list of
+    Python floats, 24 bytes each plus an 8-byte slot, would go past it.
+    """
+    n = 1 << 15
+    link = LinkModel(length_km=230.0, dispersion_coeff_ps_per_nm_km=0.0,
+                     fluctuation=FluctuationSpec(amplitude_s=1e-11, grid_s=1.0, rng_seed=3))
+    _, peak, _ = traced(lambda: link.fluctuation_value(n - 1.0))
+    assert len(link._fluct._path) == n
+    assert peak <= 8.5 * n + (64 << 10)
 
 
 def test_two_clocks_on_two_workers_hold_at_most_two_one_worker_peaks(pin_workers):

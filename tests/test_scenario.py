@@ -788,6 +788,55 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error: out of memory") and "Traceback" not in err
 
+    @staticmethod
+    def compare_into(stdout, tmp_path, **env):
+        """`python -m fotsim.cli compare` of two curves in a child process
+        writing to the file descriptor stdout."""
+        curves = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for curve in curves:
+            curve.write_text("tau_s,tdev_s,n_samples\n1,2e-9,10\n2,1e-9,7\n")
+        src = Path(fotsim.__file__).resolve().parent.parent
+        return subprocess.run([sys.executable, "-m", "fotsim.cli", "compare", *map(str, curves)],
+                              stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=30.0,
+                              env=dict(os.environ, PYTHONPATH=str(src), **env))
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_a_closed_stdout_exits_0_quietly(self, tmp_path, unbuffered):
+        # the reader is gone before the table is written, as with `| true`:
+        # buffered (PYTHONUNBUFFERED empty), the write fails at the flush,
+        # unbuffered, in print
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            out = self.compare_into(write_end, tmp_path, PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write_end)
+        assert (out.returncode, out.stderr) == (0, "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_any_other_write_failure_exits_3(self, tmp_path, unbuffered):
+        # buffered, the bytes the failed flush left behind must not fail
+        # again at exit (which would print a second report and exit 120)
+        with open("/dev/full", "w") as full:
+            out = self.compare_into(full, tmp_path, PYTHONUNBUFFERED=unbuffered)
+        assert out.returncode == 3
+        assert out.stderr.startswith("i/o error: ") and out.stderr.count("\n") == 1
+
+    def test_a_broken_pipe_off_stdout_is_an_io_error(self, tmp_path, monkeypatch, capsys):
+        # only a closed stdout exits 0: an --out whose reader went away
+        # leaves a truncated file, which is an i/o error
+        def broken(*_args):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        series = tmp_path / "series.csv"
+        cells.write_columns(series, ["index", "x_seconds"], [np.arange(64), np.ones(64)])
+        monkeypatch.setattr("fotsim.cli.write_curve_csv", broken)
+        assert cli_main(["tdev", "--input", str(series), "--tau0", "1",
+                         "--out", str(tmp_path / "t")]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("i/o error: ") and captured.out == ""
+
     def test_missing_input_exits_1(self, tmp_path, capsys):
         assert cli_main(["run", "--scenario", str(tmp_path / "none.json"),
                          "--out", str(tmp_path / "o")]) == 1
