@@ -43,18 +43,19 @@ class AccessNode:
         """
         t_u_an, t_s_an = tap_times(self, events)
         t3 = self.tic.measure_intervals(t_u_an, t_s_an)
+        del t_s_an  # one column less held while the recovered times are built
         negative = np.flatnonzero(t3 < 0)
         if negative.size:
             raise _negative_t3_error(float(t3[negative[0]]))
-        recovered = t_u_an + 0.5 * np.concatenate([t3[:1], t3[:-1]])
+        applied = np.concatenate([t3[:1], t3[:-1]])
+        applied *= 0.5
+        recovered = np.add(t_u_an, applied, out=t_u_an)
         target = events.server_pulse_rel_s + 0.5 * events.reversal_constant_s
         return NodeObservation(
             position_km=self.distance_from_server_km,
-            t_u_an_rel_s=t_u_an,
-            t_s_an_rel_s=t_s_an,
             t3_s=t3,
             recovered_rel_s=recovered,
-            residual_s=recovered - target,
+            residual_s=np.subtract(recovered, target, out=target),
         )
 
 
@@ -105,11 +106,10 @@ def tap_times(node: AccessNode, events: RoundEvents) -> tuple[float, float]:
 
 @dataclass
 class NodeObservation:
-    """One round as seen by an access node."""
+    """An access node's position, tap interval T3, recovered server time and
+    residual in one round; its tap times are tap_times(node, events)."""
 
     position_km: float
-    t_u_an_rel_s: float
-    t_s_an_rel_s: float
     t3_s: float
     recovered_rel_s: float
     residual_s: float
@@ -136,8 +136,6 @@ def observe_round(
     target = events.server_pulse_rel_s + 0.5 * events.reversal_constant_s
     return NodeObservation(
         position_km=node.distance_from_server_km,
-        t_u_an_rel_s=t_u_an,
-        t_s_an_rel_s=t_s_an,
         t3_s=t3,
         recovered_rel_s=recovered,
         residual_s=recovered - target,

@@ -109,12 +109,12 @@ class ProtocolConfig:
 
 @dataclass
 class RoundEvents:
-    """Event times of one round (relative to the round epoch) plus the
-    channel realization, enough to derive any mid-link tap.
-
+    """Event times of one round relative to its epoch t_round_s (the user's
+    emission, the server's pulse, the request's arrival rxs, the reversed
+    pulse's emission and its arrival rxu), each crossing's fiber delay, C,
+    the link and the hardware: enough for tap_times to derive any tap.
     The engine fills the time fields with arrays, one entry per round."""
 
-    epoch_s: float
     user_emit_rel_s: float
     server_pulse_rel_s: float
     rxs_rel_s: float
@@ -129,7 +129,8 @@ class RoundEvents:
 
 @dataclass
 class SyncRoundResult:
-    """Measurements and ground truth of protocol rounds.
+    """Measurements and ground truth of protocol rounds: the epoch, T1, T2,
+    the offset estimate, the true offset and the estimate's residual.
 
     sync_round fills the fields with floats; run_rounds fills them, and the
     time fields of events, with arrays, one entry per round.  nodes maps
@@ -140,7 +141,6 @@ class SyncRoundResult:
     t_round_s: float
     t1_s: float
     t2_s: float
-    reversal_delay_applied_s: float
     offset_estimate_s: float
     true_offset_s: float
     residual_s: float
@@ -215,7 +215,6 @@ def sync_round(
     estimate = corrected_offset(t2, cfg.calibration)
 
     events = RoundEvents(
-        epoch_s=t,
         user_emit_rel_s=user_emit,
         server_pulse_rel_s=server_pulse,
         rxs_rel_s=rxs,
@@ -231,7 +230,6 @@ def sync_round(
         t_round_s=t,
         t1_s=t1,
         t2_s=t2,
-        reversal_delay_applied_s=applied_delay,
         offset_estimate_s=estimate,
         true_offset_s=true_offset,
         residual_s=estimate - true_offset + steering_shift(cfg, hw),
@@ -351,9 +349,9 @@ def run_rounds(
     t1 = _measured(rxs - server_pulse, jitter_server, res_server)
     del jitter_server
     overflow = t1 >= c
-    applied = np.subtract(c, t1)
-    applied += du_server
-    reversal_emit = server_pulse + applied
+    reversal_emit = np.subtract(c, t1)
+    reversal_emit += du_server
+    np.add(server_pulse, reversal_emit, out=reversal_emit)
     early = reversal_emit < rxs
     negative_su = tau_su < 0
     rxu = np.add(reversal_emit, tau_su, out=tau_su)
@@ -373,7 +371,6 @@ def run_rounds(
     failing = (bool(negative_us[m]), bool(early[m])) if m < n_rounds else None
     del failed, negative_us, overflow, early, negative_su
     events = RoundEvents(
-        epoch_s=epochs[:m],
         user_emit_rel_s=user_emit[:m],
         server_pulse_rel_s=server_pulse[:m],
         rxs_rel_s=rxs[:m],
@@ -389,10 +386,9 @@ def run_rounds(
     if failing is not None:
         _raise_round_failure(c, float(t1[m]), *failing)
     return SyncRoundResult(
-        t_round_s=events.epoch_s,
+        t_round_s=epochs[:m],
         t1_s=t1,
         t2_s=t2,
-        reversal_delay_applied_s=applied,
         offset_estimate_s=estimate,
         true_offset_s=true_offset,
         residual_s=residual,

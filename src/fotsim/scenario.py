@@ -308,6 +308,8 @@ def validate_scenario(doc: dict) -> Scenario:
                 raise ValidationError(
                     f"scenario.access_nodes: node {node.name!r} lies beyond the link"
                 )
+    elif scenario.access_nodes:
+        raise ValidationError("scenario.access_nodes needs mode sync: clocks_only has no link")
     _check_sizes(scenario)
     _check_series(scenario)
     _check_noise_grids(scenario)
@@ -782,7 +784,6 @@ class ComparisonTable:
     labels: list[str]
     taus: list[float]
     values: np.ndarray  # shape (len(taus), len(labels))
-    ratios: np.ndarray  # values relative to the first run
     ordering_violations: list  # (tau, label_i, label_j) where value decreased
 
     def to_text(self) -> str:
@@ -821,15 +822,13 @@ def compare_curves(labeled_curves: list) -> ComparisonTable:
     if not taus:
         raise ValidationError("tau grids of the runs are disjoint")
     values = np.array(rows)
-    ratios = values / values[:, :1]
     violations = []
     for i, tau in enumerate(taus):
         for j in range(1, len(labels)):
             if values[i, j] < values[i, j - 1]:
                 violations.append((tau, labels[j - 1], labels[j]))
     return ComparisonTable(
-        labels=labels,
-        taus=taus, values=values, ratios=ratios,
+        labels=labels, taus=taus, values=values,
         ordering_violations=violations,
     )
 

@@ -20,8 +20,12 @@ realized by convolution with its binomial impulse response.  The white_pm,
 white_fm and random_walk_fm scalings are invariant under resampling; the two
 flicker scalings are tied to the grid they are generated on.
 
-A clock's noise is a pure function of its seed and its buffer size: each
-class redraws its whites for the whole buffer from its own seed.  A query
+Each class redraws its whites for the whole buffer from its own seed, so a
+class without flicker is a pure function of its seed and its buffer size.
+A flicker sample keeps the rounding of the filter size it was first
+realized at, and so depends on the sizes the queries grew the buffer
+through; a run queries its clocks the same way every time, so its tree is
+still a pure function of (scenario, seed).  A query
 grows the buffer once, through the doublings it reaches, and filters each
 flicker class at each of those sizes (two FFTs); these filters are most of
 the cost.  The filters of every clock take the kernel's spectrum at each
@@ -200,7 +204,7 @@ class TimeErrorSeries:
 
 class _NoiseState:
     """Lazily grown noise realization on a fixed grid, a pure function of the
-    profile seed and the buffer size.
+    profile seed and the sizes the buffer grew through.
 
     Each component keeps only its child seed (split off the profile seed).
     A grow redraws each class's whites for the whole buffer from its seed:

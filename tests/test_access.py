@@ -107,7 +107,7 @@ class TestRecoverTime:
         events = replace(events, user_emit_rel_s=1e-3 - events.fiber_us_s,
                          reversal_emit_rel_s=4e-3)
         obs = observe_round(node_at(0.0), events)
-        assert obs.t_u_an_rel_s == pytest.approx(1e-3, abs=1e-18)
+        assert tap_times(node_at(0.0), events)[0] == pytest.approx(1e-3, abs=1e-18)
         assert obs.recovered_rel_s == pytest.approx(2.5e-3, abs=1e-18)
 
     def test_negative_interval_raises(self):

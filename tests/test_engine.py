@@ -33,11 +33,11 @@ from fotsim.protocol import ProtocolConfig, RoundEvents, TicModel, run_rounds, s
 from fotsim.scenario import build_models, load_scenario, run, validate_scenario
 from fotsim.timebase import ClockModel, NoiseProfile, NOISE_TYPES
 
-ROUND_FIELDS = ("t_round_s", "t1_s", "t2_s", "reversal_delay_applied_s",
-                "offset_estimate_s", "true_offset_s", "residual_s")
-EVENT_FIELDS = ("epoch_s", "user_emit_rel_s", "server_pulse_rel_s", "rxs_rel_s",
+ROUND_FIELDS = ("t_round_s", "t1_s", "t2_s", "offset_estimate_s", "true_offset_s",
+                "residual_s")
+EVENT_FIELDS = ("user_emit_rel_s", "server_pulse_rel_s", "rxs_rel_s",
                 "reversal_emit_rel_s", "rxu_rel_s", "fiber_us_s", "fiber_su_s")
-NODE_FIELDS = ("t_u_an_rel_s", "t_s_an_rel_s", "t3_s", "recovered_rel_s", "residual_s")
+NODE_FIELDS = ("t3_s", "recovered_rel_s", "residual_s")
 
 
 def replay(server, user, link, hw, tic_server, tic_user, cfg, n_rounds,
@@ -262,7 +262,7 @@ def test_failure_in_a_later_round_matches_replay(monkeypatch, nodes):
     # the engine completed exactly the rounds before round 14, as the replay
     # without nodes computes them
     (events,) = completed
-    assert events.epoch_s.size == 14
+    assert events.user_emit_rel_s.size == 14
     *models, _ = copy.deepcopy(parts)
     cols, _ = replay(*models, 14, False)
     for name in EVENT_FIELDS:
@@ -307,7 +307,7 @@ def test_failure_under_emit_mode_and_quantization_matches_replay(
     assert str(engine_error.value) == str(replay_error.value)
 
     (events,) = completed
-    assert events.epoch_s.size == failing_round
+    assert events.user_emit_rel_s.size == failing_round
     cols, _ = replay(*copy.deepcopy(parts), failing_round, steering_enabled)
     for name in EVENT_FIELDS:
         assert same_bits(getattr(events, name), cols[name]), name

@@ -38,15 +38,33 @@ def traced(call):
     return result, peak - before, peak - after
 
 
+def traced_engine_run(emit, node_count, n_rounds):
+    """traced() of run_rounds over n_rounds rounds of a 230 km link with
+    node_count access nodes, its fluctuation taken at each crossing's
+    emission when emit, else at the round epoch."""
+    link = LinkModel(length_km=230.0, dispersion_coeff_ps_per_nm_km=17.0,
+                     fluctuation=FluctuationSpec(amplitude_s=1e-11, timescale_s=600.0,
+                                                 rng_seed=4),
+                     evaluate_at_emit_time=emit)
+    nodes = [AccessNode(distance_from_server_km=d,
+                        tic=TicModel(jitter_rms_s=3e-11, rng_seed=i), name=f"n{i}")
+             for i, d in enumerate((60.0, 170.0)[:node_count])]
+    models = (ClockModel(), ClockModel(initial_offset_s=1e-7, frac_frequency=1e-10),
+              link, HardwareDelays(tx_server_s=3.5e-8),
+              TicModel(jitter_rms_s=3e-11, rng_seed=7),
+              TicModel(jitter_rms_s=3e-11, rng_seed=8), ProtocolConfig())
+    return traced(lambda: run_rounds(*models, n_rounds, nodes=nodes))
+
+
 def test_round_engine_holds_a_fixed_number_of_columns_per_round():
     """Peak less the returned result, per round, stays within 2 columns
     with two access nodes and within 1 without, in either fluctuation mode.
 
-    run_rounds returns 14 float64 columns, and each of the two nodes' taps 5
+    run_rounds returns 13 float64 columns, and each of the two nodes' taps 3
     more.  The scan holds the input columns, at most ten, and the steering
     column, and per round only the Python floats of the round it is on,
     which memoryviews of the inputs hand out one at a time: about 11
-    columns, under the 14 returned.  After the scan the engine builds three
+    columns, under the 13 returned.  After the scan the engine builds three
     of its returned columns in place of inputs it has used for the last
     time: the user clock's time error becomes the user emissions, and the
     two path delays the two arrivals.  Its other inputs (the server clock's
@@ -58,27 +76,39 @@ def test_round_engine_holds_a_fixed_number_of_columns_per_round():
     returned columns and one temporary (numpy elides temporaries only above
     256 KiB, and 20k rounds are 160 KB a column): 1 column.  Each bound
     leaves a quarter of a column or more of slack for the call's Python
-    objects and small arrays (measured: 0.75 and 1.01 columns, in either
+    objects and small arrays (measured: 0.75 and 1.00 columns, in either
     mode); a block of the scan's inputs held as Python floats would go past
     the bound without nodes.
     """
     n_rounds = 20_000
     for emit in (False, True):
         for node_count, columns in ((2, 2), (0, 1)):
-            link = LinkModel(length_km=230.0, dispersion_coeff_ps_per_nm_km=17.0,
-                             fluctuation=FluctuationSpec(amplitude_s=1e-11, timescale_s=600.0,
-                                                         rng_seed=4),
-                             evaluate_at_emit_time=emit)
-            nodes = [AccessNode(distance_from_server_km=d,
-                                tic=TicModel(jitter_rms_s=3e-11, rng_seed=i), name=f"n{i}")
-                     for i, d in enumerate((60.0, 170.0)[:node_count])]
-            models = (ClockModel(), ClockModel(initial_offset_s=1e-7, frac_frequency=1e-10),
-                      link, HardwareDelays(tx_server_s=3.5e-8),
-                      TicModel(jitter_rms_s=3e-11, rng_seed=7),
-                      TicModel(jitter_rms_s=3e-11, rng_seed=8), ProtocolConfig())
-            result, _, transient = traced(lambda: run_rounds(*models, n_rounds, nodes=nodes))
+            result, _, transient = traced_engine_run(emit, node_count, n_rounds)
             assert len(result) == n_rounds
             assert transient <= columns * COLUMN * n_rounds, (emit, node_count)
+
+
+def test_round_engine_returns_each_value_once():
+    """What run_rounds leaves allocated for two access nodes over 20k
+    rounds, in either fluctuation mode: 13 + 2 x 3 columns and a stated
+    slack.
+
+    The result holds 13 columns: the epochs, T1, T2, the estimates, the
+    true offsets, the residuals and the events' seven time and fiber
+    columns.  Each node's observation holds 3: T3, the recovered times and
+    their residuals.  In emit mode the two fiber-delay columns are views of
+    the scan's array('d') buffers, which CPython over-allocates by at most
+    a sixteenth plus 7 items each: an eighth of a column more.  32 KiB of
+    slack covers the link's fluctuation path grown by the call (334 cells
+    here) and the result's Python objects (measured: 19.06 columns at the
+    round epoch, 19.15 in emit mode).  One more column per node, such as a
+    tap time, would go past the bound.
+    """
+    n_rounds = 20_000
+    for emit in (False, True):
+        result, peak, transient = traced_engine_run(emit, 2, n_rounds)
+        assert len(result) == n_rounds
+        assert peak - transient <= (13 + 2 * 3 + 1 / 8) * COLUMN * n_rounds + (32 << 10), emit
 
 
 def drifting_series(seed, n=1 << 20):

@@ -308,7 +308,7 @@ class TestSession:
         rounds = run_session(ClockModel(), ClockModel(), reciprocal_link(), HW0,
                              IDEAL_TIC(), IDEAL_TIC(), cfg, 5.0)
         assert rounds.t_round_s.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
-        assert rounds.events.epoch_s.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert rounds.events.user_emit_rel_s.size == 5
 
     def test_rejects_too_short_duration(self):
         cfg = ProtocolConfig(reversal_constant_s=5e-3)

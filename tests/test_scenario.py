@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
@@ -476,11 +477,22 @@ class TestCompare:
         doc["duration_s"] = 256.0
         return run(validate_scenario(doc))
 
-    def test_identical_runs_have_unit_ratio(self, tmp_path):
+    def test_identical_runs_have_equal_values(self, tmp_path):
         a = self._curve_report(tmp_path, "a", 1e-11)
         b = self._curve_report(tmp_path, "b", 1e-11)
         table = compare([a, b])
-        assert np.allclose(table.ratios[:, 1], 1.0)
+        assert np.array_equal(table.values[:, 0], table.values[:, 1])
+        assert table.ordering_violations == []
+
+    def test_zero_values_compare_without_warnings(self):
+        # a run without noise or frequency terms has a TDEV of 0 at every tau
+        from fotsim.stability import StabilityCurve
+        zero = StabilityCurve(np.array([1.0, 2.0]), np.array([0.0, 0.0]), np.array([5, 5]))
+        noisy = StabilityCurve(np.array([1.0, 2.0]), np.array([0.0, 1e-12]), np.array([5, 5]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = compare_curves([("zero", zero), ("noisy", noisy)])
+        assert np.array_equal(table.values, [[0.0, 0.0], [0.0, 1e-12]])
         assert table.ordering_violations == []
 
     def test_ordering_violations_flagged(self, tmp_path):
@@ -509,7 +521,6 @@ class TestCompare:
         table = compare_curves([("a", a), ("b", b)])
         assert table.taus == taus.tolist()
         assert np.array_equal(table.values, np.stack([a.values, b.values], axis=1))
-        assert np.allclose(table.ratios[:, 1], 2.0)
         assert table.ordering_violations == []
 
     def test_table_renders(self, tmp_path):
@@ -736,6 +747,19 @@ class TestCli:
         assert cli_main(["run", "--scenario", str(f), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "access_nodes" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_clocks_only_with_access_nodes_exits_1(self, tmp_path, capsys):
+        # a clocks_only run has no link for a node to tap: refused, not run
+        # without the node
+        doc = canned_doc("free_running_clocks")
+        doc["access_nodes"] = canned_doc("midlink_access_230km")["access_nodes"]
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(doc))
+        assert cli_main(["run", "--scenario", str(f), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario.access_nodes") and "sync" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     def test_apply_calibration_without_a_set_exits_1(self, tmp_path, capsys):
