@@ -18,8 +18,9 @@ into less than one unit of the kept bits, and dropping the product's low 64
 bits loses less than one more.  So the computed fraction decides the
 rounding, unless it lies at one half or one unit below.  Those cells, which
 include every exact decimal tie, are left to ``'%.16e' %``, as are
-subnormals, ``nan``, ``inf`` and the rare value whose scaled value lies
-within 2 units of a power of ten.  ``'%.16e' %`` is the reference the kernel
+subnormals, ``nan``, ``inf`` and the rare value next to a power of ten
+whose scaled value falls outside ``[10**16, 10**17)``, as where ``np.log10``
+is a decade off.  ``'%.16e' %`` is the reference the kernel
 matches, not a second path: it formats only what the kernel leaves open.
 The kernel multiplies by the high half of T_k first, and _round_up adds the
 low half only where the fraction comes near one half.
@@ -151,15 +152,13 @@ def _mul64(a1, a0, b1, b0, t=None):
     return hi, lo
 
 
-def _scaled(m, biased, j, t=None):
+def _scaled(m, biased, j, t):
     """x * 10**k in fixed point, for x with significand m (shifted up to bit
     63) and biased binary exponent (int64), and table row j (k = 16 - E):
     the two words of m * (T_k >> 64), and the width r of the fraction in
     the high word.  The table's low half would add less than 2**64 units to
-    lo.  t holds seven uint64 arrays of m's shape for the work (made when
-    None); hi, r and lo are written over the first three."""
-    if t is None:
-        t = [np.empty_like(m) for _ in range(7)]
+    lo.  t holds seven uint64 arrays of m's shape for the work; hi, r and lo
+    are written over the first three."""
     a1, a0, b1, b0, *rest = t
     hi, lo = _mul64(np.right_shift(m, _U32, out=a1), np.bitwise_and(m, _M32, out=a0),
                     _POW5[0].take(j, mode="clip", out=b1), _POW5[1].take(j, mode="clip", out=b0),
@@ -259,17 +258,11 @@ def _float_words(x: np.ndarray, out: np.ndarray, ws: _Scratch) -> None:
 
     hi, lo, r = _scaled(m, biased, j, u[3:10])
     d = np.right_shift(hi, r, out=u[6])
-    # np.log10 can be one off next to a power of ten: redo those cells one
-    # decade over.  A cell still outside [10**16, 10**17) then lies within 2
-    # units of a power of ten and is left open.
-    redo = np.less(d, np.uint64(10 ** 16), out=flags[0])
-    redo |= np.greater_equal(d, np.uint64(10 ** 17), out=flags[1])
-    redo = np.flatnonzero(redo)
-    if redo.size:
-        j[redo] += (d[redo] >= 10 ** 17).astype(np.int64) * 2 - 1
-        hi[redo], lo[redo], r[redo] = _scaled(m[redo], biased[redo], j[redo])
-        d[redo] = hi[redo] >> r[redo]
-        redo = redo[(d[redo] < 10 ** 16) | (d[redo] >= 10 ** 17)]
+    # np.log10 can be one off next to a power of ten: a cell outside
+    # [10**16, 10**17) is left open
+    off = np.less(d, np.uint64(10 ** 16), out=flags[0])
+    off |= np.greater_equal(d, np.uint64(10 ** 17), out=flags[1])
+    off = np.flatnonzero(off)
 
     half = np.subtract(r, np.uint64(1), out=u[0])
     np.left_shift(np.uint64(1), half, out=half)
@@ -300,7 +293,7 @@ def _float_words(x: np.ndarray, out: np.ndarray, ws: _Scratch) -> None:
     if every.size:
         x[every] = kept
     text = out.view(np.uint8)
-    for i in np.concatenate([special, redo, near]):
+    for i in np.concatenate([special, off, near]):
         raw = (_FLOAT_CELL % x[i]).encode("ascii")
         text[i] = 0
         text[i, :len(raw)] = np.frombuffer(raw, dtype=np.uint8)

@@ -298,11 +298,26 @@ def validate_scenario(doc: dict) -> Scenario:
             raise ValidationError(
                 f"scenario.access_nodes[{i}].name {name!r} repeats an earlier node's name"
             )
+    link = scenario.link
+    if link is not None and (link.biedfa_position_km or 0.0) > link.length_km:
+        raise ValidationError(
+            f"scenario.link.biedfa_position_km {link.biedfa_position_km:g} lies beyond "
+            f"the link's length_km {link.length_km:g}"
+        )
     if scenario.mode == "sync":
         if scenario.link is None:
             raise ValidationError("scenario.link is required in sync mode")
         if scenario.protocol is None:
             raise ValidationError("scenario.protocol is required in sync mode")
+        pspec = scenario.protocol
+        if (pspec.apply_calibration and pspec.calibration is not None
+                and pspec.calibration.reversal_constant_s != pspec.reversal_constant_s):
+            raise ValidationError(
+                f"scenario.protocol.calibration.reversal_constant_s "
+                f"{pspec.calibration.reversal_constant_s:g} differs from "
+                f"scenario.protocol.reversal_constant_s {pspec.reversal_constant_s:g}: "
+                f"an applied calibration must share C"
+            )
         for node in scenario.access_nodes:
             if node.distance_from_server_km > scenario.link.length_km:
                 raise ValidationError(

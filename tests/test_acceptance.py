@@ -5,6 +5,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one line per criterion.
 
 import filecmp
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from fotsim.access import AccessNode, observe_round, tap_times
 from fotsim.channel import Direction, FluctuationSpec, HardwareDelays, LinkModel, path_delay
 from fotsim.protocol import (ProtocolConfig, TicModel, run_rounds, run_session, sync_round,
                              tdm_admission, two_way_offset)
-from fotsim.scenario import build_calibration_set, load_scenario, run, validate_scenario
+from fotsim.scenario import (build_calibration_set, build_models, load_scenario, run,
+                             validate_scenario)
 from fotsim.stability import StabilityCurve, slope, tdev, tdev_bruteforce
 from fotsim.timebase import ClockModel, TimeErrorSeries
 
@@ -78,7 +80,6 @@ def test_criterion_2_asymmetry_and_calibration_theorem():
         "protocol": {"reversal_constant_s": 5e-3},
     }
     scenario = validate_scenario(doc)
-    from fotsim.scenario import build_models
     models = build_models(scenario)
 
     # uncalibrated: bias is half of tau_hd + tau_fpda + sagnac + tau_oaa
@@ -99,6 +100,91 @@ def test_criterion_2_asymmetry_and_calibration_theorem():
     assert abs(r2.residual_s) <= FS
     ok(f"criterion 2: uncalibrated bias {bias*1e12:.3f} ps == half of 3204 ps; "
        f"calibrated bias {abs(r2.residual_s):.2e} s")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    length_km=st.floats(0.0, 300.0),
+    dispersion_ps_per_nm_km=st.floats(-20.0, 20.0),
+    accumulated=st.booleans(),
+    sagnac_s_per_km=st.floats(-1e-11, 1e-11),
+    lambda_server_nm=st.floats(1260.0, 1675.0),
+    lambda_user_nm=st.floats(1260.0, 1675.0),
+    amplifier=st.floats(0.0, 1.0),
+    hardware=st.fixed_dictionaries({f.name: st.floats(0.0, 1e-6) for f in fields(HardwareDelays)}),
+    offsets_s=st.tuples(st.floats(-1e-6, 1e-6), st.floats(-1e-6, 1e-6)),
+)
+@example(length_km=230.0, dispersion_ps_per_nm_km=17.0, accumulated=False,
+         sagnac_s_per_km=30e-12 / 230.0, lambda_server_nm=1546.12, lambda_user_nm=1546.92,
+         amplifier=0.5, hardware={"tx_server_s": 30e-12, "rx_user_s": 20e-12, "tx_user_s": 15e-12,
+                                  "rx_server_s": 12e-12, "delay_unit_dev_server_s": 20e-12,
+                                  "delay_unit_dev_user_s": 12e-12, "biedfa_lambda1_s": 8e-12,
+                                  "biedfa_lambda2_s": 5e-12},
+         offsets_s=(0.0, 100e-9))
+@example(length_km=0.0, dispersion_ps_per_nm_km=17.0, accumulated=True, sagnac_s_per_km=1e-11,
+         lambda_server_nm=1260.0, lambda_user_nm=1675.0, amplifier=1.0,
+         hardware={f.name: 1e-6 for f in fields(HardwareDelays)}, offsets_s=(-1e-6, 1e-6))
+def test_criterion_2_calibration_identity_on_any_link(
+        length_km, dispersion_ps_per_nm_km, accumulated, sagnac_s_per_km, lambda_server_nm,
+        lambda_user_nm, amplifier, hardware, offsets_s):
+    """The calibration identity through the round engine, on drawn links.
+
+    The link has no fluctuation; its dispersion (by coefficient or
+    accumulated), Sagnac term (either sign, scaled by the length so that
+    neither direction's delay goes negative on a short link), wavelengths
+    and amplifier position are drawn, and so are non-negative hardware
+    chains and the two clocks' offsets.  build_calibration_set measures
+    tau_hd on a direct connection with ideal counters and noiseless clocks,
+    and takes tau_fpda and tau_oaa from the link and hardware constants.
+
+    In exact arithmetic T2 = 2 (x_u - x_s) + C + (tau_su - tau_us) +
+    dev_server, tau_su - tau_us = tau_hd - dev_server + tau_fpda + tau_oaa,
+    and the calibration measures each term exactly.  So the estimate
+    (T2 - C - tau_hd - tau_fpda - tau_oaa) / 2 equals the true offset x_u -
+    x_s, whatever the steer put in x_u, and the residual adds only dev_user
+    less its measured value, 0.  tau_fpda is the very sum the link halves
+    into its two directions, so it matches bit for bit.
+
+    In floating point, the operations from the clock offsets, the constants
+    and the hardware to the residual are fewer than 48: 25 in the round
+    (the base delay, the two directions' shares of the asymmetry and its
+    sum, three additions per path, the request's arrival, T1, C - T1 and
+    the two additions after it, the reply's arrival, T2, the estimate's four
+    subtractions, the true offset, the residual, the steering shift and its
+    addition), 12 in the direct-connection round and its tau_hd sample,
+    tau_oaa, the delay-unit reading, and the two means of 8 equal samples
+    (under 2^-17 s, so their error is below 2^-66 s).  Each rounds by at
+    most half an ulp of its result, every result lies below 2^-7 s (C = 5
+    ms, T1 under 1.5 ms, delays, offsets and asymmetries at most a few us),
+    where half an ulp is ulp(C) / 2 = 2^-61 s, and each reaches the residual
+    with a weight of at most 1.  So every round's |estimate - true offset| and
+    |residual| lie within 48 ulp(C) / 2 (2.1e-17 s), 48 times tighter than
+    criterion 2's 1 fs.
+    """
+    link = {"length_km": length_km, "sagnac_s": sagnac_s_per_km * length_km,
+            "lambda_server_nm": lambda_server_nm, "lambda_user_nm": lambda_user_nm,
+            "biedfa_position_km": amplifier * length_km}
+    if accumulated:
+        link["accumulated_dispersion_ps_per_nm"] = dispersion_ps_per_nm_km * length_km
+    else:
+        link["dispersion_coeff_ps_per_nm_km"] = dispersion_ps_per_nm_km
+    c = 5e-3
+    scenario = validate_scenario({
+        "name": "drawn_link", "mode": "sync", "duration_s": 16.0, "master_seed": 5,
+        "clocks": {"server": {"initial_offset_s": offsets_s[0]},
+                   "user": {"initial_offset_s": offsets_s[1]}},
+        "link": link, "hardware": hardware,
+        "tics": {"server": {"jitter_rms_s": 0.0}, "user": {"jitter_rms_s": 0.0}},
+        "protocol": {"reversal_constant_s": c, "calibration_rounds": 8},
+    })
+    cal = build_calibration_set(scenario)
+    models = build_models(scenario)
+    result = run_rounds(models.server, models.user, models.link, models.hw, ideal_tic(),
+                        ideal_tic(), ProtocolConfig(reversal_constant_s=c, calibration=cal), 16)
+    bound = 48 * np.spacing(c) / 2
+    assert bound <= FS
+    assert np.max(np.abs(result.offset_estimate_s - result.true_offset_s)) <= bound
+    assert np.max(np.abs(result.residual_s)) <= bound
 
 
 def test_criterion_3_multiple_access_position_invariance():

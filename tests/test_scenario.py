@@ -101,6 +101,28 @@ class TestValidation:
         with pytest.raises(ValidationError, match="far"):
             validate_scenario(doc)
 
+    def test_amplifier_beyond_link_rejected(self):
+        # at load time and named by its key, not where the link is built
+        doc = sync_doc()
+        doc["link"]["biedfa_position_km"] = 50.0
+        validate_scenario(doc)
+        doc["link"]["biedfa_position_km"] = 500.0
+        with pytest.raises(ValidationError,
+                           match=re.escape("scenario.link.biedfa_position_km 500 lies beyond")):
+            validate_scenario(doc)
+
+    @pytest.mark.parametrize("calibration", [{"reversal_constant_s": 1e-3}, {}])
+    def test_applied_calibration_of_another_reversal_constant_rejected(self, calibration):
+        # a set whose C differs from the protocol's, or is left out (0), cannot
+        # be applied; unapplied, it is only recorded
+        doc = sync_doc()
+        doc["protocol"].update(calibration=calibration, apply_calibration=True)
+        with pytest.raises(ValidationError, match=re.escape(
+                "scenario.protocol.calibration.reversal_constant_s")):
+            validate_scenario(doc)
+        doc["protocol"]["apply_calibration"] = False
+        validate_scenario(doc)
+
     @pytest.mark.parametrize("name", ["main", "a/b", "../x", "a\\b", ".x", "-x", "a b"])
     def test_node_name_that_is_not_a_plain_file_name_rejected(self, name):
         # the name makes the node's file names and seed path, and main is
@@ -760,6 +782,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: scenario.access_nodes") and "sync" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key,edit", [
+        ("link.biedfa_position_km", {"link": {"biedfa_position_km": 500.0}}),
+        ("protocol.calibration.reversal_constant_s",
+         {"protocol": {"auto_calibrate": False, "calibration": {"reversal_constant_s": 1e-3}}}),
+    ])
+    def test_keys_refused_at_load_exit_1_naming_them(self, tmp_path, capsys, key, edit):
+        # refused before the models are built, with the key in the error line
+        doc = canned_doc("demo_short")
+        for section, changes in edit.items():
+            doc[section].update(changes)
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(doc))
+        assert cli_main(["run", "--scenario", str(f), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scenario.{key} ") and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     def test_apply_calibration_without_a_set_exits_1(self, tmp_path, capsys):
