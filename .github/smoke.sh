@@ -87,13 +87,18 @@ python -c "import sys; from pathlib import Path; from fotsim.scenario import wri
 quiet fotsim compare "$T/zero_a.csv" "$T/zero_b.csv"
 # config errors, each found before anything is allocated and named by its key: two access
 # nodes of one name; an access node in a clocks_only run, which has no link to tap (not a node
-# dropped in silence); an amplifier past the link's end; a calibration set whose C is not the
-# protocol's; a NaN tau; a run past the size cap in either mode, by a long duration or a short
-# sample period; a noise grid coarser than the run
+# dropped in silence); a link or a protocol in a clocks_only run, which uses neither (not built
+# unused); an amplifier past the link's end; a calibration set whose C is not the protocol's;
+# a NaN tau; a run past the size cap in either mode, by a long duration or a short sample
+# period; a noise grid coarser than the run
 doc dup_nodes $S/midlink_access_230km.json "d['access_nodes'] *= 2"
 refused "$T/dup_nodes.json" access_nodes
 doc clocks_node $S/free_running_clocks.json "d['access_nodes'] = json.load(open('$S/midlink_access_230km.json'))['access_nodes'][:1]"
 refused "$T/clocks_node.json" access_nodes
+doc clocks_link $S/free_running_clocks.json "d['link'] = json.load(open('$S/link_sync_230km.json'))['link']"
+refused "$T/clocks_link.json" link
+doc clocks_protocol $S/free_running_clocks.json "d['protocol'] = json.load(open('$S/demo_short.json'))['protocol']"
+refused "$T/clocks_protocol.json" protocol
 doc far_amplifier $S/link_sync_230km.json "d['link']['biedfa_position_km'] = 500"
 refused "$T/far_amplifier.json" link.biedfa_position_km
 doc other_c $S/demo_short.json "d['protocol'].update(auto_calibrate=False, calibration={'reversal_constant_s': 1e-3})"

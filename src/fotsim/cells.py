@@ -30,10 +30,13 @@ Each chunk of rows is formatted in one kernel call per kind of column:
 every table, stacked, and ``_int_words`` those of every integer column.
 Every temporary of a call is a row of one ``_Scratch``, made once for the
 write.  A chunk of a table is laid out as a matrix of 4-byte words, seven
-per cell, in the order the text is read, in a bytearray.  Slots a cell does
-not use (a ``-`` of a positive value, a third exponent digit, the leading
-zeros of an integer) hold NUL bytes, and one ``translate`` of the bytearray
-drops them all.
+per cell, in the order the text is read.  Slots a cell does not use (a
+``-`` of a positive value, a third exponent digit, the leading zeros of an
+integer) hold NUL bytes, which a numpy boolean mask drops.  The calling
+thread formats every chunk; where the process may use two CPUs, one helper
+thread (``workers.on_helper``) drops the NUL bytes of each chunk and writes
+it while the caller formats the next, the two handing two sets of matrices
+back and forth.
 
 ``read_columns`` is the mirror: it reads cells in that shape with the same
 table (row k = E - 16) and leaves every other cell, and the few whose
@@ -43,6 +46,7 @@ rounding the bound leaves open, to ``float()``, the reference.
 from __future__ import annotations
 
 import os
+import queue
 from collections import Counter
 from collections.abc import Iterator
 from contextlib import ExitStack
@@ -50,12 +54,15 @@ from pathlib import Path
 
 import numpy as np
 
+from . import workers
 from .errors import ConfigError
-from .workers import share
+from .workers import on_helper, share
 
 # rows and cells (over all the tables of a write) per chunk: bound the
-# memory a write holds whatever the run length, to at most 175 bytes a cell
-# (see _table_texts).  A run's round tables with two access nodes (20 cells
+# memory a write holds whatever the run length, to at most 231 bytes a cell:
+# 91 of _Scratch, 28 of words, 28 in each of two buffer sets, and 28 each
+# in the mask and the text of a table's chunk (see _table_chunks and
+# _write_chunk).  A run's round tables with two access nodes (20 cells
 # a row) go out 1228 rows a chunk, a series (2 cells a row) 4096.  On a
 # two-core host those round tables wrote equally fast at 1024 to 4096 rows a
 # chunk, but from 2048 rows on their words and scratch raised the run's peak
@@ -328,25 +335,28 @@ def _chunk_rows(tables: list) -> int:
     return max(1, min(_CHUNK_ROWS, _CHUNK_CELLS // sum(map(len, tables))))
 
 
-def _table_texts(tables: list) -> Iterator[tuple]:
-    """For each chunk of _chunk_rows(tables) rows, (t, text) for every
-    table t in order: the CSV rows of the chunk as a bytearray, each line
-    ending in '\\n'.  A table is a list of columns, all of one length.
+def _table_chunks(tables: list, free: queue.SimpleQueue, sets: int) -> Iterator[tuple]:
+    """For each chunk of _chunk_rows(tables) rows, (matrices, k): k, the
+    chunk's rows, and a buffer set, one word matrix per table, the first k
+    rows of which hold the table's cells of the chunk, separators included.
+    A table is a list of columns, all of one length.
+
+    The pass makes `sets` buffer sets and puts them in free.  Each chunk
+    takes a set from free once its cells are formatted, waiting there while
+    none is free, and the consumer puts the set back when it is done with
+    it.  So a consumer on another thread has one set while the next chunk is
+    formatted into the other.
 
     Each distinct column array is formatted once per chunk, whichever
     tables (or columns) share it: the chunk's rows of every float column
     are stacked into one _float_words call, and of every integer column
     into one _int_words call, both on one _Scratch made for the pass.  A
     constant column (stride 0, as np.broadcast_to makes) is formatted once
-    for the whole pass, in one call per kind.  Each table's slots are then
-    filled from those words, in a word matrix that a bytearray backs, one
-    per table width, and one ``translate`` drops the NUL bytes straight
-    from it; only a short last chunk copies its part out first.  Every
-    buffer is reused from chunk to chunk, so the memory held is bounded by
-    the chunk: for each cell of a distinct column, 91 bytes of _Scratch and
-    28 of words; for each cell of a table, 28 in its word matrix and 28 in
-    its text, which translate makes at the size of its input.  That is at
-    most 175 bytes a cell, where no column is shared or constant.
+    for the whole pass, in one call per kind.  Each table's matrix is then
+    filled from those words.  Every buffer is reused from chunk to chunk,
+    so the memory held is bounded by the chunk: for each cell of a distinct
+    column, 91 bytes of _Scratch and 28 of words, and for each cell of a
+    table, 28 in the matrix of each set.
     """
     arrays: dict = {}
     tables = [[arrays.setdefault(id(col), np.asarray(col)) for col in columns]
@@ -370,26 +380,75 @@ def _table_texts(tables: list) -> Iterator[tuple]:
             words.update((id(col), out.view(_CELL)[c]) for c, col in enumerate(constant))
     batches = [(kernel, dtype, varying, np.empty((len(varying) * rows, _WORDS), dtype=np.uint32))
                for kernel, dtype, _, varying in kinds if varying]
-    buffers = {w: bytearray(rows * w * _CELL.itemsize) for w in set(map(len, tables))}
-    matrices = {w: np.frombuffer(b, dtype=_CELL).reshape(rows, w) for w, b in buffers.items()}
+    for _ in range(sets):
+        free.put([np.empty((rows, len(columns)), dtype=_CELL) for columns in tables])
     for start in range(0, n, step):
         k = min(n - start, step)
         for kernel, dtype, varying, out in batches:
             kernel(ws.stack(varying, start, k, dtype), out[:len(varying) * k], ws)
             cells = out.view(_CELL)[:, 0]
             words.update((id(col), cells[c * k:(c + 1) * k]) for c, col in enumerate(varying))
-        for t, columns in enumerate(tables):
-            matrix = matrices[len(columns)][:k]
+        matrices = free.get()
+        for matrix, columns in zip(matrices, tables):
+            matrix = matrix[:k]
             for j, col in enumerate(columns):
                 matrix[:, j] = words[id(col)]
             # the separator in the second byte of each cell's last word
             last = matrix.view(np.uint32)[:, _WORDS - 1::_WORDS]
             last[:, :-1] |= _COMMA
             last[:, -1] |= _NEWLINE
-            buffer = buffers[len(columns)]
-            if k < rows:
-                buffer = buffer[:matrix.nbytes]
-            yield t, buffer.translate(None, b"\0")
+        yield matrices, k
+
+
+def _write_chunk(files: list, matrices: list, k: int) -> None:
+    """Write the first k rows of each word matrix to its file, without their
+    NUL bytes.  The mask and the text it keeps are one table's chunk at a
+    time, and numpy makes both without the interpreter lock."""
+    for fh, matrix in zip(files, matrices):
+        text = matrix[:k].view(np.uint8).reshape(-1)
+        fh.write(text[text != 0])
+
+
+def _write_rows(files: list, tables: list) -> None:
+    """Write the CSV rows of tables, lists of columns of one length, to the
+    binary files, one table each.
+
+    The calling thread formats every chunk (_table_chunks).  Where
+    workers._worker_count() is 2 and there is more than one chunk, one
+    helper thread writes them (_write_chunk) in order, each while the caller
+    formats the next, and the two hand two buffer sets back and forth; else
+    the caller writes each chunk itself, from one set.  The caller always
+    hands the helper its stop item and returns only once the helper's run
+    has returned, also when the caller raises.  After a write fails, the
+    caller stops at its next chunk, and the first failure is raised here.
+    """
+    free = queue.SimpleQueue()
+    if workers._worker_count() == 1 or len(tables[0][0]) <= _chunk_rows(tables):
+        for matrices, k in _table_chunks(tables, free, 1):
+            _write_chunk(files, matrices, k)
+            free.put(matrices)
+        return
+    todo, failed = queue.SimpleQueue(), []
+
+    def write():
+        while (chunk := todo.get()) is not None:
+            try:
+                _write_chunk(files, *chunk)
+            except BaseException as exc:  # raised in the calling thread below
+                failed.append(exc)
+            free.put(chunk[0])
+
+    finished = on_helper(write)
+    try:
+        for chunk in _table_chunks(tables, free, 2):
+            if failed:
+                break
+            todo.put(chunk)
+    finally:
+        todo.put(None)
+        finished.wait()
+    if failed:
+        raise failed[0]
 
 
 def write_tables(tables: list) -> None:
@@ -399,15 +458,14 @@ def write_tables(tables: list) -> None:
     has one length.  A column with an integer dtype holds int64 values and
     is written as '%d' writes them, any other as float64 cells as '%.16e'
     writes them.  The files are written as bytes, so every line ends in
-    '\\n' on every platform.
+    '\\n' on every platform, and close only after the last write to them
+    has returned, on whichever thread made it.
     """
     with ExitStack() as stack:
         files = [stack.enter_context(open(path, "wb")) for path, _, _ in tables]
         for fh, (_, header, _) in zip(files, tables):
             fh.write((",".join(header) + "\n").encode("ascii"))
-        for t, text in _table_texts([columns for _, _, columns in tables]):
-            files[t].write(text)
-            del text  # before the next chunk's text is made
+        _write_rows(files, [columns for _, _, columns in tables])
 
 
 def write_columns(path: Path, header: list[str], columns: list) -> None:

@@ -323,8 +323,11 @@ def validate_scenario(doc: dict) -> Scenario:
                 raise ValidationError(
                     f"scenario.access_nodes: node {node.name!r} lies beyond the link"
                 )
-    elif scenario.access_nodes:
-        raise ValidationError("scenario.access_nodes needs mode sync: clocks_only has no link")
+    else:
+        # a clocks_only run uses none of these: refused, not ignored
+        for key in ("link", "protocol", "access_nodes"):
+            if getattr(scenario, key):
+                raise ValidationError(f"scenario.{key} needs mode sync: clocks_only has no link")
     _check_sizes(scenario)
     _check_series(scenario)
     _check_noise_grids(scenario)
@@ -615,11 +618,9 @@ def build_models(scenario: Scenario, master_seed: int | None = None) -> ModelSet
     seeds, (server, user, *tics) = _build_sites(scenario, seed, paths if sync else paths[:2])
     models = ModelSet(server=server, user=user, hw=scenario.hardware, seeds=seeds)
 
-    if scenario.link is not None:
+    if sync:
         seeds["link.fluctuation"] = derive_seed(seed, "link.fluctuation")
         models.link = _build_link(scenario.link, seeds["link.fluctuation"])
-
-    if sync:
         models.tic_server, models.tic_user = tics
         pspec = scenario.protocol
         calibration = pspec.calibration

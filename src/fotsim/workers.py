@@ -3,7 +3,10 @@
 The statistics of ``stability`` (one item per tau), the block parser of
 ``cells.read_columns`` (one item per block of the file) and a run's clocks
 (one item per clock, ``timebase.clock_time_errors``) run their items
-through ``share``.  numpy releases the interpreter lock inside its array
+through ``share``.  The CSV writer, ``cells.write_tables``, takes one
+helper through ``on_helper``: the calling thread formats each chunk of rows
+and the helper drops the chunk's NUL bytes and writes it, while the caller
+formats the next.  numpy releases the interpreter lock inside its array
 loops, so two threads keep two cores busy.
 
 Helper threads outlive the call that started them and wait for the next.
@@ -20,6 +23,7 @@ from __future__ import annotations
 import os
 import queue
 import threading
+from functools import partial
 
 
 def _worker_count() -> int:
@@ -48,13 +52,28 @@ if hasattr(os, "register_at_fork"):
 
 def _helper(inbox) -> None:
     while True:
-        run, ws, finished = inbox.get()
+        run, finished = inbox.get()
         try:
-            run(ws)
+            run()
         finally:
-            del run, ws  # an idle helper holds nothing of the call it ran
+            del run  # an idle helper holds nothing of the call it ran
             _idle.put(inbox)  # idle again before that call returns
             finished.set()
+
+
+def on_helper(run) -> threading.Event:
+    """Start run() on an idle helper thread, or on a new one where none is
+    idle, and return an event that is set once run has returned and the
+    helper is idle again.  run must not raise: an exception would end the
+    helper."""
+    try:
+        inbox = _idle.get_nowait()
+    except queue.Empty:
+        inbox = queue.SimpleQueue()
+        threading.Thread(target=_helper, args=(inbox,), daemon=True).start()
+    finished = threading.Event()
+    inbox.put((run, finished))
+    return finished
 
 
 def share(take, work, done, space, most: int) -> None:
@@ -98,15 +117,7 @@ def share(take, work, done, space, most: int) -> None:
                 failed.append((k, exc))
 
     spaces = [space() for _ in range(min(_worker_count(), most))]
-    finished = []
-    for ws in spaces[1:]:
-        try:
-            inbox = _idle.get_nowait()
-        except queue.Empty:
-            inbox = queue.SimpleQueue()
-            threading.Thread(target=_helper, args=(inbox,), daemon=True).start()
-        finished.append(threading.Event())
-        inbox.put((run, ws, finished[-1]))
+    finished = [on_helper(partial(run, ws)) for ws in spaces[1:]]
     if spaces:
         run(spaces[0])
     for event in finished:

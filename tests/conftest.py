@@ -13,9 +13,9 @@ def cold_kernel_cache(monkeypatch):
 
 @pytest.fixture
 def pin_workers(monkeypatch):
-    """pin_workers(k) makes stability's statistics, the CSV reader and a
-    run's clocks run on k workers (the calling thread and k - 1 helpers),
-    whatever CPUs this process may use."""
+    """pin_workers(k) makes stability's statistics, the CSV reader, the CSV
+    writer and a run's clocks run on k workers (the calling thread and
+    k - 1 helpers), whatever CPUs this process may use."""
 
     def pin(count):
         monkeypatch.setattr(workers, "_worker_count", lambda: count)

@@ -1,6 +1,7 @@
 """The CSV cell kernels: the writer against Python's '%.16e' and '%d', byte
 for byte, and the reader against float() and np.loadtxt, bit for bit."""
 
+import io
 import sys
 import tempfile
 import threading
@@ -44,8 +45,9 @@ def written(tmp_path, header, columns):
 
 def chunk_lines(columns):
     """The lines the writer makes of one table's columns, and a last ''."""
-    text = b"".join(text for _, text in cells._table_texts([columns]))
-    return text.decode("ascii").split("\n")
+    out = io.BytesIO()
+    cells._write_rows([out], [columns])
+    return out.getvalue().decode("ascii").split("\n")
 
 
 def kernel_cases(rng):
@@ -108,8 +110,7 @@ def test_million_values_reach_both_edges_of_the_rounding_window(monkeypatch):
 
     monkeypatch.setattr(cells, "_round_up", spy)
     for x in kernel_cases(np.random.default_rng(20260418)).values():
-        for _ in cells._table_texts([[x]]):
-            pass
+        cells._write_rows([io.BytesIO()], [[x]])
     offsets = np.concatenate(offsets)
     counts = {k: int(np.count_nonzero(offsets == k)) for k in (-2, -1, 0)}
     assert all(counts.values()), counts
@@ -159,10 +160,15 @@ def test_empty_columns_write_only_the_header(tmp_path):
 ONE_PASS_ROWS = cells._chunk_rows([[None] * 10])
 
 
+@pytest.mark.parametrize("count", [1, 2])
 @pytest.mark.parametrize("n", [0, 1, ONE_PASS_ROWS, 2 * ONE_PASS_ROWS + 1])
-def test_tables_written_in_one_pass_match_the_reference(tmp_path, monkeypatch, n):
+def test_tables_written_in_one_pass_match_the_reference(tmp_path, monkeypatch, pin_workers,
+                                                        n, count):
     # three tables over one length: a float column shared by all three, an
-    # integer column shared by two, constant float and integer columns
+    # integer column shared by two, constant float and integer columns.
+    # The caller formats every chunk, and writes it itself on one worker or
+    # hands it to the helper on two: the same bytes and kernel calls
+    pin_workers(count)
     rng = np.random.default_rng(n)
     index = np.arange(n)
     shared = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
@@ -200,6 +206,39 @@ def test_tables_written_in_one_pass_match_the_reference(tmp_path, monkeypatch, n
         want += [("_float_words", x[part].tolist() + y[part].tolist()),
                  ("_int_words", index[part].tolist() + signed[part].tolist())]
     assert str(calls) == str(want)
+
+
+def test_concurrent_writers_switching_often_write_the_reference(tmp_path, pin_workers,
+                                                                idle_helpers):
+    # more writes than cores, switching often: each caller and its helper
+    # hand two buffer sets back and forth, and a set refilled before its
+    # chunk is written would show in the bytes
+    pin_workers(2)
+    rng = np.random.default_rng(11)
+    n = 3 * cells._chunk_rows([[None] * 3]) + 5
+    columns = [np.arange(n), rng.standard_normal(n), 1e-9 * rng.standard_normal(n)]
+    errors = []
+
+    def write(k):
+        try:
+            cells.write_columns(tmp_path / f"{k}.csv", ["a", "b", "c"], columns)
+        except BaseException as exc:
+            errors.append(exc)
+
+    writers = [threading.Thread(target=write, args=(k,)) for k in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in writers:
+            thread.start()
+        for thread in writers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in writers) and not errors
+    want = "a,b,c\n" + reference_rows(columns)
+    for k in range(6):
+        check_text((tmp_path / f"{k}.csv").read_text(), want, f"{k}.csv")
 
 
 SPECIALS = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -4.9e-310, 2.2250738585072014e-308,

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import asdict
 from importlib import resources
@@ -784,6 +785,20 @@ class TestCli:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key", ["link", "protocol"])
+    def test_clocks_only_with_a_link_or_protocol_exits_1(self, tmp_path, capsys, key):
+        # a clocks_only run uses neither: refused, not built unused with a
+        # link.fluctuation seed in the manifest
+        doc = canned_doc("free_running_clocks")
+        doc[key] = canned_doc("link_sync_230km")[key]
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(doc))
+        assert cli_main(["run", "--scenario", str(f), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scenario.{key} ") and "sync" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("key,edit", [
         ("link.biedfa_position_km", {"link": {"biedfa_position_km": 500.0}}),
         ("protocol.calibration.reversal_constant_s",
@@ -823,11 +838,24 @@ class TestCli:
         assert cli_main(["run", "--scenario", str(f), "--out", str(tmp_path / "o")]) == 1
         assert "clock time error overflows" in capsys.readouterr().err
 
+    @staticmethod
+    def chunked_run_argv(tmp_path):
+        """`fotsim run` of demo_short over three chunks of rounds.csv, which
+        the calling thread formats and a helper writes."""
+        doc = canned_doc("demo_short") | {"duration_s": 3.0 * cells._chunk_rows([[None] * 6])}
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(doc))
+        return ["run", "--scenario", str(f), "--out", str(tmp_path / "o")]
+
     @pytest.mark.parametrize("command", ["tdev", "run"])
-    def test_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch, command):
+    def test_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch, pin_workers,
+                                   idle_helpers, command):
         # the CSV reader's workspace raises MemoryError or its read fails
         # with ENOMEM, or the CSV writer raises MemoryError: an error line
-        # and exit 1, not an i/o error or a traceback
+        # and exit 1, not an i/o error or a traceback.  The writer's helper,
+        # waiting for the chunk the caller failed in, ends its run
+        pin_workers(2)
+
         def fail(*args):
             raise MemoryError()
 
@@ -842,7 +870,7 @@ class TestCli:
             seams = [("_Workspace", fail),
                      ("open", lambda path, mode: StarvedReader(io.FileIO(path, mode)))]
         else:
-            argv = ["run", "--scenario", "demo_short", "--out", str(tmp_path / "o")]
+            argv = self.chunked_run_argv(tmp_path)
             seams = [("_float_words", fail)]
         for name, stand_in in seams:
             with monkeypatch.context() as patch:
@@ -850,6 +878,30 @@ class TestCli:
                 assert cli_main(argv) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: out of memory") and "Traceback" not in err
+        assert idle_helpers.qsize() == (command == "run")
+
+    def test_a_failed_write_on_the_helper_exits_3(self, tmp_path, capsys, monkeypatch,
+                                                  pin_workers, idle_helpers):
+        # the disk fills in the helper's write of the second chunk: an i/o
+        # error line and exit 3, no traceback, and the helper idle again
+        pin_workers(2)
+        caller, writes = threading.current_thread(), []
+
+        class FullDisk(io.BufferedWriter):
+            def write(self, data):
+                if threading.current_thread() is not caller:
+                    writes.append(len(data))
+                    if len(writes) == 2:
+                        raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(data)
+
+        monkeypatch.setattr(cells, "open", lambda path, mode: FullDisk(io.FileIO(path, mode)),
+                            raising=False)
+        assert cli_main(self.chunked_run_argv(tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: [Errno 28] No space left on device")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert len(writes) >= 2 and idle_helpers.qsize() == 1
 
     @staticmethod
     def compare_into(stdout, tmp_path, **env):
