@@ -85,12 +85,21 @@ test "$(grep -cE '^ *[0-9]' "$T/subns.txt")" = 4
 # curves whose first value is 0, as a run without noise writes: compare prints them quietly
 python -c "import sys; from pathlib import Path; from fotsim.scenario import write_curve_csv; from fotsim.stability import StabilityCurve; [write_curve_csv(Path(p), StabilityCurve([1.0, 2.0], [0.0, v], [64, 32])) for p, v in zip(sys.argv[1:], [0.0, 1e-12])]" "$T/zero_a.csv" "$T/zero_b.csv"
 quiet fotsim compare "$T/zero_a.csv" "$T/zero_b.csv"
+# --seed S runs the document with master_seed S: the CSVs of the document that sets it, byte
+# for byte, and a manifest that records S
+doc seed99 $S/midlink_access_230km.json "d['master_seed'] = 99"
+fotsim run --scenario midlink_access_230km --seed 99 --out "$T/seed_option"
+fotsim run --scenario "$T/seed99.json" --out "$T/seed_doc"
+for f in "$T"/seed_doc/*.csv; do cmp "$f" "$T/seed_option/${f##*/}"; done
+test "$(ls "$T/seed_doc")" = "$(ls "$T/seed_option")"
+grep -q '^  "master_seed": 99,$' "$T/seed_option/manifest.json"
 # config errors, each found before anything is allocated and named by its key: two access
 # nodes of one name; an access node in a clocks_only run, which has no link to tap (not a node
 # dropped in silence); a link or a protocol in a clocks_only run, which uses neither (not built
 # unused); an amplifier past the link's end; a calibration set whose C is not the protocol's;
-# a NaN tau; a run past the size cap in either mode, by a long duration or a short sample
-# period; a noise grid coarser than the run
+# an applied calibration the document neither gives nor builds; a NaN tau; a run past the size
+# cap in either mode, by a long duration or a short sample period; a noise grid coarser than
+# the run
 doc dup_nodes $S/midlink_access_230km.json "d['access_nodes'] *= 2"
 refused "$T/dup_nodes.json" access_nodes
 doc clocks_node $S/free_running_clocks.json "d['access_nodes'] = json.load(open('$S/midlink_access_230km.json'))['access_nodes'][:1]"
@@ -103,6 +112,8 @@ doc far_amplifier $S/link_sync_230km.json "d['link']['biedfa_position_km'] = 500
 refused "$T/far_amplifier.json" link.biedfa_position_km
 doc other_c $S/demo_short.json "d['protocol'].update(auto_calibrate=False, calibration={'reversal_constant_s': 1e-3})"
 refused "$T/other_c.json" protocol.calibration.reversal_constant_s
+doc no_calibration $S/demo_short.json "d['protocol']['auto_calibrate'] = False"
+refused "$T/no_calibration.json" protocol.apply_calibration
 doc nan_tau $S/demo_short.json "d['tdev_taus'] = [float('nan')]"
 refused "$T/nan_tau.json" tdev_taus
 doc huge_clocks_duration $S/free_running_clocks.json "d['duration_s'] = 1e20"

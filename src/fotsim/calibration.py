@@ -93,17 +93,17 @@ def calibrate_delay_unit(
     return DelayUnitCalibration(deviation_s=float(np.mean(dev)), std_s=std, n=int(dev.size))
 
 
-def corrected_offset(t2_s: float, cal: CalibrationSet) -> float:
+def corrected_offset(t2_s, cal: CalibrationSet):
     """Clock offset estimate from the response interval and the corrections.
 
     offset = 0.5 * (T2 - C - tau_hd - tau_fpda - tau_oaa).  The user
     delay-unit deviation is not part of the estimate; it is subtracted from
-    the applied steering where it physically occurs.
+    the applied steering where it physically occurs.  t2_s is a float, or
+    an array whose estimates, bit for bit the float calls', fill a new one.
     """
-    return 0.5 * (
-        t2_s
-        - cal.reversal_constant_s
-        - cal.tau_hd_s
-        - cal.tau_fpda_s
-        - cal.tau_oaa_s
-    )
+    offset = t2_s - cal.reversal_constant_s
+    offset -= cal.tau_hd_s
+    offset -= cal.tau_fpda_s
+    offset -= cal.tau_oaa_s
+    offset *= 0.5
+    return offset

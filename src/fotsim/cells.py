@@ -468,12 +468,6 @@ def write_tables(tables: list) -> None:
         _write_rows(files, [columns for _, _, columns in tables])
 
 
-def write_columns(path: Path, header: list[str], columns: list) -> None:
-    """Write equal-length columns as CSV rows under a header line: the
-    one-table case of write_tables."""
-    write_tables([(path, header, columns)])
-
-
 # bytes of text per block of read_columns: bounds the memory a read holds
 # whatever the file length.  Two workers hand the interpreter lock back and
 # forth between numpy's calls, which are short on short blocks: on a
@@ -754,7 +748,7 @@ def read_header(path: Path) -> list[str]:
 def read_columns(path: Path, names: list[str]) -> list[np.ndarray]:
     """The named columns of a CSV file under a header line, as float64 arrays.
 
-    The mirror of write_columns.  A cell in the '%.16e' shape is read by the
+    The mirror of write_tables.  A cell in the '%.16e' shape is read by the
     kernel; any other number float() reads is read by float(), the
     reference.  A missing column, a row with another number of fields than
     the header and a cell that is not a number raise ConfigError naming the

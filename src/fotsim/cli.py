@@ -30,11 +30,18 @@ from .stability import MIN_SAMPLES, tdev
 from .timebase import TimeErrorSeries
 
 
-def _cmd_run(args) -> str:
+def _load(args):
+    # master_seed is --seed where given; the raw echo keeps the document as written
     scenario = load_scenario(args.scenario)
-    report = run(scenario, out_dir=args.out, master_seed=args.seed)
+    if args.seed is not None:
+        scenario.master_seed = args.seed
+    return scenario
+
+
+def _cmd_run(args) -> str:
+    report = run(_load(args), out_dir=args.out)
     summary = report.manifest["summary"]["main"]
-    return (f"{scenario.name}: {summary['n_samples']} samples, "
+    return (f"{report.name}: {summary['n_samples']} samples, "
             f"tdev {summary['tdev_first_s']:.3e} s -> {summary['tdev_last_s']:.3e} s, "
             f"outputs in {report.out_dir}")
 
@@ -80,9 +87,7 @@ def _cmd_compare(args) -> str:
 
 
 def _cmd_calibrate(args) -> str:
-    scenario = load_scenario(args.scenario)
-    cal = build_calibration_set(scenario, master_seed=args.seed,
-                                literal_sign=args.literal_sign)
+    cal = build_calibration_set(_load(args), literal_sign=args.literal_sign)
     return json.dumps(asdict(cal), indent=2, sort_keys=True)
 
 
@@ -100,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute a scenario and write its artifacts")
     p.add_argument("--scenario", required=True, help="scenario file or canned name")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override the master seed")
+    p.add_argument("--seed", type=int, default=None, help="run with this master_seed")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("tdev", help="compute a stability curve from a CSV")
@@ -120,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="run the direct-connection calibration "
                        "pipeline for a scenario and print the result")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="run with this master_seed")
     p.add_argument("--literal-sign", action="store_true",
                    help="use the flipped-offset-sign hardware-delay variant")
     p.set_defaults(func=_cmd_calibrate)

@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .access import AccessNode
 from .calibration import CalibrationSet, calibrate_delay_unit, calibrate_hardware_delay
-from .cells import read_columns, write_columns, write_tables
+from .cells import read_columns, write_tables
 from .channel import FluctuationSpec, HardwareDelays, LinkModel
 from .errors import ScenarioParseError, ValidationError
 from .protocol import (
@@ -310,6 +310,11 @@ def validate_scenario(doc: dict) -> Scenario:
         if scenario.protocol is None:
             raise ValidationError("scenario.protocol is required in sync mode")
         pspec = scenario.protocol
+        if pspec.apply_calibration and pspec.calibration is None and not pspec.auto_calibrate:
+            raise ValidationError(
+                "scenario.protocol.apply_calibration applies a calibration the document neither "
+                "gives nor builds: set scenario.protocol.calibration or auto_calibrate, or set "
+                "apply_calibration to false")
         if (pspec.apply_calibration and pspec.calibration is not None
                 and pspec.calibration.reversal_constant_s != pspec.reversal_constant_s):
             raise ValidationError(
@@ -531,9 +536,7 @@ def _build_link(spec: SimpleNamespace, seed: int | None) -> LinkModel:
     return LinkModel(**kwargs)
 
 
-def build_calibration_set(
-    scenario: Scenario, master_seed: int | None = None, literal_sign: bool = False
-) -> CalibrationSet:
+def build_calibration_set(scenario: Scenario, literal_sign: bool = False) -> CalibrationSet:
     """Run the full calibration pipeline for a scenario's equipment.
 
     Hardware delay: the two sites are directly connected (zero-length link,
@@ -545,12 +548,11 @@ def build_calibration_set(
     """
     if scenario.protocol is None or scenario.link is None:
         raise ValidationError("calibration needs scenario.protocol and scenario.link")
-    seed = scenario.master_seed if master_seed is None else master_seed
     pspec = scenario.protocol
     hw = scenario.hardware
     c = pspec.reversal_constant_s
 
-    _, (server, user, tic_server, tic_user) = _build_sites(scenario, seed, (
+    _, (server, user, tic_server, tic_user) = _build_sites(scenario, scenario.master_seed, (
         "calibration.clock_server", "calibration.clock_user",
         "calibration.tic_server", "calibration.tic_user",
     ))
@@ -568,7 +570,7 @@ def build_calibration_set(
     du_tic = TicModel(
         jitter_rms_s=scenario.tics.user.jitter_rms_s,
         resolution_s=0.0,
-        rng_seed=derive_seed(seed, "calibration.delay_unit_tic"),
+        rng_seed=derive_seed(scenario.master_seed, "calibration.delay_unit_tic"),
     )
     programmed = 1e-3
     n = pspec.calibration_rounds
@@ -609,9 +611,9 @@ def build_calibration_set(
     )
 
 
-def build_models(scenario: Scenario, master_seed: int | None = None) -> ModelSet:
-    """Construct all live model objects for a run, with derived seeds."""
-    seed = scenario.master_seed if master_seed is None else master_seed
+def build_models(scenario: Scenario) -> ModelSet:
+    """Construct all live model objects for a run, seeded from its master_seed."""
+    seed = scenario.master_seed
     # a clocks_only run has no counters, and its manifest records no seeds for them
     paths = ("clocks.server.noise", "clocks.user.noise", "tics.server", "tics.user")
     sync = scenario.mode == "sync"
@@ -625,9 +627,7 @@ def build_models(scenario: Scenario, master_seed: int | None = None) -> ModelSet
         pspec = scenario.protocol
         calibration = pspec.calibration
         if calibration is None and pspec.auto_calibrate:
-            calibration = build_calibration_set(scenario, master_seed=seed)
-        if pspec.apply_calibration and calibration is None:
-            raise ValidationError("apply_calibration requires a calibration set")
+            calibration = build_calibration_set(scenario)
         models.calibration = calibration
         models.protocol = ProtocolConfig(
             reversal_constant_s=pspec.reversal_constant_s,
@@ -660,11 +660,11 @@ class RunReport:
 
 
 def write_series_csv(path: Path, series: TimeErrorSeries) -> None:
-    write_columns(path, SERIES_HEADER, [np.arange(len(series)), series.values])
+    write_tables([(path, SERIES_HEADER, [np.arange(len(series)), series.values])])
 
 
 def write_curve_csv(path: Path, curve: StabilityCurve) -> None:
-    write_columns(path, TDEV_HEADER, [curve.taus, curve.values, curve.n_samples])
+    write_tables([(path, TDEV_HEADER, [curve.taus, curve.values, curve.n_samples])])
 
 
 def read_curve_csv(path: Path) -> StabilityCurve:
@@ -703,15 +703,13 @@ def write_rounds_csv(out_dir: Path, rounds: SyncRoundResult) -> list[str]:
     return list(tables)
 
 
-def run(scenario: Scenario, out_dir: str | Path | None = None,
-        master_seed: int | None = None) -> RunReport:
+def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunReport:
     """Execute a scenario and, when out_dir is given, persist its artifacts.
 
-    The artifact tree is a pure function of (scenario, master_seed): rerunning
-    with equal inputs produces byte-identical files.
+    The artifact tree is a pure function of the scenario, its master_seed
+    included: rerunning it produces byte-identical files.
     """
-    seed = scenario.master_seed if master_seed is None else master_seed
-    models = build_models(scenario, master_seed=seed)
+    models = build_models(scenario)
     curves: dict = {}
     series: dict = {}
     rounds = None
@@ -745,7 +743,7 @@ def run(scenario: Scenario, out_dir: str | Path | None = None,
         "numpy_version": np.__version__,
         "name": scenario.name,
         "mode": scenario.mode,
-        "master_seed": seed,
+        "master_seed": scenario.master_seed,
         "derived_seeds": models.seeds,
         "scenario": scenario.raw,
         "outputs": [],
@@ -849,6 +847,6 @@ def compare_curves(labeled_curves: list) -> ComparisonTable:
     )
 
 
-def compare(reports: list, curve_key: str = "main") -> ComparisonTable:
-    """Compare the named stability curve across two or more run reports."""
-    return compare_curves([(r.name, r.curves[curve_key]) for r in reports])
+def compare(reports: list) -> ComparisonTable:
+    """Compare the main stability curve across two or more run reports."""
+    return compare_curves([(r.name, r.curves["main"]) for r in reports])

@@ -55,17 +55,19 @@ def _helper(inbox) -> None:
         run, finished = inbox.get()
         try:
             run()
-        finally:
+            # a run that raised ends the thread, and threading.excepthook
+            # reports it: its inbox does not go back on _idle
             del run  # an idle helper holds nothing of the call it ran
             _idle.put(inbox)  # idle again before that call returns
+        finally:
             finished.set()
 
 
 def on_helper(run) -> threading.Event:
     """Start run() on an idle helper thread, or on a new one where none is
     idle, and return an event that is set once run has returned and the
-    helper is idle again.  run must not raise: an exception would end the
-    helper."""
+    helper is idle again.  A run that raises ends its helper, which is not
+    taken again; the event is set all the same."""
     try:
         inbox = _idle.get_nowait()
     except queue.Empty:

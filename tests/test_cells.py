@@ -37,7 +37,7 @@ def check_text(got, want, what=""):
 
 def written(tmp_path, header, columns):
     path = tmp_path / "cells.csv"
-    cells.write_columns(path, header, columns)
+    cells.write_tables([(path, header, columns)])
     data = path.read_bytes()
     assert b"\r" not in data
     return data.decode("ascii")
@@ -221,7 +221,7 @@ def test_concurrent_writers_switching_often_write_the_reference(tmp_path, pin_wo
 
     def write(k):
         try:
-            cells.write_columns(tmp_path / f"{k}.csv", ["a", "b", "c"], columns)
+            cells.write_tables([(tmp_path / f"{k}.csv", ["a", "b", "c"], columns)])
         except BaseException as exc:
             errors.append(exc)
 
@@ -307,7 +307,7 @@ def test_read_returns_what_was_written_bit_for_bit(tmp_path):
     x = np.concatenate(list(kernel_cases(rng).values()))
     index = np.arange(x.size)
     path = tmp_path / "cells.csv"
-    cells.write_columns(path, ["index", "x"], [index, x])
+    cells.write_tables([(path, ["index", "x"], [index, x])])
     assert path.stat().st_size > 20 * cells._BLOCK_BYTES
     got_index, got = cells.read_columns(path, ["index", "x"])
     assert np.array_equal(got_index, index)
@@ -324,7 +324,7 @@ def test_rows_split_across_small_blocks(tmp_path, monkeypatch, block):
     x = rng.standard_normal(300) * 10.0 ** rng.integers(-300, 300, 300)
     x[:5] = [0.0, -0.0, 5e-324, np.inf, 2.5]
     path = tmp_path / "cells.csv"
-    cells.write_columns(path, ["i", "x", "y"], [np.arange(300), x, -x])
+    cells.write_tables([(path, ["i", "x", "y"], [np.arange(300), x, -x])])
     monkeypatch.setattr(cells, "_BLOCK_BYTES", block)
     y, got = read_back(path, ["y", "x"])
     assert np.array_equal(got, x.view(np.uint64))
@@ -390,7 +390,7 @@ def test_fallback_reads_only_what_the_kernel_leaves_open(tmp_path, monkeypatch, 
     def by_reference(x):
         seen.clear()
         path = tmp_path / "cells.csv"
-        cells.write_columns(path, ["x"], [x])
+        cells.write_tables([(path, ["x"], [x])])
         cells.read_columns(path, ["x"])
         return [cell.decode() for cell in seen]
 
@@ -435,7 +435,7 @@ def test_malformed_files_raise_config_error(tmp_path, text, message):
 def test_error_line_numbers_count_across_blocks(tmp_path):
     n = 150_000
     path = tmp_path / "x.csv"
-    cells.write_columns(path, ["i", "x"], [np.arange(n), np.linspace(-1.0, 1.0, n)])
+    cells.write_tables([(path, ["i", "x"], [np.arange(n), np.linspace(-1.0, 1.0, n)])])
     lines = path.read_text().split("\n")
     lines[110_001] = lines[110_001].replace("e", "q")
     path.write_text("\n".join(lines))
@@ -456,7 +456,7 @@ def mixed_file(path, rows, final=True):
     fallback cells alike, ending in a newline or not."""
     x = np.random.default_rng(rows).integers(0, 2 ** 64, rows, dtype=np.uint64).view(np.float64)
     x[:5] = [0.0, -0.0, 5e-324, np.inf, 2.5]
-    cells.write_columns(path, ["i", "x", "y"], [np.arange(rows), x, -x])
+    cells.write_tables([(path, ["i", "x", "y"], [np.arange(rows), x, -x])])
     if not final:
         path.write_bytes(path.read_bytes()[:-1])
 

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fotsim
 from fotsim.access import AccessNode, observe_round
-from fotsim.calibration import CalibrationSet
+from fotsim.calibration import CalibrationSet, corrected_offset
 from fotsim.channel import FluctuationSpec, HardwareDelays, LinkModel
 from fotsim.errors import (
     NegativeT3Error,
@@ -315,6 +315,75 @@ def test_failure_under_emit_mode_and_quantization_matches_replay(
         replay(*copy.deepcopy(parts), failing_round + 1, steering_enabled)
 
 
+def failing_parts(check, emit):
+    """Steered models whose rounds first fail check in a round after round 0.
+
+    A zero-length link carries only the fluctuation path, one cell a round,
+    so a crossing's delay is the path plus its TX delay.  The two delay
+    checks get a TX delay that keeps round 0's delay above 0 and takes the
+    path's lowest value below it.  For the other two the user clock drifts
+    quadratically and the steer lags it, so T1 grows by 1e-4 s a round: past
+    C/2 the reversal emission precedes the request.  A server delay unit
+    that adds C moves that limit past C, so T1 >= C fails first."""
+    link = LinkModel(length_km=0.0, dispersion_coeff_ps_per_nm_km=0.0,
+                     fluctuation=FluctuationSpec(amplitude_s=1e-9, timescale_s=5.0,
+                                                 grid_s=1.0, rng_seed=4),
+                     evaluate_at_emit_time=emit)
+    path = copy.deepcopy(link).fluctuation_values(np.arange(100.0))
+    crossing = -0.5 * (path[0] + path.min())
+    hw = {"tx_user_s": 1e-6, "tx_server_s": 1e-6}
+    user = ClockModel()
+    if check == "u->s delay":
+        hw["tx_user_s"] = crossing
+    elif check == "s->u delay":
+        hw["tx_server_s"] = crossing
+    else:
+        user = ClockModel(drift_per_s=-1e-4)
+        if check == "T1 >= C":
+            hw["delay_unit_dev_server_s"] = 5e-3
+    return (ClockModel(), user, link, HardwareDelays(**hw), TicModel(), TicModel(),
+            ProtocolConfig(reversal_constant_s=5e-3))
+
+
+@pytest.mark.parametrize("emit", [False, True], ids=["quasi-static", "emit"])
+@pytest.mark.parametrize("check,error,message", [
+    ("u->s delay", NonCausalError, "user->server path delay is negative"),
+    ("T1 >= C", ReversalOverflowError, "reaches the reversal constant"),
+    ("causality", NonCausalError, "reversal emission precedes the request"),
+    ("s->u delay", NonCausalError, "server->user path delay is negative"),
+])
+def test_each_check_fails_as_the_replay_after_the_same_rounds(monkeypatch, check, error,
+                                                              message, emit):
+    # the engine finds the failing round in its one failure mask and the
+    # check it failed from the columns it keeps: it raises what the replay
+    # raises, after completing the rounds the replay completes
+    parts = failing_parts(check, emit)
+    completed = []
+
+    def recording_events(**fields):
+        completed.append(RoundEvents(**fields))
+        return completed[-1]
+
+    monkeypatch.setattr(protocol, "RoundEvents", recording_events)
+    with pytest.raises(ProtocolError) as engine_error:
+        run_rounds(*copy.deepcopy(parts), 100)
+    monkeypatch.undo()
+    with pytest.raises(ProtocolError) as replay_error:
+        replay(*copy.deepcopy(parts), 100)
+    assert type(engine_error.value) is type(replay_error.value) is error
+    assert str(engine_error.value) == str(replay_error.value)
+    assert message in str(replay_error.value)
+
+    (events,) = completed
+    failing_round = events.user_emit_rel_s.size
+    assert 0 < failing_round < 100
+    cols, _ = replay(*copy.deepcopy(parts), failing_round)
+    for name in EVENT_FIELDS:
+        assert same_bits(getattr(events, name), cols[name]), name
+    with pytest.raises(error, match=message):
+        replay(*copy.deepcopy(parts), failing_round + 1)
+
+
 def test_emit_mode_failure_is_not_hidden_by_a_later_round_past_the_path_cap(tmp_path):
     """A user clock 4 ms behind the server makes round 0's T1 exceed C.  In
     emit mode on a 0.1 ms path grid, a later round of a scan that ran on
@@ -404,6 +473,25 @@ def test_uncalibrated_estimate_is_half_of_t2_less_c():
     assert same_bits(result.offset_estimate_s, 0.5 * (result.t2_s - c))
     assert same_bits(cols["offset_estimate_s"], [0.5 * (t2 - c) for t2 in cols["t2_s"]])
     assert same_bits(result.t2_s, cols["t2_s"])
+
+
+finite = st.floats(-1e300, 1e300)  # no sum of five overflows
+correction = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(finite, max_size=40), st.tuples(finite, *[correction] * 4))
+def test_corrected_offset_of_an_array_equals_its_float_calls(t2, constants):
+    # the engine's estimates and sync_round's come from the one function
+    c, hd, fpda, oaa, delay_u = constants
+    names = ("tau_hd_s", "tau_fpda_s", "tau_oaa_s", "tau_delay_u_s")
+    cal = CalibrationSet(reversal_constant_s=c, tau_hd_s=hd, tau_fpda_s=fpda,
+                         tau_oaa_s=oaa, tau_delay_u_s=delay_u,
+                         provenance={name: "drawn" for name in names})
+    t2_array = np.array(t2, dtype=float)
+    got = corrected_offset(t2_array, cal)
+    assert got is not t2_array and same_bits(t2_array, t2)
+    assert same_bits(got, [corrected_offset(x, cal) for x in t2])
 
 
 # --- batched reads that feed the engine -----------------------------------

@@ -194,7 +194,7 @@ def test_read_columns_holds_its_output_and_one_workspace_per_worker(tmp_path, pi
     n = 4 * rows_per_block
     x = 1.0 + np.random.default_rng(5).random(n)
     path = tmp_path / "even.csv"
-    cells.write_columns(path, ["x", "y"], [x, 2.0 * x])
+    cells.write_tables([(path, ["x", "y"], [x, 2.0 * x])])
     assert path.stat().st_size == 4 + 46 * n
     (got, _), peak, _ = traced(lambda: cells.read_columns(path, ["x", "y"]))
     assert np.array_equal(got, x)

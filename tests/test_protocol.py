@@ -21,6 +21,7 @@ from fotsim.protocol import (
     ProtocolConfig,
     TicModel,
     compute_reversal_delay,
+    run_rounds,
     run_session,
     sync_round,
     tdm_admission,
@@ -287,8 +288,8 @@ class TestSession:
             noise_grid_s=1.0)
         server, user = mk(1), mk(2)
         cfg = ProtocolConfig(reversal_constant_s=5e-3)
-        rounds = run_session(server, user, reciprocal_link(), HW0, IDEAL_TIC(),
-                             IDEAL_TIC(), cfg, 50.0, steering_enabled=False)
+        rounds = run_rounds(server, user, reciprocal_link(), HW0, IDEAL_TIC(),
+                            IDEAL_TIC(), cfg, 50, steering_enabled=False)
         expected = [user.time_error(float(k)) - server.time_error(float(k))
                     for k in range(50)]
         assert rounds.true_offset_s == pytest.approx(expected, abs=1e-18)

@@ -260,6 +260,13 @@ REQUIRED_KEYS = {
     "scenario.access_nodes[]": {"name", "distance_from_server_km"},
 }
 
+
+def applies_no_calibration(protocol):
+    # a protocol object that applies a calibration it neither gives nor builds
+    return (protocol.get("apply_calibration") and protocol.get("calibration") is None
+            and not protocol.get("auto_calibrate"))
+
+
 CANNED_OBJECTS = [(name, path) for name in canned_scenarios()
                   for path in object_paths(canned_doc(name))]
 
@@ -282,7 +289,8 @@ class TestEveryCannedObject:
         for key in get(doc, path):
             dropped = canned_doc(name)
             del get(dropped, path)[key]
-            if key in required:
+            if key in required or (context(path) == "scenario.protocol"
+                                   and applies_no_calibration(get(dropped, path))):
                 with pytest.raises(ValidationError, match=re.escape(key)):
                     validate_scenario(dropped)
             else:
@@ -418,7 +426,7 @@ class TestRun:
     def test_seed_override_changes_outputs(self, tmp_path):
         scenario = validate_scenario(minimal_doc())
         a = run(scenario)
-        b = run(scenario, master_seed=123456)
+        b = run(validate_scenario(minimal_doc(master_seed=123456)))
         assert not np.array_equal(a.series["main"].values, b.series["main"].values)
 
     def test_manifest_traces_config_and_seeds(self, tmp_path):
@@ -739,6 +747,40 @@ class TestCli:
         assert cli_main(["compare", str(out_a), str(out_b)]) == 0
         assert "tau_s" in capsys.readouterr().out
 
+    def test_run_seed_runs_the_document_with_that_master_seed(self, tmp_path, capsys):
+        # the CSVs of the seeded document byte for byte; the manifest records
+        # the seed run and echoes the document as written
+        doc = sync_doc()
+        (tmp_path / "s.json").write_text(json.dumps(doc))
+        (tmp_path / "s99.json").write_text(json.dumps(doc | {"master_seed": 99}))
+        seeded, written, own = tmp_path / "seeded", tmp_path / "written", tmp_path / "own"
+        for name, out, extra in (("s", seeded, ["--seed", "99"]), ("s99", written, []),
+                                 ("s", own, [])):
+            assert cli_main(["run", "--scenario", str(tmp_path / f"{name}.json"),
+                             "--out", str(out), *extra]) == 0
+        csvs = sorted(p.name for p in written.glob("*.csv"))
+        assert csvs == sorted(p.name for p in seeded.glob("*.csv"))
+        for name in csvs:
+            assert (seeded / name).read_bytes() == (written / name).read_bytes(), name
+        assert (seeded / "series.csv").read_bytes() != (own / "series.csv").read_bytes()
+        manifest = json.loads((seeded / "manifest.json").read_text())
+        assert manifest["master_seed"] == 99
+        assert manifest["scenario"] == doc
+        assert manifest["derived_seeds"] == \
+            json.loads((written / "manifest.json").read_text())["derived_seeds"]
+
+    def test_calibrate_seed_prints_what_the_seeded_document_prints(self, tmp_path, capsys):
+        doc = canned_doc("demo_short")
+        (tmp_path / "s.json").write_text(json.dumps(doc))
+        (tmp_path / "s99.json").write_text(json.dumps(doc | {"master_seed": 99}))
+        printed = []
+        for name, extra in (("s", ["--seed", "99"]), ("s99", []), ("s", [])):
+            assert cli_main(["calibrate", "--scenario", str(tmp_path / f"{name}.json"),
+                             *extra]) == 0
+            printed.append(capsys.readouterr().out)
+        seeded, written, own = printed
+        assert seeded == written != own
+
     def test_validation_failure_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(minimal_doc(duration_s=0)))
@@ -803,6 +845,8 @@ class TestCli:
         ("link.biedfa_position_km", {"link": {"biedfa_position_km": 500.0}}),
         ("protocol.calibration.reversal_constant_s",
          {"protocol": {"auto_calibrate": False, "calibration": {"reversal_constant_s": 1e-3}}}),
+        # applied, but neither given nor built
+        ("protocol.apply_calibration", {"protocol": {"auto_calibrate": False}}),
     ])
     def test_keys_refused_at_load_exit_1_naming_them(self, tmp_path, capsys, key, edit):
         # refused before the models are built, with the key in the error line
@@ -816,16 +860,27 @@ class TestCli:
         assert err.startswith(f"error: scenario.{key} ") and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
-    def test_apply_calibration_without_a_set_exits_1(self, tmp_path, capsys):
-        # the document validates; the missing set is found where the models
-        # are built, and the run exits as on any other config error
+    @pytest.mark.parametrize("command", ["run", "calibrate"])
+    def test_apply_calibration_without_a_set_exits_1(self, tmp_path, capsys, command):
+        # the document does not validate: the error line names the key and
+        # says how to mend the document, for a run and a calibration alike
         doc = canned_doc("demo_short")
         doc["protocol"]["auto_calibrate"] = False
-        validate_scenario(doc)
+        with pytest.raises(ValidationError, match="scenario.protocol.apply_calibration"):
+            validate_scenario(doc)
         f = tmp_path / "s.json"
         f.write_text(json.dumps(doc))
-        assert cli_main(["run", "--scenario", str(f), "--out", str(tmp_path / "o")]) == 1
-        assert "apply_calibration requires a calibration set" in capsys.readouterr().err
+        argv = [command, "--scenario", str(f)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "o")]
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: scenario.protocol.apply_calibration ")
+        for fix in ("set scenario.protocol.calibration", "auto_calibrate",
+                    "apply_calibration to false"):
+            assert fix in captured.err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_clock_drift_exits_1(self, tmp_path, capsys):
@@ -865,7 +920,8 @@ class TestCli:
 
         if command == "tdev":
             series = tmp_path / "series.csv"
-            cells.write_columns(series, ["index", "x_seconds"], [np.arange(64), np.ones(64)])
+            cells.write_tables([(series, ["index", "x_seconds"],
+                                 [np.arange(64), np.ones(64)])])
             argv = ["tdev", "--input", str(series), "--tau0", "1", "--out", str(tmp_path / "t")]
             seams = [("_Workspace", fail),
                      ("open", lambda path, mode: StarvedReader(io.FileIO(path, mode)))]
@@ -945,7 +1001,8 @@ class TestCli:
             raise BrokenPipeError(errno.EPIPE, "Broken pipe")
 
         series = tmp_path / "series.csv"
-        cells.write_columns(series, ["index", "x_seconds"], [np.arange(64), np.ones(64)])
+        cells.write_tables([(series, ["index", "x_seconds"],
+                             [np.arange(64), np.ones(64)])])
         monkeypatch.setattr("fotsim.cli.write_curve_csv", broken)
         assert cli_main(["tdev", "--input", str(series), "--tau0", "1",
                          "--out", str(tmp_path / "t")]) == 3

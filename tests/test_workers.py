@@ -160,3 +160,30 @@ def test_no_item_is_taken_after_a_failure(pin_workers, idle_helpers, count):
         workers.share(take, work, lambda item, result: finished.append(item),
                       lambda: None, 2)
     assert taken == [0, 1] and finished == [0]
+
+
+def test_a_helper_whose_run_raised_is_not_taken_again(pin_workers, idle_helpers, started,
+                                                      monkeypatch):
+    # the raising run ends its helper, whose exception reaches
+    # threading.excepthook; a two-worker share after it starts a new helper
+    # and ends, rather than handing items to the ended one and waiting on it
+    pin_workers(2)
+    reported = []
+    monkeypatch.setattr(threading, "excepthook", lambda args: reported.append(args.exc_value))
+
+    def fail():
+        raise RuntimeError("run failed")
+
+    assert workers.on_helper(fail).wait(timeout=5.0)
+    (failed_helper,) = started
+    failed_helper.join(timeout=5.0)
+    assert not failed_helper.is_alive()
+    assert [str(exc) for exc in reported] == ["run failed"]
+
+    outcome = []
+    caller = threading.Thread(
+        target=lambda: outcome.append(share_items(range(4), lambda k: k, 2)), daemon=True)
+    caller.start()
+    caller.join(timeout=10.0)
+    assert not caller.is_alive()
+    assert outcome == [({k: k for k in range(4)}, 2)]
