@@ -94,9 +94,9 @@ for f in "$T"/seed_doc/*.csv; do cmp "$f" "$T/seed_option/${f##*/}"; done
 test "$(ls "$T/seed_doc")" = "$(ls "$T/seed_option")"
 grep -q '^  "master_seed": 99,$' "$T/seed_option/manifest.json"
 # config errors, each found before anything is allocated and named by its key: two access
-# nodes of one name; an access node in a clocks_only run, which has no link to tap (not a node
-# dropped in silence); a link or a protocol in a clocks_only run, which uses neither (not built
-# unused); an amplifier past the link's end; a calibration set whose C is not the protocol's;
+# nodes of one name; a key of the other mode, which that mode does not use (not dropped in
+# silence or built unused): an access node, a link, a protocol or hardware delays in a
+# clocks_only run, a sample period in a sync run; an amplifier past the link's end; a calibration set whose C is not the protocol's;
 # an applied calibration the document neither gives nor builds; a NaN tau; a run past the size
 # cap in either mode, by a long duration or a short sample period; a noise grid coarser than
 # the run
@@ -108,6 +108,10 @@ doc clocks_link $S/free_running_clocks.json "d['link'] = json.load(open('$S/link
 refused "$T/clocks_link.json" link
 doc clocks_protocol $S/free_running_clocks.json "d['protocol'] = json.load(open('$S/demo_short.json'))['protocol']"
 refused "$T/clocks_protocol.json" protocol
+doc clocks_hardware $S/free_running_clocks.json "d['hardware'] = json.load(open('$S/demo_short.json'))['hardware']"
+refused "$T/clocks_hardware.json" hardware
+doc sync_period $S/demo_short.json "d['sample_period_s'] = 1.0"
+refused "$T/sync_period.json" sample_period_s
 doc far_amplifier $S/link_sync_230km.json "d['link']['biedfa_position_km'] = 500"
 refused "$T/far_amplifier.json" link.biedfa_position_km
 doc other_c $S/demo_short.json "d['protocol'].update(auto_calibrate=False, calibration={'reversal_constant_s': 1e-3})"

@@ -115,16 +115,17 @@ class _OuProcess:
 class LinkModel:
     """Fiber span between server (position 0) and user (position length_km).
 
-    Exactly one dispersion source must be set: the per-km coefficient or the
-    measured accumulated dispersion.  The fluctuation path is stateful and
-    single-writer; independent simulation runs need independent instances.
+    The accumulated dispersion is the per-km coefficient times the length,
+    or the measured accumulated dispersion where that is given; 0 with
+    neither.  The fluctuation path is stateful and single-writer;
+    independent simulation runs need independent instances.
     """
 
     def __init__(
         self,
         length_km: float,
         group_delay_s_per_km: float = 4.9e-6,
-        dispersion_coeff_ps_per_nm_km: float | None = None,
+        dispersion_coeff_ps_per_nm_km: float = 0.0,
         accumulated_dispersion_ps_per_nm: float | None = None,
         sagnac_s: float = 0.0,
         lambda_server_nm: float = 1546.12,
@@ -135,14 +136,9 @@ class LinkModel:
     ):
         if length_km < 0:
             raise ValidationError("length_km must be >= 0")
-        if (dispersion_coeff_ps_per_nm_km is None) == (accumulated_dispersion_ps_per_nm is None):
-            raise ValidationError(
-                "exactly one of dispersion_coeff_ps_per_nm_km / "
-                "accumulated_dispersion_ps_per_nm must be set"
-            )
         self.length_km = float(length_km)
         self.group_delay_s_per_km = float(group_delay_s_per_km)
-        self.dispersion_coeff_ps_per_nm_km = dispersion_coeff_ps_per_nm_km
+        self.dispersion_coeff_ps_per_nm_km = float(dispersion_coeff_ps_per_nm_km)
         self.accumulated_dispersion_ps_per_nm = accumulated_dispersion_ps_per_nm
         self.sagnac_s = float(sagnac_s)
         self.lambda_server_nm = float(lambda_server_nm)
@@ -174,11 +170,10 @@ class LinkModel:
 
     def dispersion_asymmetry_s(self) -> float:
         """Server->user minus user->server delay due to chromatic dispersion:
-        the wavelength difference times the accumulated dispersion D * L, or
-        the measured one when that is set instead of the coefficient D."""
-        coeff = self.dispersion_coeff_ps_per_nm_km
-        d_a = (float(self.accumulated_dispersion_ps_per_nm) if coeff is None
-               else float(coeff) * self.length_km)
+        the wavelength difference times the accumulated dispersion."""
+        d_a = self.accumulated_dispersion_ps_per_nm
+        if d_a is None:
+            d_a = self.dispersion_coeff_ps_per_nm_km * self.length_km
         return (self.lambda_user_nm - self.lambda_server_nm) * d_a * 1e-12
 
     def fiber_delay_s(self, direction: Direction, t):

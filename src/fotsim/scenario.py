@@ -250,7 +250,6 @@ _PROTOCOL = _table(
     reversal_constant_s=_finite(0.0, strict=True),
     compensation_period_s=_finite(0.0, strict=True),
     apply_calibration=(_bool, False), auto_calibrate=(_bool, False),
-    textbook_mode=(_bool, False),
 )
 _NODE = _table(
     AccessNode,
@@ -259,29 +258,35 @@ _NODE = _table(
     name=(_node_name, _REQUIRED), distance_from_server_km=_finite(0.0),
     coupler_delay_s=_finite(), tic=_TIC,
 )
-_SCENARIO = _table(
+_COMMON = dict(
     name=(_text, _REQUIRED),
-    mode=(_choice(("sync", "clocks_only")), _REQUIRED),
+    # checked against _MODES before the mode's table is picked
+    mode=(_text, _REQUIRED),
     duration_s=(_finite(0.0, strict=True), _REQUIRED),
     master_seed=(_integer(-math.inf, "an integer"), _REQUIRED),
-    warmup_rounds=(_integer(0, "a non-negative integer"), 1),
     clocks=(_object(_table(server=(_CLOCK, _REQUIRED), user=(_CLOCK, _REQUIRED))), _REQUIRED),
     freq_reference=_optional(_object(_table(frac_frequency=(_finite(), 0.0),
                                             drift_per_s=(_finite(), 0.0)))),
-    link=(_object(_LINK), None),
-    hardware=_optional(_object(_HARDWARE, into=HardwareDelays)),
-    tics=_optional(_object(_table(server=_TIC, user=_TIC))),
-    protocol=(_object(_PROTOCOL), None),
-    access_nodes=(_list_of(_object(_NODE)), ()),
     tdev_taus=(_taus, None),
-    sample_period_s=(_finite(0.0, strict=True), 1.0),
 )
+# one table per mode: a key of the other mode is an unknown key
+_MODES = {
+    "sync": _table(
+        **_COMMON,
+        warmup_rounds=(_integer(0, "a non-negative integer"), 1),
+        link=(_object(_LINK), _REQUIRED),
+        protocol=(_object(_PROTOCOL), _REQUIRED),
+        hardware=_optional(_object(_HARDWARE, into=HardwareDelays)),
+        tics=_optional(_object(_table(server=_TIC, user=_TIC))),
+        access_nodes=(_list_of(_object(_NODE)), ()),
+    ),
+    "clocks_only": _table(**_COMMON, sample_period_s=(_finite(0.0, strict=True), 1.0)),
+}
 
 
 class Scenario(SimpleNamespace):
-    """A validated scenario: one attribute per key of _SCENARIO, each object
-    parsed by its table, plus raw, the document itself.  Under textbook_mode
-    hardware is zeroed, for the run and its calibration alike."""
+    """A validated scenario: one attribute per key of its mode's table in
+    _MODES, each object parsed by its table, plus raw, the document itself."""
 
 
 def validate_scenario(doc: dict) -> Scenario:
@@ -289,26 +294,21 @@ def validate_scenario(doc: dict) -> Scenario:
 
     Raises ValidationError naming the offending key on any problem.
     """
-    scenario = Scenario(**_parse(doc, _SCENARIO, "scenario"), raw=doc)
-    if scenario.protocol is not None and scenario.protocol.textbook_mode:
-        scenario.hardware = HardwareDelays()
-    names = [node.name for node in scenario.access_nodes]
-    for i, name in enumerate(names):
-        if name in names[:i]:
+    mode = _choice(tuple(_MODES))(_mapping(doc, "scenario").get("mode"), "scenario.mode")
+    scenario = Scenario(**_parse(doc, _MODES[mode], "scenario"), raw=doc)
+    if mode == "sync":
+        names = [node.name for node in scenario.access_nodes]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValidationError(
+                    f"scenario.access_nodes[{i}].name {name!r} repeats an earlier node's name"
+                )
+        link = scenario.link
+        if (link.biedfa_position_km or 0.0) > link.length_km:
             raise ValidationError(
-                f"scenario.access_nodes[{i}].name {name!r} repeats an earlier node's name"
+                f"scenario.link.biedfa_position_km {link.biedfa_position_km:g} lies beyond "
+                f"the link's length_km {link.length_km:g}"
             )
-    link = scenario.link
-    if link is not None and (link.biedfa_position_km or 0.0) > link.length_km:
-        raise ValidationError(
-            f"scenario.link.biedfa_position_km {link.biedfa_position_km:g} lies beyond "
-            f"the link's length_km {link.length_km:g}"
-        )
-    if scenario.mode == "sync":
-        if scenario.link is None:
-            raise ValidationError("scenario.link is required in sync mode")
-        if scenario.protocol is None:
-            raise ValidationError("scenario.protocol is required in sync mode")
         pspec = scenario.protocol
         if pspec.apply_calibration and pspec.calibration is None and not pspec.auto_calibrate:
             raise ValidationError(
@@ -324,15 +324,10 @@ def validate_scenario(doc: dict) -> Scenario:
                 f"an applied calibration must share C"
             )
         for node in scenario.access_nodes:
-            if node.distance_from_server_km > scenario.link.length_km:
+            if node.distance_from_server_km > link.length_km:
                 raise ValidationError(
                     f"scenario.access_nodes: node {node.name!r} lies beyond the link"
                 )
-    else:
-        # a clocks_only run uses none of these: refused, not ignored
-        for key in ("link", "protocol", "access_nodes"):
-            if getattr(scenario, key):
-                raise ValidationError(f"scenario.{key} needs mode sync: clocks_only has no link")
     _check_sizes(scenario)
     _check_series(scenario)
     _check_noise_grids(scenario)
@@ -386,7 +381,7 @@ def _check_sizes(scenario: Scenario) -> None:
     what = "rounds" if scenario.mode == "sync" else "samples"
     _check_size("duration_s", scenario.duration_s / _series_tau0(scenario),
                 f"{what} of {_series_period(scenario)}")
-    if scenario.protocol is not None:
+    if scenario.mode == "sync":
         _check_size("protocol.calibration_rounds", scenario.protocol.calibration_rounds,
                     "rounds")
 
@@ -398,7 +393,7 @@ def _check_noise_grids(scenario: Scenario) -> None:
     # the span over which a clock is queried, in the run or its calibration;
     # where the calibration's is the longer, name the fields that set it
     horizon, span = scenario.duration_s, ""
-    if scenario.protocol is not None:
+    if scenario.mode == "sync":
         rounds = scenario.protocol.calibration_rounds
         period = scenario.protocol.compensation_period_s
         if rounds * period > horizon:
@@ -512,12 +507,11 @@ def _build_sites(scenario: Scenario, seed: int, paths: tuple) -> tuple[dict, lis
     """The server clock, user clock, server counter and user counter, in that
     order and as many as paths names (two or four), each seeded from its
     path; returned with those seeds by path."""
-    clocks, tics = scenario.clocks, scenario.tics
     builders = (
-        lambda s: _build_clock(clocks.server, scenario.freq_reference, s),
-        lambda s: _build_clock(clocks.user, scenario.freq_reference, s),
-        lambda s: TicModel(**vars(tics.server), rng_seed=s),
-        lambda s: TicModel(**vars(tics.user), rng_seed=s),
+        lambda s: _build_clock(scenario.clocks.server, scenario.freq_reference, s),
+        lambda s: _build_clock(scenario.clocks.user, scenario.freq_reference, s),
+        lambda s: TicModel(**vars(scenario.tics.server), rng_seed=s),
+        lambda s: TicModel(**vars(scenario.tics.user), rng_seed=s),
     )
     seeds = {path: derive_seed(seed, path) for path in paths}
     return seeds, [build(s) for build, s in zip(builders, seeds.values())]
@@ -527,12 +521,6 @@ def _build_link(spec: SimpleNamespace, seed: int | None) -> LinkModel:
     kwargs = dict(vars(spec))
     if spec.fluctuation is not None:
         kwargs["fluctuation"] = None if seed is None else replace(spec.fluctuation, rng_seed=seed)
-    # a measured accumulated dispersion overrides the per-km coefficient,
-    # and a link with neither source has a zero coefficient
-    if spec.accumulated_dispersion_ps_per_nm is not None:
-        kwargs["dispersion_coeff_ps_per_nm_km"] = None
-    elif spec.dispersion_coeff_ps_per_nm_km is None:
-        kwargs["dispersion_coeff_ps_per_nm_km"] = 0.0
     return LinkModel(**kwargs)
 
 
@@ -546,7 +534,7 @@ def build_calibration_set(scenario: Scenario, literal_sign: bool = False) -> Cal
     per-wavelength delays; the user delay-unit deviation from paired
     input/output measurements with the user's counter.
     """
-    if scenario.protocol is None or scenario.link is None:
+    if scenario.mode != "sync":
         raise ValidationError("calibration needs scenario.protocol and scenario.link")
     pspec = scenario.protocol
     hw = scenario.hardware
@@ -557,7 +545,7 @@ def build_calibration_set(scenario: Scenario, literal_sign: bool = False) -> Cal
         "calibration.tic_server", "calibration.tic_user",
     ))
 
-    direct_link = LinkModel(length_km=0.0, dispersion_coeff_ps_per_nm_km=0.0)
+    direct_link = LinkModel(length_km=0.0)
     direct_hw = replace(hw, biedfa_lambda1_s=0.0, biedfa_lambda2_s=0.0)
     cfg = ProtocolConfig(reversal_constant_s=c, compensation_period_s=pspec.compensation_period_s)
     direct = run_rounds(server, user, direct_link, direct_hw, tic_server, tic_user, cfg,
@@ -618,9 +606,10 @@ def build_models(scenario: Scenario) -> ModelSet:
     paths = ("clocks.server.noise", "clocks.user.noise", "tics.server", "tics.user")
     sync = scenario.mode == "sync"
     seeds, (server, user, *tics) = _build_sites(scenario, seed, paths if sync else paths[:2])
-    models = ModelSet(server=server, user=user, hw=scenario.hardware, seeds=seeds)
+    models = ModelSet(server=server, user=user, seeds=seeds)
 
     if sync:
+        models.hw = scenario.hardware
         seeds["link.fluctuation"] = derive_seed(seed, "link.fluctuation")
         models.link = _build_link(scenario.link, seeds["link.fluctuation"])
         models.tic_server, models.tic_user = tics
@@ -845,8 +834,3 @@ def compare_curves(labeled_curves: list) -> ComparisonTable:
         labels=labels, taus=taus, values=values,
         ordering_violations=violations,
     )
-
-
-def compare(reports: list) -> ComparisonTable:
-    """Compare the main stability curve across two or more run reports."""
-    return compare_curves([(r.name, r.curves["main"]) for r in reports])

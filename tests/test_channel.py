@@ -120,20 +120,19 @@ class TestAccumulatedDispersion:
         assert link.dispersion_asymmetry_s() == pytest.approx(
             self.DELTA_NM * 3910.0e-12, rel=1e-12)
 
-    def test_measured_value_passes_through(self):
-        link = LinkModel(length_km=230.0, accumulated_dispersion_ps_per_nm=3800.0)
+    @pytest.mark.parametrize("coeff", [0.0, 17.0])
+    def test_measured_value_passes_through(self, coeff):
+        # and replaces the coefficient times the length where both are given
+        link = LinkModel(length_km=230.0, dispersion_coeff_ps_per_nm_km=coeff,
+                         accumulated_dispersion_ps_per_nm=3800.0)
         assert link.dispersion_asymmetry_s() == self.DELTA_NM * 3800.0 * 1e-12
 
     def test_zero_length_gives_zero(self):
         link = LinkModel(length_km=0.0, dispersion_coeff_ps_per_nm_km=17.0)
         assert link.dispersion_asymmetry_s() == 0.0
 
-    def test_rejects_both_or_neither_source(self):
-        with pytest.raises(ValidationError):
-            LinkModel(length_km=1.0)
-        with pytest.raises(ValidationError):
-            LinkModel(length_km=1.0, dispersion_coeff_ps_per_nm_km=17.0,
-                      accumulated_dispersion_ps_per_nm=17.0)
+    def test_neither_source_gives_zero(self):
+        assert LinkModel(length_km=230.0).dispersion_asymmetry_s() == 0.0
 
 
 class TestDispersionAsymmetry:

@@ -153,7 +153,7 @@ def sessions(draw):
     skew = draw(st.sampled_from([0.0, 0.0, -1.5e-3, -2.5e-3]))
     delays["tx_server_s"] += skew
     delays["rx_user_s"] -= skew
-    # zeroed hardware runs the bare protocol algebra, as textbook mode does
+    # zeroed hardware runs the bare protocol algebra
     hw = HardwareDelays() if draw(st.booleans()) else HardwareDelays(**delays)
 
     def tic():

@@ -374,7 +374,8 @@ def test_runs_with_flicker_give_equal_bytes_on_one_and_two_workers(
         tmp_path, pin_workers, mode, flicker, server_grid):
     doc = load_scenario("link_sync_230km").raw | {"mode": mode, "duration_s": 3000.0}
     if mode == "clocks_only":
-        del doc["link"], doc["protocol"]
+        for key in ("link", "protocol", "hardware", "tics", "warmup_rounds"):
+            del doc[key]
     doc["clocks"]["server"]["noise_grid_s"] = server_grid
     for name in flicker:
         doc["clocks"][name]["noise"] += [{"type": "flicker_pm", "amplitude": 1e-11},

@@ -26,7 +26,6 @@ from fotsim.scenario import (
     build_calibration_set,
     build_models,
     canned_scenarios,
-    compare,
     compare_curves,
     derive_seed,
     load_scenario,
@@ -62,6 +61,7 @@ def sync_doc(**overrides):
         tics={"server": {"jitter_rms_s": 0.0}, "user": {"jitter_rms_s": 0.0}},
         protocol={"reversal_constant_s": 2e-3, "compensation_period_s": 1.0},
     )
+    del doc["sample_period_s"]  # a clocks_only key
     doc.update(overrides)
     return doc
 
@@ -93,6 +93,17 @@ class TestValidation:
         doc = sync_doc()
         del doc["link"]
         with pytest.raises(ValidationError, match="link"):
+            validate_scenario(doc)
+
+    @pytest.mark.parametrize("mode", [None, "sinc"])
+    def test_mode_is_checked_before_the_rest(self, mode):
+        # the mode picks the table the rest is read by, so its fault is
+        # reported ahead of an unknown key or a bad value
+        doc = minimal_doc(mode=mode, fibre={}, duration_s=0)
+        if mode is None:
+            del doc["mode"]
+        with pytest.raises(ValidationError, match=re.escape(
+                f"scenario.mode must be one of ('sync', 'clocks_only'), not {mode!r}")):
             validate_scenario(doc)
 
     def test_node_beyond_link_rejected(self):
@@ -250,9 +261,11 @@ def context(path):
     return "scenario" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
 
 
-# the keys a document must set, by object path with list indices left out
+# the keys a document must set, by object path with list indices left out,
+# and at the top level by mode
 REQUIRED_KEYS = {
-    "scenario": {"name", "mode", "duration_s", "master_seed", "clocks"},
+    "clocks_only": {"name", "mode", "duration_s", "master_seed", "clocks"},
+    "sync": {"name", "mode", "duration_s", "master_seed", "clocks", "link", "protocol"},
     "scenario.clocks": {"server", "user"},
     "scenario.clocks.server.noise[]": {"type", "amplitude"},
     "scenario.clocks.user.noise[]": {"type", "amplitude"},
@@ -283,9 +296,8 @@ class TestEveryCannedObject:
 
     def test_only_required_keys_cannot_be_dropped(self, name, path):
         doc = canned_doc(name)
-        required = set(REQUIRED_KEYS.get(re.sub(r"\[\d+\]", "[]", context(path)), ()))
-        if path == () and doc["mode"] == "sync":
-            required |= {"link", "protocol"}
+        where = doc["mode"] if path == () else re.sub(r"\[\d+\]", "[]", context(path))
+        required = REQUIRED_KEYS.get(where, ())
         for key in get(doc, path):
             dropped = canned_doc(name)
             del get(dropped, path)[key]
@@ -380,38 +392,23 @@ class TestRun:
             tmp_path / "a", tmp_path / "b", names, shallow=False)
         assert mismatch == [] and errors == []
 
-    def test_textbook_series_ignores_the_hardware_it_zeroes(self, tmp_path):
-        # textbook mode runs the rounds on zeroed hardware, so the user's
-        # delay-unit deviation shifts neither rounds.csv nor series.csv
-        doc = canned_doc("demo_short")
-        doc["protocol"].update(textbook_mode=True, apply_calibration=False)
-        files = []
-        for dev in (0.0, 1.2e-11):
-            doc["hardware"]["delay_unit_dev_user_s"] = dev
-            out = tmp_path / f"dev{dev}"
-            run(validate_scenario(doc), out_dir=out)
-            files.append([(out / name).read_bytes() for name in ("series.csv", "rounds.csv")])
-        assert files[0] == files[1]
-
-    def test_textbook_mode_equals_zeroed_hardware(self, tmp_path):
-        # textbook mode zeroes the hardware where the scenario is built, so
-        # the auto-calibration measures the hardware the rounds run on, and
-        # the run equals one of the same document without hardware delays
-        textbook, zeroed = canned_doc("demo_short"), canned_doc("demo_short")
-        assert textbook["protocol"]["apply_calibration"] and textbook["protocol"]["auto_calibrate"]
-        textbook["protocol"]["textbook_mode"] = True
-        zeroed["hardware"] = {}
-        files, calibrations = [], []
-        for label, doc in (("textbook", textbook), ("zeroed", zeroed)):
-            scenario = validate_scenario(doc)
-            out = tmp_path / label
-            run(scenario, out_dir=out)
-            files.append({name: (out / name).read_bytes()
-                          for name in ("series.csv", "rounds.csv", "tdev.csv")})
-            calibrations.append(build_calibration_set(scenario))
-        for name in files[0]:
-            assert files[0][name] == files[1][name], name
-        assert calibrations[0] == calibrations[1]
+    def test_measured_dispersion_wins_over_the_coefficient(self, tmp_path):
+        # a link with both sources runs as one with the measured value alone,
+        # and not as one with the coefficient alone
+        both = sync_doc()
+        both["link"].update(dispersion_coeff_ps_per_nm_km=17.0,
+                            accumulated_dispersion_ps_per_nm=1000.0)
+        measured, coefficient = sync_doc(), sync_doc()
+        measured["link"]["accumulated_dispersion_ps_per_nm"] = 1000.0
+        coefficient["link"]["dispersion_coeff_ps_per_nm_km"] = 17.0
+        files = {}
+        for label, doc in (("both", both), ("measured", measured), ("coefficient", coefficient)):
+            run(validate_scenario(doc), out_dir=tmp_path / label)
+            files[label] = {p.name: p.read_bytes()
+                            for p in sorted((tmp_path / label).glob("*.csv"))}
+        assert list(files["both"]) == ["rounds.csv", "series.csv", "tdev.csv"]
+        assert files["both"] == files["measured"]
+        assert files["both"]["rounds.csv"] != files["coefficient"]["rounds.csv"]
 
     def test_unapplied_calibration_is_recorded_but_not_subtracted(self):
         doc = canned_doc("demo_short")
@@ -502,16 +499,17 @@ class TestCalibrationPipeline:
 
 
 class TestCompare:
-    def _curve_report(self, tmp_path, name, scale):
+    def _labeled_curve(self, tmp_path, name, scale):
         doc = minimal_doc(name=name)
         doc["clocks"]["server"]["noise"] = [{"type": "white_pm", "amplitude": scale}]
         doc["duration_s"] = 256.0
-        return run(validate_scenario(doc))
+        report = run(validate_scenario(doc))
+        return report.name, report.curves["main"]
 
     def test_identical_runs_have_equal_values(self, tmp_path):
-        a = self._curve_report(tmp_path, "a", 1e-11)
-        b = self._curve_report(tmp_path, "b", 1e-11)
-        table = compare([a, b])
+        a = self._labeled_curve(tmp_path, "a", 1e-11)
+        b = self._labeled_curve(tmp_path, "b", 1e-11)
+        table = compare_curves([a, b])
         assert np.array_equal(table.values[:, 0], table.values[:, 1])
         assert table.ordering_violations == []
 
@@ -527,9 +525,9 @@ class TestCompare:
         assert table.ordering_violations == []
 
     def test_ordering_violations_flagged(self, tmp_path):
-        small = self._curve_report(tmp_path, "small", 1e-12)
-        big = self._curve_report(tmp_path, "big", 1e-9)
-        table = compare([big, small])  # wrong order on purpose
+        small = self._labeled_curve(tmp_path, "small", 1e-12)
+        big = self._labeled_curve(tmp_path, "big", 1e-9)
+        table = compare_curves([big, small])  # wrong order on purpose
         assert table.ordering_violations
 
     def test_disjoint_grids_rejected(self):
@@ -555,9 +553,9 @@ class TestCompare:
         assert table.ordering_violations == []
 
     def test_table_renders(self, tmp_path):
-        a = self._curve_report(tmp_path, "a", 1e-11)
-        b = self._curve_report(tmp_path, "b", 1e-11)
-        text = compare([a, b]).to_text()
+        a = self._labeled_curve(tmp_path, "a", 1e-11)
+        b = self._labeled_curve(tmp_path, "b", 1e-11)
+        text = compare_curves([a, b]).to_text()
         assert "tau_s" in text and "a" in text
 
     def test_three_canned_regimes_order_monotonically_at_long_tau(self):
@@ -566,7 +564,7 @@ class TestCompare:
         # list is inspected per tau rather than required empty
         reports = [run(load_scenario(name)) for name in
                    ("link_sync_230km", "freq_synced_clocks", "free_running_clocks")]
-        table = compare(reports)
+        table = compare_curves([(r.name, r.curves["main"]) for r in reports])
         i1000 = table.taus.index(1000.0)
         vals = table.values[i1000]
         assert vals[0] < vals[1] < vals[2]
@@ -814,30 +812,21 @@ class TestCli:
         assert err.startswith("error: ") and "access_nodes" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
-    def test_clocks_only_with_access_nodes_exits_1(self, tmp_path, capsys):
-        # a clocks_only run has no link for a node to tap: refused, not run
-        # without the node
-        doc = canned_doc("free_running_clocks")
-        doc["access_nodes"] = canned_doc("midlink_access_230km")["access_nodes"]
+    @pytest.mark.parametrize("name,key,source", [
+        *(("free_running_clocks", key, "midlink_access_230km") for key in
+          ("link", "protocol", "access_nodes", "hardware", "tics", "warmup_rounds")),
+        ("link_sync_230km", "sample_period_s", "free_running_clocks"),
+    ])
+    def test_a_key_of_the_other_mode_exits_1(self, tmp_path, capsys, name, key, source):
+        # each mode has its own keys: one of the other mode is refused, not
+        # ignored or built unused
+        doc = canned_doc(name)
+        doc[key] = canned_doc(source)[key]
         f = tmp_path / "s.json"
         f.write_text(json.dumps(doc))
         assert cli_main(["run", "--scenario", str(f), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: scenario.access_nodes") and "sync" in err
-        assert err.count("\n") == 1 and "Traceback" not in err
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("key", ["link", "protocol"])
-    def test_clocks_only_with_a_link_or_protocol_exits_1(self, tmp_path, capsys, key):
-        # a clocks_only run uses neither: refused, not built unused with a
-        # link.fluctuation seed in the manifest
-        doc = canned_doc("free_running_clocks")
-        doc[key] = canned_doc("link_sync_230km")[key]
-        f = tmp_path / "s.json"
-        f.write_text(json.dumps(doc))
-        assert cli_main(["run", "--scenario", str(f), "--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: scenario.{key} ") and "sync" in err
+        assert err.startswith(f"error: unknown key {key!r} in scenario;")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
@@ -1062,6 +1051,13 @@ class TestCli:
         assert cli_main(["calibrate", "--scenario", str(f)]) == 0
         printed = json.loads(capsys.readouterr().out)
         assert printed["tau_hd_s"] == pytest.approx(1e-8, abs=1e-15)
+
+    def test_calibrate_a_clocks_only_document_exits_1(self, capsys):
+        # a clocks_only scenario has no link or protocol to calibrate
+        assert cli_main(["calibrate", "--scenario", "free_running_clocks"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: calibration needs scenario.protocol")
 
     def test_scenarios_subcommand_lists_canned(self, capsys):
         assert cli_main(["scenarios"]) == 0
